@@ -13,10 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .comb import CombParams, afc_decay_model, build_comb, propagate
 from .config import ExperimentConfig
 from .fitting import fit_afc_decay, fit_mims, fit_power_law
-from .harness import RunReport, VERSION, reproduce, run_qubit_tomography, run_spinwave
+from .harness import RunReport, reproduce, run_qubit_tomography, run_spinwave
 from .presets import PRESET_NAMES
 from .tomography import (TomoCounts, classical_bound_weak_coherent,
                          direct_inversion, fidelity, pauli_expectations, purity,
@@ -67,7 +68,7 @@ def _cmd_simulate(args) -> int:
                 1.0 / cfg.comb_period_hz, cfg.afc_eta0, cfg.afc_t2_seconds,
                 cfg.afc_mod_depth, cfg.zeeman_split_hz),
             "provenance": {"config_hash": cfg.config_hash(), "seed": cfg.seed,
-                           "version": VERSION},
+                           "version": __version__},
         }
         (out / "report.json").write_text(
             json.dumps(result, indent=2, sort_keys=True) + "\n")
@@ -167,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="afcmem",
         description="Simulator and analysis toolkit for AFC spin-wave "
                     "optical memories")
-    parser.add_argument("--version", action="version", version=VERSION)
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a simulation stage")

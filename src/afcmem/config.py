@@ -9,6 +9,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 from .pulses import normalize_dd_kind
@@ -110,6 +112,17 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not 0 <= v <= 1:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        n = self.n_atoms
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError("n_atoms must be a positive integer")
+        for name, positive in (("bath_inhom_fwhm_hz", False),
+                               ("bath_ou_sigma_hz", False),
+                               ("bath_ou_tau_c_seconds", True)):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or not math.isfinite(v) or v < 0 or (positive and v == 0)):
+                kind = "positive" if positive else "nonnegative"
+                raise ValueError(f"{name} must be a finite {kind} number")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

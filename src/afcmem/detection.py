@@ -17,7 +17,6 @@ class DetectionChain:
     detector_efficiency: float = 0.57
     path_transmission: float = 0.185
     filter_extinction: float = 1636.0
-    gate_window_s: float = 0.0
     dark_rate_hz: float = 0.0
 
     def validate(self) -> None:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .comb import afc_decay_model
 from .config import ExperimentConfig
 from .detection import (DetectionChain, metrics, mode_sums,
@@ -25,7 +26,6 @@ from .tomography import (TomoCounts, classical_bound_weak_coherent,
                          direct_inversion, fidelity, pauli_expectations, purity,
                          white_noise_fidelity)
 
-VERSION = "0.1.0"
 
 NOISE_LIFETIME_S = 1.9e-3
 
@@ -244,7 +244,7 @@ def run_spinwave(cfg: ExperimentConfig, preset: str | None = None) -> RunReport:
 
     report = RunReport(
         kind="spinwave", preset=preset, config=cfg.to_dict(),
-        config_hash=cfg.config_hash(), seed=cfg.seed, version=VERSION,
+        config_hash=cfg.config_hash(), seed=cfg.seed, version=__version__,
         stages=stages, eta_end_to_end=float(eta_total),
         metrics={
             "summary": mm.summary(),
@@ -386,7 +386,7 @@ def run_qubit_tomography(cfg: ExperimentConfig, theta_list=None,
     }
     report = RunReport(
         kind="qubit", preset=preset, config=cfg.to_dict(),
-        config_hash=cfg.config_hash(), seed=cfg.seed, version=VERSION,
+        config_hash=cfg.config_hash(), seed=cfg.seed, version=__version__,
         stages={"eta_qubit": eta_q, "p_noise_per_mode": p_noise,
                 "visibility": v0},
         tomography=tomo,
@@ -441,7 +441,7 @@ def _reproduce_fig1e(out: Path, cfg, notes) -> RunReport:
 
     report = RunReport(
         kind="fig1e", preset="fig1e", config=cfg.to_dict(),
-        config_hash=cfg.config_hash(), seed=cfg.seed, version=VERSION,
+        config_hash=cfg.config_hash(), seed=cfg.seed, version=__version__,
         fits={"afc_decay": fit.as_dict()}, notes=list(notes),
         checks=[
             _check("eta0_fit", eta0_fit, FIG1E["eta0"] - FIG1E["eta0_tol"],
@@ -499,7 +499,7 @@ def _reproduce_fig2(out: Path, cfg, notes) -> RunReport:
         json.dumps(_json_safe(pl.as_dict()), indent=2, sort_keys=True) + "\n")
     return RunReport(kind="fig2", preset="fig2", config=cfg.to_dict(),
                      config_hash=cfg.config_hash(), seed=cfg.seed,
-                     version=VERSION, fits=fits, checks=checks,
+                     version=__version__, fits=fits, checks=checks,
                      notes=list(notes))
 
 

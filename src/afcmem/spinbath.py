@@ -1,17 +1,20 @@
 """Monte Carlo spin-wave storage under dynamical decoupling.
 
 Each atom carries a static detuning drawn from the inhomogeneous spin line
-plus an Ornstein-Uhlenbeck frequency fluctuation (exact discretization).
-Stored coherence accumulates phase between pi pulses with a sign that
-toggles at each pulse center; imperfect pulses are applied as full 2x2
-unitaries with finite-Rabi detuning tilt.  Read-out noise comes from the
-residual storage-state population excited out of the ground state by the
-imperfect RF train.
+plus an Ornstein-Uhlenbeck (OU) frequency fluctuation.  Between pulses the
+OU value at the interval's end and its integral over the interval are drawn
+exactly, as one jointly Gaussian pair per atom (Gillespie, Phys. Rev. E 54,
+2084 (1996)), so an interval costs the same whatever its length.  Stored
+coherence accumulates phase between pi pulses with a sign that toggles at
+each pulse center; imperfect pulses are applied as full 2x2 unitaries with
+finite-Rabi detuning tilt.  Read-out noise comes from the residual
+storage-state population excited out of the ground state by the imperfect
+RF train.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,47 +85,91 @@ def sample_ensemble(params: SpinBathParams,
     return sigma * rng.standard_normal(params.n_atoms)
 
 
+def _rng(seed, default_seed) -> np.random.Generator:
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(default_seed if seed is None else seed)
+
+
 def ou_trajectory(sigma_hz: float, tau_c_s: float, dt_s: float, n_steps: int,
                   seed=None) -> np.ndarray:
     """Exactly discretized OU path, stationary start.
 
     d_{k+1} = d_k e^(-dt/tau) + sigma sqrt(1 - e^(-2dt/tau)) g_k.
     """
+    from scipy.signal import lfilter  # heavy import, needed only here
+
     if dt_s <= 0:
         raise ValueError("dt_s must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    path = np.empty(n_steps + 1)
-    path[0] = sigma_hz * rng.standard_normal()
+    rng = _rng(seed, None)
+    start = sigma_hz * rng.standard_normal()
     rho = np.exp(-dt_s / tau_c_s)
     q = sigma_hz * np.sqrt(1 - rho * rho)
     g = rng.standard_normal(n_steps)
-    for k in range(n_steps):
-        path[k + 1] = path[k] * rho + q * g[k]
-    return path
+    path = lfilter([q], [1.0, -rho], g, zi=[rho * start])[0]
+    return np.concatenate([[start], path])
 
 
-def _toggled_phases(rng, static, bath, boundaries, steps_per_interval):
-    """2*pi integral of s(t) * (static + OU(t)) dt with s toggling sign at
-    each interior boundary; trapezoidal OU quadrature on exact OU nodes."""
-    n = static.size
-    phase = np.zeros(n)
-    sign = 1.0
+def _ou_interval_law(h, sigma, tau):
+    """Law of the OU value x1 at the end of an interval h and of the OU
+    integral I over it, given the value x0 at its start:
+
+        x1 = (1 - e) x0 + a g1,   I = tau e x0 + b g1 + c g2,
+
+    with g1, g2 independent standard normals and e = 1 - exp(-h/tau).
+    Returns (e, a, b, c): Var x1 = a^2 = sigma^2 e (2 - e),
+    Cov(x1, I) = a b = sigma^2 tau e^2 and
+    Var I = b^2 + c^2 = sigma^2 tau^2 (2 (h/tau - e) - e^2).
+    """
+    u = h / tau
+    e = -np.expm1(-u)
+    if u < 1e-2:  # 2 (u - e) - e^2 cancels down to 2 u^3 / 3: use its series
+        w = u**3 * (2 / 3 - u / 2 + 7 * u**2 / 30 - u**3 / 12 + 31 * u**4 / 1260)
+    else:
+        w = 2 * (u - e) - e * e
+    a = sigma * np.sqrt(e * (2 - e))
+    b = sigma * tau * e * np.sqrt(e / (2 - e))
+    c = sigma * tau * np.sqrt(w - e**3 / (2 - e))
+    return e, a, b, c
+
+
+def _ou_interval(rng, x0, h, sigma, tau):
+    """One exact joint draw of (x1, I) per atom; see _ou_interval_law."""
+    e, a, b, c = _ou_interval_law(h, sigma, tau)
+    g1, g2 = rng.standard_normal((2, np.size(x0)))
+    return (1 - e) * x0 + a * g1, tau * e * x0 + b * g1 + c * g2
+
+
+def _propagate(rng, static, bath, dd, errors=None, spinor=None):
+    """Carry every atom through the free intervals and pulses of dd.
+
+    This is the one interval loop of the module.  Over each interval the
+    free phase 2 pi * integral of (static + OU) dt takes one exact OU draw
+    per atom.  With errors=None the pulses are ideal instantaneous pi flips,
+    so the phase changes sign at each pulse center, and the toggled phase
+    is returned.  Otherwise the spinor (up, dn) turns by each free phase and
+    by each pulse's finite-Rabi unitary at the spin's detuning at the pulse
+    (static + OU), and the final spinor is returned.
+    """
     use_ou = bath.ou_sigma_hz > 0
-    ou = bath.ou_sigma_hz * rng.standard_normal(n) if use_ou else None
-    for i in range(len(boundaries) - 1):
-        a, b = boundaries[i], boundaries[i + 1]
-        span = b - a
+    ou = bath.ou_sigma_hz * rng.standard_normal(static.size) if use_ou else 0.0
+    phase = np.zeros(static.size)
+    up, dn = spinor or (None, None)
+    boundaries = np.concatenate([[0.0], dd.centers_s, [dd.total_time_s]])
+    for i, h in enumerate(np.diff(boundaries)):
+        phi = 2 * np.pi * static * h
         if use_ou:
-            dt = span / steps_per_interval
-            rho = np.exp(-dt / bath.ou_tau_c_s)
-            q = bath.ou_sigma_hz * np.sqrt(1 - rho * rho)
-            for _ in range(steps_per_interval):
-                nxt = ou * rho + q * rng.standard_normal(n)
-                phase += sign * np.pi * dt * (ou + nxt)
-                ou = nxt
-        phase += sign * 2 * np.pi * static * span
-        sign = -sign
-    return phase
+            ou, integral = _ou_interval(rng, ou, h, bath.ou_sigma_hz, bath.ou_tau_c_s)
+            phi += 2 * np.pi * integral
+        if errors is None:
+            phase += phi if i % 2 == 0 else -phi
+            continue
+        rot = np.exp(-0.5j * phi)
+        up, dn = up * rot, dn * np.conj(rot)
+        if i < dd.n_pulses:
+            uuu, uud, udu, udd = _pulse_unitary(dd.phases_rad[i], static + ou, errors)
+            up, dn = uuu * up + uud * dn, udu * up + udd * dn
+    return phase if errors is None else (up, dn)
 
 
 def _pulse_unitary(phase_rad, delta_hz, errors: PulseErrorModel):
@@ -155,7 +202,6 @@ def _coherence_stats(phasors: np.ndarray, n_blocks: int = 10):
 
 def spin_echo_coherence(dd: DDSequence, bath: SpinBathParams,
                         errors: PulseErrorModel | None = None,
-                        steps_per_interval: int = 50,
                         seed=None, keep_phases: bool = False) -> SpinStorageResult:
     """Ensemble-averaged stored coherence surviving the DD sequence.
 
@@ -164,42 +210,14 @@ def spin_echo_coherence(dd: DDSequence, bath: SpinBathParams,
     model each pulse is a full finite-Rabi unitary.
     """
     bath.validate()
-    if bath.ou_sigma_hz > 0 and steps_per_interval < 50:
-        raise ValueError("need at least 50 OU steps between pulses")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(
-        bath.seed if seed is None else seed)
+    rng = _rng(seed, bath.seed)
     static = sample_ensemble(bath, rng)
-    boundaries = np.concatenate([[0.0], dd.centers_s, [dd.total_time_s]])
-
     if errors is None:
-        phase = _toggled_phases(rng, static, bath, boundaries, steps_per_interval)
-        phasors = np.exp(1j * phase)
+        phasors = np.exp(1j * _propagate(rng, static, bath, dd))
     else:
         errors.validate()
         up = np.full(bath.n_atoms, 1 / np.sqrt(2), dtype=np.complex128)
-        dn = up.copy()
-        use_ou = bath.ou_sigma_hz > 0
-        ou = bath.ou_sigma_hz * rng.standard_normal(bath.n_atoms) if use_ou else 0.0
-        for i in range(len(boundaries) - 1):
-            a, b = boundaries[i], boundaries[i + 1]
-            span = b - a
-            phi = np.zeros(bath.n_atoms)
-            if use_ou:
-                dt = span / steps_per_interval
-                rho = np.exp(-dt / bath.ou_tau_c_s)
-                q = bath.ou_sigma_hz * np.sqrt(1 - rho * rho)
-                for _ in range(steps_per_interval):
-                    nxt = ou * rho + q * rng.standard_normal(bath.n_atoms)
-                    phi += np.pi * dt * (ou + nxt)
-                    ou = nxt
-            phi += 2 * np.pi * static * span
-            rot = np.exp(-0.5j * phi)
-            up *= rot
-            dn *= np.conj(rot)
-            if i < dd.n_pulses:
-                delta = static + (ou if use_ou else 0.0)
-                uuu, uud, udu, udd = _pulse_unitary(dd.phases_rad[i], delta, errors)
-                up, dn = uuu * up + uud * dn, udu * up + udd * dn
+        up, dn = _propagate(rng, static, bath, dd, errors, (up, up))
         phasors = 2 * up * np.conj(dn)
 
     coherence, stderr = _coherence_stats(phasors)
@@ -215,22 +233,15 @@ def spin_echo_coherence(dd: DDSequence, bath: SpinBathParams,
 def residual_excitation(dd: DDSequence, errors: PulseErrorModel,
                         line: SpinBathParams, seed=None) -> float:
     """Mean storage-state population left by the imperfect RF train acting
-    on spins initialized in the ground state."""
+    on spins of the static line (no spectral diffusion) initialized in the
+    ground state."""
     errors.validate()
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(
-        line.seed if seed is None else seed)
+    rng = _rng(seed, line.seed)
     static = sample_ensemble(line, rng)
-    up = np.zeros(line.n_atoms, dtype=np.complex128)
-    dn = np.ones(line.n_atoms, dtype=np.complex128)
-    boundaries = np.concatenate([[0.0], dd.centers_s, [dd.total_time_s]])
-    for i in range(len(boundaries) - 1):
-        span = boundaries[i + 1] - boundaries[i]
-        rot = np.exp(-1j * np.pi * static * span)
-        up *= rot
-        dn *= np.conj(rot)
-        if i < dd.n_pulses:
-            uuu, uud, udu, udd = _pulse_unitary(dd.phases_rad[i], static, errors)
-            up, dn = uuu * up + uud * dn, udu * up + udd * dn
+    ground = (np.zeros(line.n_atoms, dtype=np.complex128),
+              np.ones(line.n_atoms, dtype=np.complex128))
+    up, _ = _propagate(rng, static, replace(line, ou_sigma_hz=0.0), dd, errors,
+                       ground)
     return float(np.mean(np.abs(up) ** 2))
 
 
@@ -242,24 +253,22 @@ def readout_noise(dd: DDSequence, errors: PulseErrorModel,
         dd, errors, line, seed=seed)
 
 
-def free_induction(bath: SpinBathParams, t_list, steps: int = 64,
-                   seed=None) -> np.ndarray:
+def free_induction(bath: SpinBathParams, t_list, seed=None) -> np.ndarray:
     """Free-dephasing coherence |<exp(i phi)>| at each time (no pulses)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(
-        bath.seed if seed is None else seed)
+    rng = _rng(seed, bath.seed)
     static = sample_ensemble(bath, rng)
+    empty = np.empty(0)
     out = np.empty(len(t_list))
     for i, t in enumerate(t_list):
-        phase = _toggled_phases(rng, static, bath, np.array([0.0, t]), steps)
-        out[i] = np.abs(np.exp(1j * phase).mean())
+        fid = DDSequence("none", float(t), 0.0, phases_rad=empty, centers_s=empty)
+        out[i] = np.abs(np.exp(1j * _propagate(rng, static, bath, fid)).mean())
     return out
 
 
 def efficiency_decay(dd_kind: str, t_list, bath: SpinBathParams,
                      errors: PulseErrorModel | None = None,
                      pulse_duration_s: float | None = None,
-                     rabi_hz: float = 120e3,
-                     steps_per_interval: int = 50, seed=None):
+                     rabi_hz: float = 120e3, seed=None):
     """Spin storage efficiency versus storage time, one independent
     sub-seeded bath per point.  Returns a list of (t_s, eta, stderr)."""
     from .pulses import dd_sequence
@@ -277,7 +286,6 @@ def efficiency_decay(dd_kind: str, t_list, bath: SpinBathParams,
     for child, t_s in zip(ss.spawn(len(t_arr)), t_arr):
         dd = dd_sequence(dd_kind, t_s, pulse_duration_s, rabi_hz)
         res = spin_echo_coherence(dd, bath, errors,
-                                  steps_per_interval=steps_per_interval,
                                   seed=np.random.default_rng(child))
         eta_err = 2 * res.coherence * res.coherence_stderr
         rows.append((float(t_s), res.eta_spin, eta_err))

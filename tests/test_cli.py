@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import afcmem
 from afcmem.cli import main
 from afcmem.fitting import mims_curve
 
@@ -87,6 +88,31 @@ def test_config_error_exit_code(tmp_path):
     code = run_cli("fit", "mims", str(tmp_path / "missing.csv"),
                    "--out", str(tmp_path))
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", [
+    {"n_atoms": 0}, {"n_atoms": 2.5}, {"bath_ou_tau_c_seconds": -1},
+    {"bath_ou_tau_c_seconds": 0}, {"bath_ou_sigma_hz": -5.0},
+    {"bath_inhom_fwhm_hz": float("nan")},
+])
+def test_bath_config_error_exit_code(tmp_path, capsys, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    code = run_cli("simulate", "spinwave", "--config", str(path),
+                   "--out", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert next(iter(bad)) in err
+
+
+def test_version_is_package_version(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        run_cli("--version")
+    assert capsys.readouterr().out.strip() == afcmem.__version__
+    run_cli("simulate", "afc", "--out", str(tmp_path))
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["provenance"]["version"] == afcmem.__version__
 
 
 def test_unknown_preset_usage_error():

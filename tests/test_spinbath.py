@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
-from afcmem.pulses import dd_sequence
+from afcmem.pulses import DDSequence, dd_sequence
 from afcmem.spinbath import (FWHM_TO_SIGMA, PulseErrorModel, SpinBathParams,
-                             cpmg_ou_chi, efficiency_decay, free_induction,
+                             _ou_interval, _ou_interval_law, cpmg_ou_chi,
+                             efficiency_decay, free_induction,
                              ou_sigma_for_t2, ou_trajectory, readout_noise,
                              residual_excitation, sample_ensemble,
                              spin_echo_coherence)
@@ -54,6 +55,120 @@ def test_ou_stationary_distribution_ks():
     # dt >> tau_c so successive samples decorrelate; KS against N(0, sigma)
     res = stats.kstest(path, "norm", args=(0, sigma))
     assert res.pvalue > 0.01
+
+
+def test_ou_trajectory_matches_recursion():
+    # the per-step recursion of the docstring, drawn from the same stream
+    sigma, tau_c, dt, n = 50.0, 1e-3, 1e-5, 2000
+    path = ou_trajectory(sigma, tau_c, dt, n, seed=4)
+    rng = np.random.default_rng(4)
+    ref = [sigma * rng.standard_normal()]
+    rho = np.exp(-dt / tau_c)
+    for g in rng.standard_normal(n):
+        ref.append(ref[-1] * rho + sigma * np.sqrt(1 - rho * rho) * g)
+    np.testing.assert_allclose(path, ref, rtol=1e-12, atol=1e-12 * sigma)
+    assert ou_trajectory(sigma, tau_c, dt, 0, seed=4).shape == (1,)
+
+
+@pytest.mark.parametrize("u", [1e-7, 1e-4, 1e-3, 9e-3, 1.1e-2, 0.3, 4.0, 60.0])
+def test_ou_interval_law_against_quadrature(u):
+    # conditional OU covariance given x0, in units sigma = tau = 1:
+    # K(s, t) = exp(-|s - t|) - exp(-(s + t)), integrated by quadrature
+    def k(s, t):
+        return -np.exp(-abs(s - t)) * np.expm1(-2 * min(s, t))
+
+    tol = dict(epsabs=0, epsrel=1e-12)
+    var_x = k(u, u)
+    cov = integrate.quad(lambda t: k(u, t), 0, u, **tol)[0]
+    var_i = 2 * integrate.dblquad(lambda t, s: k(s, t), 0, u, 0, lambda s: s,
+                                  **tol)[0]
+    mean_i = integrate.quad(lambda t: np.exp(-t), 0, u, **tol)[0]
+    sigma, tau = 7.0, 0.3
+    e, a, b, c = _ou_interval_law(u * tau, sigma, tau)
+    close = dict(rel=1e-9, abs=0)  # the moments scale as u, u^2 and u^3
+    assert 1 - e == pytest.approx(np.exp(-u), rel=1e-14)
+    assert tau * e == pytest.approx(tau * mean_i, **close)
+    assert a * a == pytest.approx(sigma**2 * var_x, **close)
+    assert a * b == pytest.approx(sigma**2 * tau * cov, **close)
+    assert b * b + c * c == pytest.approx(sigma**2 * tau**2 * var_i, **close)
+
+
+@pytest.mark.parametrize("h,tau", [(3e-3, 3.0), (0.5, 1.0), (4.0, 1.0)])
+def test_ou_interval_sample_moments(h, tau):
+    # closed-form conditional moments of (end value, integral) given x0
+    sigma, x0, n = 40.0, 25.0, 400_000
+    e = -np.expm1(-h / tau)
+    mean = np.array([(1 - e) * x0, tau * e * x0])
+    var_x = sigma**2 * e * (2 - e)
+    var_i = sigma**2 * tau**2 * (2 * (h / tau - e) - e**2)
+    cov = sigma**2 * tau * e**2
+    x1, integral = _ou_interval(np.random.default_rng(17), np.full(n, x0),
+                                h, sigma, tau)
+    # 4-sigma statistical bounds on each estimate
+    assert x1.mean() == pytest.approx(mean[0], abs=4 * np.sqrt(var_x / n))
+    assert integral.mean() == pytest.approx(mean[1], abs=4 * np.sqrt(var_i / n))
+    assert x1.var() == pytest.approx(var_x, rel=4 * np.sqrt(2 / n))
+    assert integral.var() == pytest.approx(var_i, rel=4 * np.sqrt(2 / n))
+    r = cov / np.sqrt(var_x * var_i)
+    assert np.corrcoef(x1, integral)[0, 1] == pytest.approx(
+        r, abs=4 * (1 - r * r) / np.sqrt(n))
+
+
+def ou_filter_chi(bounds, sigma, tau):
+    """Exact phase variance of a stationary OU bath under a sign that
+    toggles at the interior bounds: the covariance kernel integrated over
+    every pair of constant-sign pieces in closed form."""
+    h = np.diff(bounds)
+    e = -np.expm1(-h / tau)
+    s = (-1.0) ** np.arange(h.size)
+    total = np.sum(2 * tau**2 * (h / tau - e))
+    for j in range(h.size):
+        for k in range(j + 1, h.size):
+            total += (2 * s[j] * s[k] * tau**2 * e[j] * e[k]
+                      * np.exp(-(bounds[k] - bounds[j + 1]) / tau))
+    return 0.5 * (2 * np.pi * sigma) ** 2 * total
+
+
+def test_ou_filter_chi_matches_kernel_quadrature():
+    # the closed-form oracle itself, against a midpoint grid of the kernel
+    sigma, tau_c, t_s = 40.0, 0.2, 0.05
+    bounds = np.concatenate([[0.0], dd_sequence("XY4", t_s, PI_DURATION).centers_s,
+                             [t_s]])
+    n = 2000
+    tg = (np.arange(n) + 0.5) * (t_s / n)
+    s = (-1.0) ** np.searchsorted(bounds[1:-1], tg, side="right")
+    cov = (2 * np.pi * sigma) ** 2 * np.exp(-np.abs(tg[:, None] - tg[None, :]) / tau_c)
+    chi = 0.5 * (s[:, None] * s[None, :] * cov).sum() * (t_s / n) ** 2
+    assert ou_filter_chi(bounds, sigma, tau_c) == pytest.approx(chi, rel=1e-4)
+
+
+@pytest.mark.parametrize("centers,t_s,fwhm", [
+    ([0.004, 0.013, 0.019, 0.031, 0.044], 0.05, 60.0),  # uneven, odd count
+    ([0.006, 0.021, 0.030, 0.043], 0.05, 60.0),         # uneven, even count
+    ([], 0.012, 5.0),                                   # free induction
+])
+def test_coherence_against_filter_function(centers, t_s, fwhm):
+    # ideal pulses at arbitrary, non-CPMG times: the phase is Gaussian, so
+    # the coherence is exp(-chi_ou - chi_static) exactly
+    sigma, tau_c = 12.0, 0.02
+    bounds = np.concatenate([[0.0], centers, [t_s]])
+    signs = (-1.0) ** np.arange(len(bounds) - 1)
+    static_sd = fwhm * FWHM_TO_SIGMA * np.dot(signs, np.diff(bounds))
+    chi = ou_filter_chi(bounds, sigma, tau_c) + 0.5 * (2 * np.pi * static_sd) ** 2
+    expected = np.exp(-chi)
+    assert 0.2 < expected < 0.8
+    bath = SpinBathParams(inhom_fwhm_hz=fwhm, ou_sigma_hz=sigma,
+                          ou_tau_c_s=tau_c, n_atoms=100_000, seed=23)
+    if centers:
+        dd = DDSequence("XY4", t_s, PI_DURATION, phases_rad=np.zeros(len(centers)),
+                        centers_s=np.array(centers))
+        res = spin_echo_coherence(dd, bath)
+        assert res.coherence == pytest.approx(expected,
+                                              abs=4 * res.coherence_stderr)
+    else:
+        # 1/sqrt(n) is the spread of |<exp(i phi)>| around exp(-chi)
+        assert free_induction(bath, [t_s])[0] == pytest.approx(
+            expected, abs=4 / np.sqrt(bath.n_atoms))
 
 
 @pytest.mark.parametrize("kind,t_s", [("XX", 0.02), ("XY4", 0.02),
