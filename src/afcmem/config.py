@@ -11,8 +11,10 @@ import hashlib
 import json
 import math
 import numbers
+import typing
 from dataclasses import dataclass
 
+from .comb import TOOTH_SHAPES
 from .pulses import normalize_dd_kind
 from .spinbath import ou_sigma_for_t2
 
@@ -20,6 +22,90 @@ from .spinbath import ou_sigma_for_t2
 # (slow-bath regime, correlation time 3 s).
 DEFAULT_OU_TAU_C_S = 3.0
 DEFAULT_OU_SIGMA_HZ = ou_sigma_for_t2(2, 0.070, DEFAULT_OU_TAU_C_S)
+
+
+# Allowed interval of a numeric field: (low, high, low is open, high is open).
+_POSITIVE = (0, math.inf, True, True)
+_NONNEGATIVE = (0, math.inf, False, True)
+_UNIT = (0, 1, False, False)
+_EFFICIENCY = (0, 1, True, False)
+_COUNT = (1, math.inf, False, True)
+_ANY = (-math.inf, math.inf, True, True)
+
+_RANGES = {
+    "comb_period_hz": _POSITIVE,
+    "comb_finesse": (1, math.inf, True, True),
+    "comb_peak_od": _NONNEGATIVE,
+    "comb_background_od": _NONNEGATIVE,
+    "comb_bandwidth_hz": _POSITIVE,
+    "comb_passes": _COUNT,
+    "afc_eta0": _UNIT,
+    "afc_t2_seconds": _POSITIVE,
+    "afc_mod_depth": _UNIT,
+    "eta_afc_fixed": _EFFICIENCY,
+    "transfer_duration_seconds": _POSITIVE,
+    "transfer_bandwidth_hz": _POSITIVE,
+    "eta_transfer_fixed": _EFFICIENCY,
+    "eta_end_to_end_target": _EFFICIENCY,
+    "t_s_seconds": _POSITIVE,
+    "rf_rabi_hz": _POSITIVE,
+    "rf_area_error": (-0.5, 0.5, True, True),
+    "noise_gain_kappa": _NONNEGATIVE,
+    "p_noise_target_per_mode": _NONNEGATIVE,
+    "bath_inhom_fwhm_hz": _NONNEGATIVE,
+    "bath_ou_sigma_hz": _NONNEGATIVE,
+    "bath_ou_tau_c_seconds": _POSITIVE,
+    "n_atoms": _COUNT,
+    "eta_spin_fixed": _EFFICIENCY,
+    "mode_count": _COUNT,
+    "mode_duration_seconds": _POSITIVE,
+    "input_fwhm_seconds": _POSITIVE,
+    "mu_in_per_mode": _POSITIVE,
+    "detector_efficiency": _UNIT,
+    "path_transmission": _UNIT,
+    "filter_extinction": (1, math.inf, False, True),
+    "dark_rate_hz": _NONNEGATIVE,
+    "bin_width_seconds": _POSITIVE,
+    "qubit_mu_in": _POSITIVE,
+    "qubit_eta": _EFFICIENCY,
+    "qubit_noise_per_mode": _NONNEGATIVE,
+    "qubit_visibility": _UNIT,
+    "n_trials": _COUNT,
+    "n_trials_noise": _COUNT,
+    "seed": (0, math.inf, False, True),
+}
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _check_field(name: str, kind: type, optional: bool, value) -> None:
+    """Raise a one-line ValueError naming the field unless value has the
+    field's type and lies in its range (numbers must also be finite)."""
+    if value is None and optional:
+        return
+    null = " or null" if optional else ""
+    if kind is str:
+        if not isinstance(value, str):
+            raise ValueError(f"{name} must be a string{null}")
+        return
+    bounds = _RANGES.get(name, _ANY)
+    lo, hi, lo_open, hi_open = bounds
+    integral = kind is int
+    if not (not isinstance(value, bool)
+            and isinstance(value, numbers.Integral if integral else numbers.Real)
+            and _is_finite(value)
+            and (lo < value if lo_open else lo <= value)
+            and (value < hi if hi_open else value <= hi)):
+        what = "an integer" if integral else "a finite number"
+        if bounds is not _ANY:
+            what += (f" in {'(' if lo_open else '['}{lo:g}, "
+                     f"{hi:g}{')' if hi_open else ']'}")
+        raise ValueError(f"{name} must be {what}{null}")
 
 
 @dataclass
@@ -85,9 +171,13 @@ class ExperimentConfig:
     seed: int = 20220324
 
     def validate(self) -> None:
+        """Check every field once against its declared type and range,
+        then the constraints that tie fields together; raise ValueError."""
+        for name, kind, optional in _FIELDS:
+            _check_field(name, kind, optional, getattr(self, name))
         self.dd_kind = normalize_dd_kind(self.dd_kind)
-        if self.comb_period_hz <= 0:
-            raise ValueError("comb_period_hz must be positive")
+        if self.comb_tooth_shape not in TOOTH_SHAPES:
+            raise ValueError(f"comb_tooth_shape must be one of {TOOTH_SHAPES}")
         one_over_delta = 1.0 / self.comb_period_hz
         budget = (self.mode_count * self.mode_duration_seconds
                   + self.transfer_duration_seconds)
@@ -97,32 +187,11 @@ class ExperimentConfig:
                 f"{self.mode_duration_seconds:.3g} s + transfer "
                 f"{self.transfer_duration_seconds:.3g} s = {budget:.3g} s "
                 f"exceeds 1/Delta = {one_over_delta:.3g} s")
-        if self.t_s_seconds <= 0:
-            raise ValueError("t_s_seconds must be positive")
-        if self.mu_in_per_mode <= 0 or self.qubit_mu_in <= 0:
-            raise ValueError("input photon numbers must be positive")
-        if self.n_trials < 1 or self.n_trials_noise < 1:
-            raise ValueError("trial counts must be positive")
         if self.mode_duration_seconds <= self.input_fwhm_seconds:
             raise ValueError("mode duration must exceed the pulse width")
         ratio = self.mode_duration_seconds / self.bin_width_seconds
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("bin_width_seconds must divide the mode duration")
-        for name in ("detector_efficiency", "path_transmission"):
-            v = getattr(self, name)
-            if not 0 <= v <= 1:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        n = self.n_atoms
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError("n_atoms must be a positive integer")
-        for name, positive in (("bath_inhom_fwhm_hz", False),
-                               ("bath_ou_sigma_hz", False),
-                               ("bath_ou_tau_c_seconds", True)):
-            v = getattr(self, name)
-            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                    or not math.isfinite(v) or v < 0 or (positive and v == 0)):
-                kind = "positive" if positive else "nonnegative"
-                raise ValueError(f"{name} must be a finite {kind} number")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -146,3 +215,17 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def _declared_fields():
+    """(name, type, optional) of every config field, from its annotation."""
+    hints = typing.get_type_hints(ExperimentConfig)
+    out = []
+    for f in dataclasses.fields(ExperimentConfig):
+        args = typing.get_args(hints[f.name]) or (hints[f.name],)
+        kinds = [a for a in args if a is not type(None)]
+        out.append((f.name, kinds[0], len(kinds) < len(args)))
+    return tuple(out)
+
+
+_FIELDS = _declared_fields()

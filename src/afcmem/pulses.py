@@ -246,26 +246,7 @@ def chsh_waveform(spec: ChshSpec, sample_rate_hz: float | None = None) -> Wavefo
 def chsh_crossing_times(spec: ChshSpec, freq_hz) -> tuple[np.ndarray, np.ndarray]:
     """Times at which each component's instantaneous frequency crosses freq_hz."""
     t1 = hsh_time_of_frequency(spec.base, freq_hz)
-    f = np.asarray(freq_hz, dtype=float) - spec.base.center_freq_hz
-    # invert the delayed component independently of t1
-    te = spec.base.edge_s
-    c = spec.base.sech_cutoff
-    k = chirp_rate(spec.base)
-    a = k * te / c
-    b2 = spec.base.bandwidth_hz / 2
-    th = np.tanh(c)
-    T = spec.base.duration_s
-    f_lo = -b2 + a * th
-    f_hi = b2 - a * th
-    t2 = np.empty(np.shape(f))
-    lo = f < f_lo
-    hi = f > f_hi
-    mid = ~(lo | hi)
-    s = spec.separation_s
-    t2[mid] = s + te + (f[mid] - f_lo) / k
-    t2[lo] = s + te + (te / c) * np.arctanh((f[lo] + b2) / a - th)
-    t2[hi] = s + (T - te) - (te / c) * np.arctanh((b2 - f[hi]) / a - th)
-    return t1, t2
+    return t1, t1 + spec.separation_s
 
 
 def half_transfer_rabi(chirp_rate_hz_s: float, transfer: float = 0.5) -> float:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from afcmem.bloch import bloch_propagate, transfer_profile
-from afcmem.pulses import (HshSpec, chirp_rate, half_transfer_rabi,
-                           hsh_waveform, reference_transfer_pulse)
+from afcmem.bloch import (_BLOCK_STEPS, _propagate_spinors, bloch_propagate,
+                          transfer_profile)
+from afcmem.pulses import (ChshSpec, HshSpec, chirp_rate, chsh_waveform,
+                           half_transfer_rabi, hsh_waveform,
+                           recommended_sample_rate, reference_transfer_pulse)
 from afcmem.waveform import Waveform
 
 
@@ -105,3 +107,97 @@ def test_grid_span_validation():
     with pytest.raises(ValueError):
         transfer_profile(wf, np.linspace(-1e6, 1e6, 11),
                          expected_bandwidth_hz=1.5e6)
+
+
+# --- block step maps against a step-by-step RK4 reference -----------------
+
+def _rk4_reference(waveform, detunings, initial_bloch=(0.0, 0.0, -1.0)):
+    """Test oracle: classical RK4 on dpsi/dt = A(t) psi, one step of two
+    samples at a time, with A = -i pi [[d, s*], [s, -d]] as 2x2 matrices."""
+    s = waveform.samples
+    if s.size % 2 == 0:
+        s = np.concatenate([s, [0j]])
+    h = 2 / waveform.sample_rate_hz
+    d = np.atleast_1d(np.asarray(detunings, dtype=float))
+    x, y, z = initial_bloch
+    psi = np.empty((d.size, 2), dtype=complex)
+    psi[:, 0] = np.sqrt((1 + z) / 2)
+    psi[:, 1] = np.sqrt((1 - z) / 2) * np.exp(-1j * np.arctan2(y, x))
+
+    def a_of(sample):
+        m = np.empty((d.size, 2, 2), dtype=complex)
+        m[:, 0, 0], m[:, 0, 1] = d, np.conj(sample)
+        m[:, 1, 0], m[:, 1, 1] = sample, -d
+        return -1j * np.pi * m
+
+    def apply(m, v):
+        return np.einsum("nij,nj->ni", m, v)
+
+    for k in range((s.size - 1) // 2):
+        a0, ah, a1 = a_of(s[2 * k]), a_of(s[2 * k + 1]), a_of(s[2 * k + 2])
+        k1 = apply(a0, psi)
+        k2 = apply(ah, psi + h / 2 * k1)
+        k3 = apply(ah, psi + h / 2 * k2)
+        k4 = apply(a1, psi + h * k3)
+        psi = psi + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return psi[:, 0], psi[:, 1]
+
+
+def _assert_spinors_agree(waveform, detunings, initial_bloch=(0.0, 0.0, -1.0)):
+    ce, cg = _propagate_spinors(waveform, detunings, initial_bloch)
+    re, rg = _rk4_reference(waveform, detunings, initial_bloch)
+    assert np.max(np.abs(ce - re)) <= 1e-12
+    assert np.max(np.abs(cg - rg)) <= 1e-12
+
+
+def test_block_maps_match_reference_hsh():
+    spec = reference_transfer_pulse()
+    wf = hsh_waveform(spec, 200e6)
+    _assert_spinors_agree(wf, np.linspace(-0.6, 0.6, 13) * spec.bandwidth_hz)
+
+
+def test_block_maps_match_reference_chsh():
+    spec = ChshSpec(base=reference_transfer_pulse(), separation_s=7e-6,
+                    relative_phase_rad=1.0)
+    wf = chsh_waveform(spec, 200e6)
+    _assert_spinors_agree(wf, np.linspace(-0.6, 0.6, 13) * 1.5e6)
+
+
+@pytest.mark.parametrize("steps", [1, _BLOCK_STEPS - 1, _BLOCK_STEPS,
+                                   _BLOCK_STEPS + 1, 2 * _BLOCK_STEPS,
+                                   2 * _BLOCK_STEPS + 1])
+@pytest.mark.parametrize("even", [False, True])
+def test_block_maps_match_reference_step_counts(steps, even):
+    # odd sample counts take (n - 1) / 2 steps; even counts are padded by
+    # one zero sample and take n / 2 steps
+    n = 2 * steps if even else 2 * steps + 1
+    rng = np.random.default_rng(steps + 1000 * even)
+    samples = 0.8e6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    wf = Waveform(40e6, 0.0, samples)
+    _assert_spinors_agree(wf, np.array([-1.1e6, -0.2e6, 0.0, 0.7e6]))
+
+
+def test_block_maps_match_reference_scalar_detuning_and_initial_states():
+    wf = hsh_waveform(reference_transfer_pulse(), 100e6)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        r = rng.standard_normal(3)
+        r /= np.linalg.norm(r)
+        d = float(rng.uniform(-0.9e6, 0.9e6))
+        _assert_spinors_agree(wf, d, r)
+        re, rg = _rk4_reference(wf, d, r)
+        coh = 2 * re[0] * np.conj(rg[0])
+        expected = [coh.real, coh.imag, abs(re[0]) ** 2 - abs(rg[0]) ** 2]
+        v = bloch_propagate(wf, d, initial_bloch=r)
+        assert v.shape == (3,)
+        assert np.max(np.abs(v - expected)) <= 1e-12
+
+
+def test_norm_drift_within_sample_rate_budget():
+    spec = reference_transfer_pulse()
+    grid = np.linspace(-0.4, 0.4, 11) * spec.bandwidth_hz
+    prof = transfer_profile(hsh_waveform(spec), grid)
+    assert 0 <= prof.norm_drift < 1e-8
+    coarse = transfer_profile(
+        hsh_waveform(spec, recommended_sample_rate(spec) / 4), grid)
+    assert coarse.norm_drift > 10 * prof.norm_drift

@@ -1,12 +1,22 @@
+import contextlib
+import dataclasses
+import io
 import json
 import subprocess
 import sys
+import tempfile
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import afcmem
+from afcmem import cli
 from afcmem.cli import main
+from afcmem.config import ExperimentConfig
 from afcmem.fitting import mims_curve
 
 
@@ -94,6 +104,9 @@ def test_config_error_exit_code(tmp_path):
     {"n_atoms": 0}, {"n_atoms": 2.5}, {"bath_ou_tau_c_seconds": -1},
     {"bath_ou_tau_c_seconds": 0}, {"bath_ou_sigma_hz": -5.0},
     {"bath_inhom_fwhm_hz": float("nan")},
+    {"t_s_seconds": "0.02"}, {"n_trials": 1.5}, {"comb_passes": 2.5},
+    {"t_s_seconds": float("nan")}, {"n_trials_noise": True}, {"dd_kind": 4},
+    {"seed": -1}, {"detector_efficiency": 1.5},
 ])
 def test_bath_config_error_exit_code(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
@@ -122,3 +135,36 @@ def test_unknown_preset_usage_error():
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert "invalid choice" in proc.stderr
+
+
+_FIELD_NAMES = [f.name for f in dataclasses.fields(ExperimentConfig)]
+_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text("XYxy48-_ .e", max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.sampled_from([0, 1, 2, 0.5, 1.5, 1e-6, 0.02, 10**400, "XY8",
+                     "gaussian"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(_FIELD_NAMES), _VALUES, max_size=4))
+def test_any_flat_config_validates_or_exits_2(data):
+    # the simulation is stubbed: this checks the config boundary only
+    summary = {"summary": {"eta": 0.0, "snr": 0.0, "mu1": 0.0}}
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "run_spinwave",
+                   lambda cfg: types.SimpleNamespace(metrics=summary))
+        mp.setattr(cli, "_write_report", lambda report, out: None)
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = run_cli("simulate", "spinwave", "--config", str(path),
+                           "--out", tmp)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
