@@ -42,9 +42,7 @@ def _out_dir(args) -> Path:
 
 
 def _write_report(report: RunReport, out: Path) -> None:
-    report.write(out / "report.json")
-    for name, hist in report.histograms.items():
-        hist.to_csv(out / f"{name}.csv")
+    report.save(out)
     print(f"report written to {out / 'report.json'}")
 
 
@@ -56,7 +54,7 @@ def _cmd_simulate(args) -> int:
             comb_period_hz=cfg.comb_period_hz, finesse=cfg.comb_finesse,
             peak_od=cfg.comb_peak_od, background_od=cfg.comb_background_od,
             bandwidth_hz=cfg.comb_bandwidth_hz, tooth_shape=cfg.comb_tooth_shape,
-            passes=cfg.comb_passes, zeeman_split_hz=cfg.zeeman_split_hz)
+            passes=cfg.comb_passes)
         spectrum = build_comb(params)
         pulse = gaussian_pulse(cfg.input_fwhm_seconds, 0.0, 16e6)
         echo = propagate(pulse, spectrum)

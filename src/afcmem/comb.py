@@ -39,7 +39,6 @@ class CombParams:
     bandwidth_hz: float = 3e6
     tooth_shape: str = "square"
     passes: int = 1
-    zeeman_split_hz: float = 41.4e3
 
     def validate(self) -> None:
         if self.comb_period_hz <= 0:
@@ -71,7 +70,7 @@ class CombSpectrum:
 
     @property
     def band_edge_hz(self) -> float:
-        return self.params.bandwidth_hz / 2 if self.params else float(self.freq_grid_hz[-1])
+        return self.params.bandwidth_hz / 2
 
 
 @dataclass

@@ -15,7 +15,7 @@ import typing
 from dataclasses import dataclass
 
 from .comb import TOOTH_SHAPES
-from .pulses import normalize_dd_kind
+from .pulses import dd_sequence, normalize_dd_kind
 from .spinbath import ou_sigma_for_t2
 
 # OU bath calibrated so the two-pulse sequence decays with T2 = 70 ms
@@ -63,7 +63,6 @@ _RANGES = {
     "mu_in_per_mode": _POSITIVE,
     "detector_efficiency": _UNIT,
     "path_transmission": _UNIT,
-    "filter_extinction": (1, math.inf, False, True),
     "dark_rate_hz": _NONNEGATIVE,
     "bin_width_seconds": _POSITIVE,
     "qubit_mu_in": _POSITIVE,
@@ -155,7 +154,6 @@ class ExperimentConfig:
     # detection chain
     detector_efficiency: float = 0.57
     path_transmission: float = 0.185
-    filter_extinction: float = 1636.0
     dark_rate_hz: float = 0.0
     bin_width_seconds: float = 165e-9
 
@@ -178,6 +176,11 @@ class ExperimentConfig:
         self.dd_kind = normalize_dd_kind(self.dd_kind)
         if self.comb_tooth_shape not in TOOTH_SHAPES:
             raise ValueError(f"comb_tooth_shape must be one of {TOOTH_SHAPES}")
+        try:
+            dd_sequence(self.dd_kind, self.t_s_seconds,
+                        1.0 / (2 * self.rf_rabi_hz))
+        except ValueError as exc:
+            raise ValueError(f"t_s_seconds: {exc}") from None
         one_over_delta = 1.0 / self.comb_period_hz
         budget = (self.mode_count * self.mode_duration_seconds
                   + self.transfer_duration_seconds)

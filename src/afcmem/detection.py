@@ -16,7 +16,6 @@ import numpy as np
 class DetectionChain:
     detector_efficiency: float = 0.57
     path_transmission: float = 0.185
-    filter_extinction: float = 1636.0
     dark_rate_hz: float = 0.0
 
     def validate(self) -> None:
@@ -24,8 +23,6 @@ class DetectionChain:
             raise ValueError("detector_efficiency must lie in [0, 1]")
         if not 0 <= self.path_transmission <= 1:
             raise ValueError("path_transmission must lie in [0, 1]")
-        if self.filter_extinction < 1:
-            raise ValueError("filter_extinction must be at least 1")
         if self.dark_rate_hz < 0:
             raise ValueError("dark_rate_hz must be nonnegative")
 
@@ -55,28 +52,20 @@ class CountHistogram:
                 fh.write(f"{float(t)!r},{int(c)}\n")
 
 
-def simulate_counts(flux_per_s, sample_rate_hz: float | None, chain: DetectionChain,
+def simulate_counts(flux_per_s, sample_rate_hz: float, chain: DetectionChain,
                     n_trials: int, seed=None, bin_width_s: float = 200e-9,
                     t0_s: float = 0.0) -> CountHistogram:
     """Histogram of detector counts accumulated over n_trials.
 
-    flux_per_s is the mean photon rate at the memory output, either a
-    Waveform (its sample rate and origin are used) or an array on a uniform
-    grid with sample_rate_hz given.  Per bin the detected mean is the
-    integrated flux times the chain transmission plus dark counts; total
-    counts per bin are drawn as Poisson with n_trials times that mean (the
-    sum of independent per-trial Poisson draws has exactly this law).
+    flux_per_s is the mean photon rate at the memory output, an array on a
+    uniform grid of sample_rate_hz starting at t0_s.  Per bin the detected
+    mean is the integrated flux times the chain transmission plus dark
+    counts; total counts per bin are drawn as Poisson with n_trials times
+    that mean (the sum of independent per-trial Poisson draws has exactly
+    this law).
     """
     chain.validate()
-    if hasattr(flux_per_s, "samples"):
-        if sample_rate_hz is None:
-            sample_rate_hz = flux_per_s.sample_rate_hz
-        t0_s = flux_per_s.t0_s
-        flux = np.real(np.asarray(flux_per_s.samples))
-    else:
-        flux = np.asarray(flux_per_s, dtype=float)
-    if sample_rate_hz is None:
-        raise ValueError("sample_rate_hz required for array flux input")
+    flux = np.asarray(flux_per_s, dtype=float)
     if np.any(flux < 0) or not np.all(np.isfinite(flux)):
         raise ValueError("flux must be finite and nonnegative")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
+from .comb import afc_decay_model
+
 
 @dataclass
 class FitResult:
@@ -101,11 +103,6 @@ def _finish(names, x, r, converged, n_iter, jac_fn) -> FitResult:
 
 # --- AFC echo decay ---------------------------------------------------------
 
-def afc_decay_curve(t, eta0, t2, mod_depth, zeeman_split_hz):
-    mod = 1.0 - mod_depth * np.sin(np.pi * zeeman_split_hz * t) ** 2
-    return eta0 * np.exp(-4.0 * t / t2) * mod
-
-
 def fit_afc_decay(t, eta, zeeman_split_hz: float = 41.4e3,
                   fit_modulation: bool = True) -> FitResult:
     """Fit eta0 exp(-4t/T2) [1 - m sin^2(pi f_z t)] to echo-decay data.
@@ -128,7 +125,7 @@ def fit_afc_decay(t, eta, zeeman_split_hz: float = 41.4e3,
         e0, t2, m = unpack(x)
         if t2 <= 0 or e0 <= 0 or not 0 <= m <= 1:
             return np.full(t.size, np.inf)
-        return afc_decay_curve(t, e0, t2, m, zeeman_split_hz) - eta
+        return afc_decay_model(t, e0, t2, m, zeeman_split_hz) - eta
 
     def jac(x):
         e0, t2, m = unpack(x)

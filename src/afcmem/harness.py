@@ -14,10 +14,11 @@ from .comb import afc_decay_model
 from .config import ExperimentConfig
 from .detection import (DetectionChain, metrics, mode_sums,
                         noise_floor_model, simulate_counts)
-from .fitting import afc_decay_curve, fit_afc_decay, fit_mims, fit_power_law
+from .fitting import fit_afc_decay, fit_mims, fit_power_law
 from .presets import (FIG1E, FIG2, FIG4, PRESET_NAMES, TABLE1,
-                      mu1_tolerance_band, preset_config)
-from .pulses import dd_sequence, hsh_waveform, reference_transfer_pulse
+                      mu1_tolerance_band, preset_config, spin_t2_nominal)
+from .pulses import (DD_KINDS, dd_phases, dd_sequence, hsh_waveform,
+                     reference_transfer_pulse)
 from .bloch import transfer_profile
 from .spinbath import (PulseErrorModel, SpinBathParams, efficiency_decay,
                        decay_table_to_csv, residual_excitation,
@@ -86,8 +87,12 @@ class RunReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    def write(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
+    def save(self, out_dir) -> None:
+        """Write report.json and one CSV per histogram into out_dir."""
+        out = Path(out_dir)
+        (out / "report.json").write_text(self.to_json() + "\n")
+        for name, hist in self.histograms.items():
+            hist.to_csv(out / f"{name}.csv")
 
 
 def _check(name, value, lo, hi, gated=True, note=None) -> dict:
@@ -108,8 +113,14 @@ def _gaussian_flux(t: np.ndarray, center: float, fwhm: float,
 def _chain(cfg: ExperimentConfig) -> DetectionChain:
     return DetectionChain(detector_efficiency=cfg.detector_efficiency,
                           path_transmission=cfg.path_transmission,
-                          filter_extinction=cfg.filter_extinction,
                           dark_rate_hz=cfg.dark_rate_hz)
+
+
+def _bath(cfg: ExperimentConfig) -> SpinBathParams:
+    return SpinBathParams(inhom_fwhm_hz=cfg.bath_inhom_fwhm_hz,
+                          ou_sigma_hz=cfg.bath_ou_sigma_hz,
+                          ou_tau_c_s=cfg.bath_ou_tau_c_seconds,
+                          n_atoms=cfg.n_atoms, seed=cfg.seed)
 
 
 def _flux_grid(cfg: ExperimentConfig, n_modes_spanned: int):
@@ -149,11 +160,8 @@ def _stage_efficiencies(cfg: ExperimentConfig, rng_spin, rng_noise):
 
     with _staged("spin"):
         dd = dd_sequence(cfg.dd_kind, cfg.t_s_seconds,
-                         1.0 / (2 * cfg.rf_rabi_hz), cfg.rf_rabi_hz)
-        bath = SpinBathParams(inhom_fwhm_hz=cfg.bath_inhom_fwhm_hz,
-                              ou_sigma_hz=cfg.bath_ou_sigma_hz,
-                              ou_tau_c_s=cfg.bath_ou_tau_c_seconds,
-                              n_atoms=cfg.n_atoms, seed=cfg.seed)
+                         1.0 / (2 * cfg.rf_rabi_hz))
+        bath = _bath(cfg)
         errors = PulseErrorModel(area_error=cfg.rf_area_error,
                                  phase_error_rad=cfg.rf_phase_error_rad,
                                  rf_rabi_hz=cfg.rf_rabi_hz)
@@ -397,7 +405,7 @@ def run_qubit_tomography(cfg: ExperimentConfig, theta_list=None,
 
 # --- reproduction presets ---------------------------------------------------
 
-def _reproduce_table(name: str, out: Path, cfg, notes) -> RunReport:
+def _reproduce_table(name: str, cfg, notes) -> RunReport:
     ref = TABLE1[name]
     report = run_spinwave(cfg, preset=name)
     report.notes.extend(notes)
@@ -417,20 +425,18 @@ def _reproduce_table(name: str, out: Path, cfg, notes) -> RunReport:
                ref["mu_in"] + 4 * float(np.mean(report.metrics["mu_in_measured_err"]))),
     ]
     report.checks = checks
-    for fname, hist in report.histograms.items():
-        hist.to_csv(out / f"{fname}.csv")
     return report
 
 
 def _reproduce_fig1e(out: Path, cfg, notes) -> RunReport:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     t = np.linspace(FIG1E["t_min_s"], FIG1E["t_max_s"], FIG1E["n_points"])
-    truth = afc_decay_curve(t, FIG1E["eta0"], FIG1E["t2_seconds"],
+    truth = afc_decay_model(t, FIG1E["eta0"], FIG1E["t2_seconds"],
                             cfg.afc_mod_depth, cfg.zeeman_split_hz)
     data = truth * (1 + FIG1E["noise_frac"] * rng.standard_normal(t.size))
     fit = fit_afc_decay(t, data, zeeman_split_hz=cfg.zeeman_split_hz)
     eta0_fit, t2_fit = fit.params[0], fit.params[1]
-    model = afc_decay_curve(t, *fit.params, cfg.zeeman_split_hz)
+    model = afc_decay_model(t, *fit.params, cfg.zeeman_split_hz)
 
     with open(out / "afc_decay.csv", "w") as fh:
         fh.write("one_over_delta_s,eta_data,eta_fit\n")
@@ -455,20 +461,15 @@ def _reproduce_fig1e(out: Path, cfg, notes) -> RunReport:
 
 
 def _reproduce_fig2(out: Path, cfg, notes) -> RunReport:
-    bath = SpinBathParams(inhom_fwhm_hz=cfg.bath_inhom_fwhm_hz,
-                          ou_sigma_hz=cfg.bath_ou_sigma_hz,
-                          ou_tau_c_s=cfg.bath_ou_tau_c_seconds,
-                          n_atoms=cfg.n_atoms, seed=cfg.seed)
-    kinds = ("XX", "XY4", "XY8", "XY16")
-    n_pulses = {"XX": 2, "XY4": 4, "XY8": 8, "XY16": 16}
+    bath = _bath(cfg)
     xx_t2 = FIG2["xx_t2_calibration_s"]
     fits = {}
     t2_fitted = {}
     checks = []
     ss = np.random.SeedSequence(cfg.seed)
-    for kind, child in zip(kinds, ss.spawn(len(kinds))):
-        nominal_t2 = xx_t2 * (n_pulses[kind] / 2) ** (2 / 3)
-        t_list = nominal_t2 * np.array([0.4, 0.55, 0.7, 0.85, 1.0, 1.2, 1.4])
+    for kind, child in zip(DD_KINDS, ss.spawn(len(DD_KINDS))):
+        t_list = spin_t2_nominal(kind, xx_t2) * np.array(
+            [0.4, 0.55, 0.7, 0.85, 1.0, 1.2, 1.4])
         rows = efficiency_decay(kind, t_list, bath,
                                 rabi_hz=cfg.rf_rabi_hz,
                                 seed=child)
@@ -483,8 +484,8 @@ def _reproduce_fig2(out: Path, cfg, notes) -> RunReport:
                              ref_t2 - ref_err, ref_t2 + ref_err, gated=False,
                              note="reference dataset value; the simulated "
                                   "ideal bath is calibrated only at XX"))
-    pl = fit_power_law([n_pulses[k] for k in kinds],
-                       [t2_fitted[k] for k in kinds])
+    pl = fit_power_law([len(dd_phases(k)) for k in DD_KINDS],
+                       [t2_fitted[k] for k in DD_KINDS])
     fits["power_law"] = pl.as_dict()
     lo, hi = FIG2["gamma_band_sim"]
     checks.append(_check("gamma", pl.params[1], lo, hi))
@@ -503,7 +504,7 @@ def _reproduce_fig2(out: Path, cfg, notes) -> RunReport:
                      notes=list(notes))
 
 
-def _reproduce_tomo(out: Path, cfg, notes) -> RunReport:
+def _reproduce_tomo(cfg, notes) -> RunReport:
     report = run_qubit_tomography(cfg, preset="fig4-tomo")
     report.notes.extend(notes)
     tomo = report.tomography
@@ -529,8 +530,6 @@ def _reproduce_tomo(out: Path, cfg, notes) -> RunReport:
                     "below the reference bound; the gap is reported, "
                     "not suppressed"),
     ]
-    for fname, hist in report.histograms.items():
-        hist.to_csv(out / f"{fname}.csv")
     return report
 
 
@@ -548,12 +547,12 @@ def reproduce(name: str, out_dir, seed: int | None = None):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if name in TABLE1:
-        report = _reproduce_table(name, out, cfg, notes)
+        report = _reproduce_table(name, cfg, notes)
     elif name == "fig1e":
         report = _reproduce_fig1e(out, cfg, notes)
     elif name == "fig2":
         report = _reproduce_fig2(out, cfg, notes)
     else:
-        report = _reproduce_tomo(out, cfg, notes)
-    report.write(out / "report.json")
+        report = _reproduce_tomo(cfg, notes)
+    report.save(out)
     return report, report.passed

@@ -197,6 +197,28 @@ def recommended_sample_rate(spec: HshSpec, detuning_margin_hz: float | None = No
     return 2.0 / h
 
 
+def _grid(duration_s: float, sample_rate_hz: float):
+    """(rate, t): a grid spanning [0, duration_s] exactly, with an even
+    interval count and the smallest rate not below sample_rate_hz.
+
+    The endpoints are sampled rather than zeroed, which would otherwise
+    inject a spurious envelope jump into the final integrator step.
+    """
+    n_int = 2 * int(np.ceil(duration_s * sample_rate_hz / 2))
+    rate = n_int / duration_s
+    return rate, np.arange(n_int + 1) / rate
+
+
+def _envelope(spec: HshSpec, t: np.ndarray) -> np.ndarray:
+    """Complex envelope amplitude * exp(i phase) at times t, zero outside
+    [0, duration_s] and evaluated only inside it."""
+    inside = (t >= 0) & (t <= spec.duration_s)
+    out = np.zeros(t.shape, dtype=complex)
+    out[inside] = (hsh_amplitude(spec, t[inside])
+                   * np.exp(1j * hsh_phase(spec, t[inside])))
+    return out
+
+
 def hsh_waveform(spec: HshSpec, sample_rate_hz: float | None = None) -> Waveform:
     """Sampled complex envelope of the chirped flat-top pulse."""
     spec.validate()
@@ -207,14 +229,8 @@ def hsh_waveform(spec: HshSpec, sample_rate_hz: float | None = None) -> Waveform
         raise ValueError(
             f"sample_rate_hz {sample_rate_hz:.3g} under-resolves the chirp; "
             f"need at least {min_rate:.3g}")
-    # Grid spans [0, T] exactly (even interval count) so the truncated-sech
-    # endpoints are sampled rather than zeroed, which would otherwise inject
-    # a spurious envelope jump into the final integrator step.
-    n_int = 2 * int(np.ceil(spec.duration_s * sample_rate_hz / 2))
-    rate = n_int / spec.duration_s
-    t = np.arange(n_int + 1) / rate
-    env = hsh_amplitude(spec, t) * np.exp(1j * hsh_phase(spec, t))
-    return Waveform(rate, 0.0, env)
+    rate, t = _grid(spec.duration_s, sample_rate_hz)
+    return Waveform(rate, 0.0, _envelope(spec, t))
 
 
 def chsh_waveform(spec: ChshSpec, sample_rate_hz: float | None = None) -> Waveform:
@@ -224,23 +240,11 @@ def chsh_waveform(spec: ChshSpec, sample_rate_hz: float | None = None) -> Wavefo
     if sample_rate_hz is None:
         sample_rate_hz = recommended_sample_rate(spec.base)
     base = spec.base
-    total = base.duration_s + spec.separation_s
-    n_int = 2 * int(np.ceil(total * sample_rate_hz / 2))
-    rate = n_int / total
-    t = np.arange(n_int + 1) / rate
-    sample_rate_hz = rate
-    scale = spec.amplitude_scale
+    rate, t = _grid(base.duration_s + spec.separation_s, sample_rate_hz)
     phase_factor = np.exp(1j * spec.relative_phase_rad)
-
-    def component(ts):
-        inside = (ts >= 0) & (ts <= base.duration_s)
-        out = np.zeros(ts.shape, dtype=complex)
-        out[inside] = (hsh_amplitude(base, ts[inside])
-                       * np.exp(1j * hsh_phase(base, ts[inside])))
-        return out
-
-    env = scale * (component(t) + phase_factor * component(t - spec.separation_s))
-    return Waveform(sample_rate_hz, 0.0, env)
+    env = spec.amplitude_scale * (
+        _envelope(base, t) + phase_factor * _envelope(base, t - spec.separation_s))
+    return Waveform(rate, 0.0, env)
 
 
 def chsh_crossing_times(spec: ChshSpec, freq_hz) -> tuple[np.ndarray, np.ndarray]:
@@ -312,7 +316,6 @@ class DDSequence:
     kind: str
     total_time_s: float
     pulse_duration_s: float
-    rabi_hz: float = 120e3
     phases_rad: np.ndarray = field(default=None)
     centers_s: np.ndarray = field(default=None)
 
@@ -321,8 +324,8 @@ class DDSequence:
         return len(self.phases_rad)
 
 
-def dd_sequence(kind: str, total_time_s: float, pulse_duration_s: float,
-                rabi_hz: float = 120e3) -> DDSequence:
+def dd_sequence(kind: str, total_time_s: float,
+                pulse_duration_s: float) -> DDSequence:
     """Build a CPMG-timed sequence: centers at odd multiples of
     tau = total_time / (2 n_pulses)."""
     kind = normalize_dd_kind(kind)
@@ -335,5 +338,5 @@ def dd_sequence(kind: str, total_time_s: float, pulse_duration_s: float,
     if 2 * tau <= pulse_duration_s or centers[0] - pulse_duration_s / 2 <= 0:
         raise ValueError("consecutive pulses overlap")
     return DDSequence(kind=kind, total_time_s=total_time_s,
-                      pulse_duration_s=pulse_duration_s, rabi_hz=rabi_hz,
+                      pulse_duration_s=pulse_duration_s,
                       phases_rad=phases, centers_s=centers)

@@ -7,9 +7,9 @@ exactly, as one jointly Gaussian pair per atom (Gillespie, Phys. Rev. E 54,
 2084 (1996)), so an interval costs the same whatever its length.  Stored
 coherence accumulates phase between pi pulses with a sign that toggles at
 each pulse center; imperfect pulses are applied as full 2x2 unitaries with
-finite-Rabi detuning tilt.  Read-out noise comes from the residual
-storage-state population excited out of the ground state by the imperfect
-RF train.
+finite-Rabi detuning tilt.  residual_excitation gives the storage-state
+population that the imperfect RF train excites out of the ground state;
+read-out noise is proportional to it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pulses import DDSequence
+from .pulses import DDSequence, dd_sequence
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
@@ -47,32 +47,25 @@ class PulseErrorModel:
     """Imperfections of the RF pi pulses.
 
     rf_rabi_hz sets the rotation-axis tilt and angle for a detuned spin
-    (finite-Rabi rotation fidelity); excitation_to_photon_gain converts
-    residual storage-state population into mean detected noise photons per
-    temporal mode.
+    (finite-Rabi rotation fidelity).
     """
 
     area_error: float = 0.0
     phase_error_rad: float = 0.0
     rf_rabi_hz: float = 120e3
-    excitation_to_photon_gain: float = 0.0
 
     def validate(self) -> None:
         if abs(self.area_error) >= 0.5:
             raise ValueError("area_error must satisfy |e| < 0.5")
         if self.rf_rabi_hz <= 0:
             raise ValueError("rf_rabi_hz must be positive")
-        if self.excitation_to_photon_gain < 0:
-            raise ValueError("excitation_to_photon_gain must be nonnegative")
 
 
 @dataclass
 class SpinStorageResult:
     coherence: float
     eta_spin: float
-    p_noise_per_mode: float
     coherence_stderr: float = 0.0
-    per_atom_phases: np.ndarray | None = None
 
 
 def sample_ensemble(params: SpinBathParams,
@@ -202,7 +195,7 @@ def _coherence_stats(phasors: np.ndarray, n_blocks: int = 10):
 
 def spin_echo_coherence(dd: DDSequence, bath: SpinBathParams,
                         errors: PulseErrorModel | None = None,
-                        seed=None, keep_phases: bool = False) -> SpinStorageResult:
+                        seed=None) -> SpinStorageResult:
     """Ensemble-averaged stored coherence surviving the DD sequence.
 
     With errors=None the pulses are ideal instantaneous pi flips and the
@@ -221,13 +214,8 @@ def spin_echo_coherence(dd: DDSequence, bath: SpinBathParams,
         phasors = 2 * up * np.conj(dn)
 
     coherence, stderr = _coherence_stats(phasors)
-    p_noise = 0.0
-    if errors is not None and errors.excitation_to_photon_gain > 0:
-        p_noise = readout_noise(dd, errors, bath, seed=rng)
-    return SpinStorageResult(
-        coherence=coherence, eta_spin=coherence**2, p_noise_per_mode=p_noise,
-        coherence_stderr=stderr,
-        per_atom_phases=np.angle(phasors) if keep_phases else None)
+    return SpinStorageResult(coherence=coherence, eta_spin=coherence**2,
+                             coherence_stderr=stderr)
 
 
 def residual_excitation(dd: DDSequence, errors: PulseErrorModel,
@@ -245,14 +233,6 @@ def residual_excitation(dd: DDSequence, errors: PulseErrorModel,
     return float(np.mean(np.abs(up) ** 2))
 
 
-def readout_noise(dd: DDSequence, errors: PulseErrorModel,
-                  line: SpinBathParams, seed=None) -> float:
-    """Mean noise photons per temporal mode: residual excited population
-    times the excitation-to-photon conversion gain."""
-    return errors.excitation_to_photon_gain * residual_excitation(
-        dd, errors, line, seed=seed)
-
-
 def free_induction(bath: SpinBathParams, t_list, seed=None) -> np.ndarray:
     """Free-dephasing coherence |<exp(i phi)>| at each time (no pulses)."""
     rng = _rng(seed, bath.seed)
@@ -267,24 +247,19 @@ def free_induction(bath: SpinBathParams, t_list, seed=None) -> np.ndarray:
 
 def efficiency_decay(dd_kind: str, t_list, bath: SpinBathParams,
                      errors: PulseErrorModel | None = None,
-                     pulse_duration_s: float | None = None,
                      rabi_hz: float = 120e3, seed=None):
     """Spin storage efficiency versus storage time, one independent
     sub-seeded bath per point.  Returns a list of (t_s, eta, stderr)."""
-    from .pulses import dd_sequence
-
     t_arr = np.asarray(t_list, dtype=float)
     if np.any(np.diff(t_arr) <= 0):
         raise ValueError("t_list must be sorted ascending")
-    if pulse_duration_s is None:
-        pulse_duration_s = 1.0 / (2.0 * rabi_hz)
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
     else:
         ss = np.random.SeedSequence(bath.seed if seed is None else seed)
     rows = []
     for child, t_s in zip(ss.spawn(len(t_arr)), t_arr):
-        dd = dd_sequence(dd_kind, t_s, pulse_duration_s, rabi_hz)
+        dd = dd_sequence(dd_kind, t_s, 1.0 / (2.0 * rabi_hz))
         res = spin_echo_coherence(dd, bath, errors,
                                   seed=np.random.default_rng(child))
         eta_err = 2 * res.coherence * res.coherence_stderr

@@ -6,9 +6,9 @@ import time
 import numpy as np
 
 from afcmem.bloch import transfer_profile
-from afcmem.comb import CombParams, build_comb, propagate
+from afcmem.comb import CombParams, afc_decay_model, build_comb, propagate
 from afcmem.detection import table_metrics
-from afcmem.fitting import afc_decay_curve, fit_afc_decay, fit_mims, fit_power_law
+from afcmem.fitting import fit_afc_decay, fit_mims, fit_power_law
 from afcmem.harness import reproduce, run_qubit_tomography, run_spinwave
 from afcmem.presets import TABLE1, preset_config
 from afcmem.pulses import (ChshSpec, HshSpec, chirp_rate, chsh_crossing_times,
@@ -51,7 +51,7 @@ def test_criterion_02_afc_decay_fit():
     start = time.time()
     rng = np.random.default_rng(2024)
     t = np.linspace(5e-6, 220e-6, 25)
-    truth = afc_decay_curve(t, 0.36, 240e-6, 0.3, 41.4e3)
+    truth = afc_decay_model(t, 0.36, 240e-6, 0.3, 41.4e3)
     data = truth * (1 + 0.05 * rng.standard_normal(t.size))
     fit = fit_afc_decay(t, data)
     elapsed = time.time() - start

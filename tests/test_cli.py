@@ -106,7 +106,7 @@ def test_config_error_exit_code(tmp_path):
     {"bath_inhom_fwhm_hz": float("nan")},
     {"t_s_seconds": "0.02"}, {"n_trials": 1.5}, {"comb_passes": 2.5},
     {"t_s_seconds": float("nan")}, {"n_trials_noise": True}, {"dd_kind": 4},
-    {"seed": -1}, {"detector_efficiency": 1.5},
+    {"seed": -1}, {"detector_efficiency": 1.5}, {"t_s_seconds": 3e-5},
 ])
 def test_bath_config_error_exit_code(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"

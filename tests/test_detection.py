@@ -197,11 +197,9 @@ def test_snr_composition_convergence():
     assert snr_err < 0.15
 
 
-def test_simulate_counts_accepts_waveform():
-    from afcmem.waveform import Waveform
-    wf = Waveform(1e7, 1e-6, np.full(100, 5e4, dtype=complex))
-    hist = simulate_counts(wf, None, CHAIN, 10_000, seed=11,
-                           bin_width_s=2e-6)
+def test_simulate_counts_keeps_origin():
+    hist = simulate_counts(np.full(100, 5e4), 1e7, CHAIN, 10_000, seed=11,
+                           bin_width_s=2e-6, t0_s=1e-6)
     assert hist.t0_s == 1e-6
     mean = hist.counts.sum() / 10_000
     expect = 5e4 * 1e-5 * CHAIN.total_transmission

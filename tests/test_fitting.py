@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from afcmem.fitting import (afc_decay_curve, fit_afc_decay, fit_mims,
-                            fit_power_law, levenberg_marquardt, mims_curve)
+from afcmem.comb import afc_decay_model
+from afcmem.fitting import (fit_afc_decay, fit_mims, fit_power_law,
+                            levenberg_marquardt, mims_curve)
 
 
 def test_mims_exact_recovery():
@@ -28,7 +29,7 @@ def test_power_law_reference_data():
 def test_afc_noisy_recovery():
     rng = np.random.default_rng(17)
     t = np.linspace(5e-6, 220e-6, 25)
-    truth = afc_decay_curve(t, 0.36, 240e-6, 0.3, 41.4e3)
+    truth = afc_decay_model(t, 0.36, 240e-6, 0.3, 41.4e3)
     data = truth * (1 + 0.05 * rng.standard_normal(t.size))
     fit = fit_afc_decay(t, data)
     assert fit.converged
@@ -53,7 +54,7 @@ def test_jacobians_match_finite_differences(case):
         t = np.linspace(5e-6, 220e-6, 9)
 
         def model(x):
-            return afc_decay_curve(t, x[0], x[1], x[2], 41.4e3)
+            return afc_decay_model(t, x[0], x[1], x[2], 41.4e3)
 
         def jac_from_fit(x):
             from afcmem.fitting import fit_afc_decay  # noqa: F401

@@ -139,8 +139,34 @@ def test_report_json_structure():
     assert len(d["metrics"]["per_mode"]["eta"]) == 6
 
 
-def test_stage_failures_carry_stage_tag():
-    from afcmem.harness import StageError
-    cfg = _fast_cfg(t_s_seconds=3e-5)  # DD pulses cannot fit
-    with pytest.raises(StageError, match=r"\[spin\]"):
-        run_spinwave(cfg)
+def test_stage_failures_carry_stage_tag(monkeypatch):
+    from afcmem import harness
+
+    def fail(*args, **kwargs):
+        raise ValueError("bath diverged")
+
+    monkeypatch.setattr(harness, "spin_echo_coherence", fail)
+    with pytest.raises(harness.StageError, match=r"\[spin\]"):
+        run_spinwave(_fast_cfg())
+
+
+def test_noise_calibration_example():
+    # the conversion gain is whatever maps the residual excitation onto the
+    # reference noise level for this sequence and storage time
+    s = run_spinwave(_fast_cfg(p_noise_target_per_mode=8.1e-3)).stages
+    assert s["p_noise_per_mode"] == 8.1e-3
+    assert s["noise_gain_kappa"] * s["residual_excitation"] == pytest.approx(
+        8.1e-3, rel=1e-12)
+    s = run_spinwave(_fast_cfg(noise_gain_kappa=2.0,
+                               p_noise_target_per_mode=None)).stages
+    assert s["p_noise_per_mode"] == 2.0 * s["residual_excitation"]
+
+
+@pytest.mark.parametrize("preset, files", [
+    ("table1-20ms", {"report.json", "hist_signal.csv", "hist_noise.csv",
+                     "hist_input.csv"}),
+    ("fig4-tomo", {"report.json", "hist_sigma_z.csv"}),
+])
+def test_reproduce_output_files(tmp_path, preset, files):
+    reproduce(preset, tmp_path)
+    assert {p.name for p in tmp_path.iterdir()} == files

@@ -6,7 +6,7 @@ from afcmem.pulses import DDSequence, dd_sequence
 from afcmem.spinbath import (FWHM_TO_SIGMA, PulseErrorModel, SpinBathParams,
                              _ou_interval, _ou_interval_law, cpmg_ou_chi,
                              efficiency_decay, free_induction,
-                             ou_sigma_for_t2, ou_trajectory, readout_noise,
+                             ou_sigma_for_t2, ou_trajectory,
                              residual_excitation, sample_ensemble,
                              spin_echo_coherence)
 
@@ -244,27 +244,6 @@ def test_area_error_suppression_vs_matrix_oracle():
     for kind in got:
         assert got[kind] == pytest.approx(want[kind], rel=1e-9)
     assert got["XY4"] < got["XX"]
-
-
-def test_readout_noise_gain():
-    line = SpinBathParams(inhom_fwhm_hz=60e3, n_atoms=5000, seed=4)
-    dd = dd_sequence("XY4", 0.02, PI_DURATION)
-    errors = PulseErrorModel(area_error=0.01,
-                             excitation_to_photon_gain=2.0)
-    resid = residual_excitation(dd, errors, line, seed=11)
-    assert readout_noise(dd, errors, line, seed=11) == pytest.approx(2.0 * resid)
-
-
-def test_noise_calibration_example():
-    # the conversion gain is whatever maps the residual excitation onto the
-    # reference noise level for this sequence and storage time
-    line = SpinBathParams(inhom_fwhm_hz=60e3, n_atoms=10_000, seed=4)
-    dd = dd_sequence("XY4", 0.02, PI_DURATION)
-    errors = PulseErrorModel(area_error=0.01)
-    resid = residual_excitation(dd, errors, line, seed=11)
-    kappa = 8.1e-3 / resid
-    errors.excitation_to_photon_gain = kappa
-    assert readout_noise(dd, errors, line, seed=11) == pytest.approx(8.1e-3)
 
 
 def test_spin_echo_determinism():
