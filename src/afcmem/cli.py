@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .comb import CombParams, afc_decay_model, build_comb, propagate
-from .config import ExperimentConfig
+from .config import ExperimentConfig, provenance
 from .fitting import fit_afc_decay, fit_mims, fit_power_law
 from .harness import RunReport, reproduce, run_qubit_tomography, run_spinwave
 from .presets import PRESET_NAMES
@@ -65,8 +65,7 @@ def _cmd_simulate(args) -> int:
             "decay_model_eta": afc_decay_model(
                 1.0 / cfg.comb_period_hz, cfg.afc_eta0, cfg.afc_t2_seconds,
                 cfg.afc_mod_depth, cfg.zeeman_split_hz),
-            "provenance": {"config_hash": cfg.config_hash(), "seed": cfg.seed,
-                           "version": __version__},
+            "provenance": provenance(cfg.to_dict()),
         }
         (out / "report.json").write_text(
             json.dumps(result, indent=2, sort_keys=True) + "\n")

@@ -22,6 +22,9 @@ DEFAULT_GRID_SPAN_HZ = 8e6
 # Fraction of the band tapered by the raised-cosine window at each edge.
 EDGE_TAPER_FRACTION = 0.1
 
+# Largest input energy fraction outside the comb band that propagate accepts.
+MAX_LEAK_FRACTION = 0.01
+
 
 @dataclass
 class CombParams:
@@ -112,15 +115,14 @@ def _tooth_profile(f: np.ndarray, params: CombParams) -> np.ndarray:
 
 
 def build_comb(params: CombParams, n_points: int = DEFAULT_GRID_POINTS,
-               span_hz: float = DEFAULT_GRID_SPAN_HZ,
-               homogeneous_width_hz: float | None = None) -> CombSpectrum:
+               span_hz: float = DEFAULT_GRID_SPAN_HZ) -> CombSpectrum:
     """Build the comb's complex transfer function on a uniform grid.
 
     The target absorption profile (teeth plus flat background, edge-windowed)
-    is convolved with a normalized complex Lorentzian of HWHM
-    homogeneous_width_hz, which plays the role of the underlying line
-    response.  The field transfer is exp(-(passes/2) * D(f)) with D the
-    resulting complex optical depth.
+    is convolved with a normalized complex Lorentzian of HWHM four grid
+    steps, which plays the role of the underlying line response.  The
+    field transfer is exp(-(passes/2) * D(f)) with D the resulting complex
+    optical depth.
     """
     params.validate()
     if span_hz < 1.25 * params.bandwidth_hz:
@@ -130,9 +132,7 @@ def build_comb(params: CombParams, n_points: int = DEFAULT_GRID_POINTS,
         raise ValueError(
             f"grid resolution {df:.1f} Hz too coarse for tooth FWHM "
             f"{params.tooth_fwhm_hz:.1f} Hz (need at least 8 points per tooth)")
-    gamma = homogeneous_width_hz if homogeneous_width_hz is not None else 4 * df
-    if gamma < 2 * df:
-        raise ValueError("homogeneous_width_hz must be at least twice the grid step")
+    gamma = 4 * df
 
     f = (np.arange(n_points) - n_points // 2) * df
     window = _raised_cosine_window(f, params.bandwidth_hz)
@@ -153,13 +153,13 @@ def build_comb(params: CombParams, n_points: int = DEFAULT_GRID_POINTS,
                         complex_response=response, params=params)
 
 
-def propagate(inp: Waveform, spectrum: CombSpectrum,
-              max_leak_fraction: float = 0.01) -> EchoResult:
+def propagate(inp: Waveform, spectrum: CombSpectrum) -> EchoResult:
     """Send a waveform through the comb filter and locate the first echo.
 
     The echo is searched in the window (0.5/Delta, 1.5/Delta) after the
     input peak; echo_efficiency is the energy in that window relative to
-    the input energy.
+    the input energy.  Inputs leaking more than MAX_LEAK_FRACTION of their
+    energy outside the comb band are rejected.
     """
     params = spectrum.params
     delta = params.comb_period_hz
@@ -182,7 +182,7 @@ def propagate(inp: Waveform, spectrum: CombSpectrum,
     power = np.abs(spec_in) ** 2
     outside = np.abs(f_sig) > spectrum.band_edge_hz
     leak = float(power[outside].sum() / power.sum())
-    if leak > max_leak_fraction:
+    if leak > MAX_LEAK_FRACTION:
         raise ValueError(
             f"input spectrum leaks {leak:.1%} of its energy outside the comb band")
 

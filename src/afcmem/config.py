@@ -14,6 +14,7 @@ import numbers
 import typing
 from dataclasses import dataclass
 
+from . import __version__
 from .comb import TOOTH_SHAPES
 from .pulses import dd_sequence, normalize_dd_kind
 from .spinbath import ou_sigma_for_t2
@@ -216,8 +217,14 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        return provenance(self.to_dict())["config_hash"]
+
+
+def provenance(config: dict) -> dict:
+    """Hash, seed and package version of the config dict a run used."""
+    canon = json.dumps(config, sort_keys=True)
+    return {"config_hash": hashlib.sha256(canon.encode()).hexdigest()[:16],
+            "seed": config["seed"], "version": __version__}
 
 
 def _declared_fields():

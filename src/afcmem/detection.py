@@ -34,7 +34,6 @@ class DetectionChain:
 @dataclass
 class CountHistogram:
     bin_width_s: float = 200e-9
-    t0_s: float = 0.0
     counts: np.ndarray = field(default=None)
     n_trials: int = 1
 
@@ -43,7 +42,7 @@ class CountHistogram:
         return int(self.counts.size)
 
     def bin_starts(self) -> np.ndarray:
-        return self.t0_s + np.arange(self.n_bins) * self.bin_width_s
+        return np.arange(self.n_bins) * self.bin_width_s
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -53,12 +52,12 @@ class CountHistogram:
 
 
 def simulate_counts(flux_per_s, sample_rate_hz: float, chain: DetectionChain,
-                    n_trials: int, seed=None, bin_width_s: float = 200e-9,
-                    t0_s: float = 0.0) -> CountHistogram:
+                    n_trials: int, seed=None,
+                    bin_width_s: float = 200e-9) -> CountHistogram:
     """Histogram of detector counts accumulated over n_trials.
 
     flux_per_s is the mean photon rate at the memory output, an array on a
-    uniform grid of sample_rate_hz starting at t0_s.  Per bin the detected
+    uniform grid of sample_rate_hz starting at 0.  Per bin the detected
     mean is the integrated flux times the chain transmission plus dark
     counts; total counts per bin are drawn as Poisson with n_trials times
     that mean (the sum of independent per-trial Poisson draws has exactly
@@ -78,8 +77,8 @@ def simulate_counts(flux_per_s, sample_rate_hz: float, chain: DetectionChain,
     mean_per_trial = mean_per_trial * chain.total_transmission \
         + chain.dark_rate_hz * bin_width_s
     counts = rng.poisson(n_trials * mean_per_trial)
-    return CountHistogram(bin_width_s=per_bin * dt, t0_s=t0_s,
-                          counts=counts, n_trials=n_trials)
+    return CountHistogram(bin_width_s=per_bin * dt, counts=counts,
+                          n_trials=n_trials)
 
 
 @dataclass
@@ -91,34 +90,22 @@ class ModeSums:
     raw_counts: np.ndarray
 
 
-def mode_sums(hist: CountHistogram, mode_start_s: float, mode_period_s: float,
-              n_modes: int, t_m_s: float, chain: DetectionChain) -> ModeSums:
-    """Sum counts over each mode window of duration t_m_s and normalize by
-    trials and chain transmission.  Windows must align with bin edges and
-    must not overlap."""
-    if mode_period_s < t_m_s:
-        raise ValueError("mode windows overlap")
+def mode_sums(hist: CountHistogram, t_m_s: float, n_modes: int,
+              chain: DetectionChain) -> ModeSums:
+    """Sum counts over n_modes back-to-back windows of t_m_s that tile the
+    histogram from its first bin, normalized by trials and chain
+    transmission."""
     ratio = t_m_s / hist.bin_width_s
     if abs(ratio - round(ratio)) > 1e-9:
         raise ValueError("bin width must divide the mode window")
     bins_per_mode = int(round(ratio))
-    values = np.empty(n_modes)
-    errors = np.empty(n_modes)
-    raw = np.empty(n_modes, dtype=np.int64)
+    if n_modes * bins_per_mode > hist.n_bins:
+        raise ValueError("mode window outside histogram span")
+    raw = hist.counts[: n_modes * bins_per_mode].reshape(
+        n_modes, bins_per_mode).sum(axis=1)
     norm = hist.n_trials * chain.total_transmission
-    for k in range(n_modes):
-        start = mode_start_s + k * mode_period_s
-        i0 = (start - hist.t0_s) / hist.bin_width_s
-        if abs(i0 - round(i0)) > 1e-6:
-            raise ValueError("mode window does not align with bin edges")
-        i0 = int(round(i0))
-        if i0 < 0 or i0 + bins_per_mode > hist.n_bins:
-            raise ValueError("mode window outside histogram span")
-        c = int(hist.counts[i0: i0 + bins_per_mode].sum())
-        raw[k] = c
-        values[k] = c / norm
-        errors[k] = np.sqrt(c) / norm
-    return ModeSums(values=values, errors=errors, raw_counts=raw)
+    return ModeSums(values=raw / norm, errors=np.sqrt(raw) / norm,
+                    raw_counts=raw)
 
 
 @dataclass
@@ -164,14 +151,13 @@ class ModeMetrics:
         return out
 
 
-def metrics(mu_in: float, output_modes: ModeSums, noise_modes: ModeSums,
-            noise_subtracted: bool = True) -> ModeMetrics:
+def metrics(mu_in: float, output_modes: ModeSums,
+            noise_modes: ModeSums) -> ModeMetrics:
     """Storage efficiency, SNR and mu1 from signal-run and noise-run mode
     sums.
 
-    eta uses the noise-subtracted output; snr is signal over noise (the
-    noise_subtracted flag controls whether the numerator has the noise
-    removed); mu1 = p_n / eta is the input photon number giving SNR 1.
+    eta and snr use the noise-subtracted output, so snr is signal over
+    noise; mu1 = p_n / eta is the input photon number giving SNR 1.
     """
     if mu_in <= 0:
         raise ValueError("mu_in must be positive")
@@ -185,13 +171,11 @@ def metrics(mu_in: float, output_modes: ModeSums, noise_modes: ModeSums,
     eta = signal / mu_in
     eta_err = sig_err / mu_in
 
-    numer = signal if noise_subtracted else out
-    numer_err = sig_err if noise_subtracted else out_err
     with np.errstate(divide="ignore", invalid="ignore"):
-        snr = np.where(p_n > 0, numer / np.where(p_n > 0, p_n, 1.0), np.inf)
+        snr = np.where(p_n > 0, signal / np.where(p_n > 0, p_n, 1.0), np.inf)
         snr_err = np.where(
             p_n > 0,
-            np.abs(snr) * np.sqrt((numer_err / np.where(numer != 0, numer, 1.0)) ** 2
+            np.abs(snr) * np.sqrt((sig_err / np.where(signal != 0, signal, 1.0)) ** 2
                                   + (p_err / np.where(p_n > 0, p_n, 1.0)) ** 2),
             0.0)
         if np.any(eta <= 0):

@@ -9,9 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .comb import afc_decay_model
-from .config import ExperimentConfig
+from .config import ExperimentConfig, provenance
 from .detection import (DetectionChain, metrics, mode_sums,
                         noise_floor_model, simulate_counts)
 from .fitting import fit_afc_decay, fit_mims, fit_power_law
@@ -50,9 +49,6 @@ class RunReport:
     kind: str
     preset: str | None
     config: dict
-    config_hash: str
-    seed: int
-    version: str
     stages: dict = field(default_factory=dict)
     eta_end_to_end: float | None = None
     metrics: dict | None = None
@@ -73,8 +69,7 @@ class RunReport:
             "kind": self.kind,
             "preset": self.preset,
             "config": self.config,
-            "provenance": {"config_hash": self.config_hash, "seed": self.seed,
-                           "version": self.version},
+            "provenance": provenance(self.config),
             "stages": self.stages,
             "eta_end_to_end": self.eta_end_to_end,
             "metrics": self.metrics,
@@ -128,6 +123,28 @@ def _flux_grid(cfg: ExperimentConfig, n_modes_spanned: int):
     window = n_modes_spanned * cfg.mode_duration_seconds
     n = int(round(window / dt))
     return np.arange(n) * dt, dt
+
+
+def _pulse_train(cfg: ExperimentConfig, t: np.ndarray, base: np.ndarray,
+                 pulses) -> np.ndarray:
+    """base plus, in order, an input-width Gaussian holding the given
+    photon number at the centre of each 1-indexed temporal mode, for
+    every (mode, photons) in pulses."""
+    flux = base.copy()
+    for mode, photons in pulses:
+        flux += _gaussian_flux(t, (mode - 0.5) * cfg.mode_duration_seconds,
+                               cfg.input_fwhm_seconds, photons)
+    return flux
+
+
+def _read_out(cfg: ExperimentConfig, flux: np.ndarray, dt: float,
+              n_trials: int, rng, n_modes: int):
+    """Count histogram of flux over n_trials and its sums over the first
+    n_modes temporal modes; returns (hist, sums)."""
+    chain = _chain(cfg)
+    hist = simulate_counts(flux, 1.0 / dt, chain, n_trials, rng,
+                           cfg.bin_width_seconds)
+    return hist, mode_sums(hist, cfg.mode_duration_seconds, n_modes, chain)
 
 
 class StageError(RuntimeError):
@@ -222,37 +239,29 @@ def run_spinwave(cfg: ExperimentConfig, preset: str | None = None) -> RunReport:
     eta_total = (stages["eta_afc"] * stages["eta_transfer_sq"]
                  * stages["eta_spin"])
 
-    t_m = cfg.mode_duration_seconds
-    t, dt = _flux_grid(cfg, cfg.mode_count + 2)
-    centers = (np.arange(cfg.mode_count) + 0.5) * t_m
-    signal_flux = np.zeros_like(t)
-    input_flux = np.zeros_like(t)
-    for c in centers:
-        signal_flux += _gaussian_flux(t, c, cfg.input_fwhm_seconds,
-                                      cfg.mu_in_per_mode * eta_total)
-        input_flux += _gaussian_flux(t, c, cfg.input_fwhm_seconds,
-                                     cfg.mu_in_per_mode)
-    noise_flux = noise_floor_model(t, stages["p_noise_per_mode"] / t_m,
-                                   NOISE_LIFETIME_S)
-    signal_flux = signal_flux + noise_flux
+    n = cfg.mode_count
+    t, dt = _flux_grid(cfg, n + 2)
+    modes = range(1, n + 1)
+    zeros = np.zeros_like(t)
+    noise_flux = noise_floor_model(
+        t, stages["p_noise_per_mode"] / cfg.mode_duration_seconds,
+        NOISE_LIFETIME_S)
+    signal_flux = _pulse_train(
+        cfg, t, zeros, [(m, cfg.mu_in_per_mode * eta_total) for m in modes]) \
+        + noise_flux
+    input_flux = _pulse_train(cfg, t, zeros,
+                              [(m, cfg.mu_in_per_mode) for m in modes])
 
-    chain = _chain(cfg)
-    rate = 1.0 / dt
-    hist_signal = simulate_counts(signal_flux, rate, chain, cfg.n_trials,
-                                  rngs[2], cfg.bin_width_seconds)
-    hist_noise = simulate_counts(noise_flux, rate, chain, cfg.n_trials_noise,
-                                 rngs[3], cfg.bin_width_seconds)
-    hist_input = simulate_counts(input_flux, rate, chain, cfg.n_trials,
-                                 rngs[4], cfg.bin_width_seconds)
-
-    sums_signal = mode_sums(hist_signal, 0.0, t_m, cfg.mode_count, t_m, chain)
-    sums_noise = mode_sums(hist_noise, 0.0, t_m, cfg.mode_count, t_m, chain)
-    sums_input = mode_sums(hist_input, 0.0, t_m, cfg.mode_count, t_m, chain)
+    hist_signal, sums_signal = _read_out(cfg, signal_flux, dt, cfg.n_trials,
+                                         rngs[2], n)
+    hist_noise, sums_noise = _read_out(cfg, noise_flux, dt,
+                                       cfg.n_trials_noise, rngs[3], n)
+    hist_input, sums_input = _read_out(cfg, input_flux, dt, cfg.n_trials,
+                                       rngs[4], n)
     mm = metrics(cfg.mu_in_per_mode, sums_signal, sums_noise)
 
     report = RunReport(
         kind="spinwave", preset=preset, config=cfg.to_dict(),
-        config_hash=cfg.config_hash(), seed=cfg.seed, version=__version__,
         stages=stages, eta_end_to_end=float(eta_total),
         metrics={
             "summary": mm.summary(),
@@ -295,8 +304,6 @@ def run_qubit_tomography(cfg: ExperimentConfig, theta_list=None,
     qubits = ((2, 3), (5, 6))  # 1-indexed (early, late) temporal modes
     n_span = 9
     t, dt = _flux_grid(cfg, n_span)
-    rate = 1.0 / dt
-    chain = _chain(cfg)
 
     mu_q = cfg.qubit_mu_in
     eta_q = cfg.qubit_eta
@@ -304,38 +311,26 @@ def run_qubit_tomography(cfg: ExperimentConfig, theta_list=None,
     v0 = cfg.qubit_visibility
     noise_flux = noise_floor_model(t, p_noise / t_m, NOISE_LIFETIME_S)
 
-    def center(mode_1idx: int) -> float:
-        return (mode_1idx - 0.5) * t_m
-
     ss = np.random.SeedSequence(cfg.seed)
     rngs = [np.random.default_rng(c) for c in ss.spawn(len(theta_list) + 1)]
 
     # analyser runs: early bin, interference bin, trailing bin per qubit
     mid_sums = []
     for theta, rng in zip(theta_list, rngs[:-1]):
-        flux = noise_flux.copy()
         fringe = 0.5 * mu_q * eta_q * (1 + v0 * np.cos(theta - input_phase_rad))
-        for early, late in qubits:
-            flux += _gaussian_flux(t, center(early), cfg.input_fwhm_seconds,
-                                   0.25 * mu_q * eta_q)
-            flux += _gaussian_flux(t, center(late), cfg.input_fwhm_seconds, fringe)
-            flux += _gaussian_flux(t, center(late + 1), cfg.input_fwhm_seconds,
-                                   0.25 * mu_q * eta_q)
-        hist = simulate_counts(flux, rate, chain, cfg.n_trials, rng,
-                               cfg.bin_width_seconds)
-        mid_sums.append(mode_sums(hist, 0.0, t_m, n_span, t_m, chain))
+        flux = _pulse_train(cfg, t, noise_flux, [
+            pulse for early, late in qubits
+            for pulse in ((early, 0.25 * mu_q * eta_q), (late, fringe),
+                          (late + 1, 0.25 * mu_q * eta_q))])
+        mid_sums.append(_read_out(cfg, flux, dt, cfg.n_trials, rng, n_span)[1])
 
     # sigma_z run: plain read-out, each bin carries half the qubit
-    flux = noise_flux.copy()
-    for early, late in qubits:
-        for m in (early, late):
-            flux += _gaussian_flux(t, center(m), cfg.input_fwhm_seconds,
-                                   0.5 * mu_q * eta_q)
-    hist_z = simulate_counts(flux, rate, chain, cfg.n_trials, rngs[-1],
-                             cfg.bin_width_seconds)
-    z_sums = mode_sums(hist_z, 0.0, t_m, n_span, t_m, chain)
+    flux = _pulse_train(cfg, t, noise_flux,
+                        [(m, 0.5 * mu_q * eta_q) for q in qubits for m in q])
+    hist_z, z_sums = _read_out(cfg, flux, dt, cfg.n_trials, rngs[-1], n_span)
 
-    noise_det = p_noise * chain.total_transmission  # detector-level per trial
+    # detector-level noise per trial
+    noise_det = p_noise * _chain(cfg).total_transmission
     target = np.array([1, 1]) / np.sqrt(2)
     per_qubit = []
     fids, purs = [], []
@@ -394,7 +389,6 @@ def run_qubit_tomography(cfg: ExperimentConfig, theta_list=None,
     }
     report = RunReport(
         kind="qubit", preset=preset, config=cfg.to_dict(),
-        config_hash=cfg.config_hash(), seed=cfg.seed, version=__version__,
         stages={"eta_qubit": eta_q, "p_noise_per_mode": p_noise,
                 "visibility": v0},
         tomography=tomo,
@@ -447,7 +441,6 @@ def _reproduce_fig1e(out: Path, cfg, notes) -> RunReport:
 
     report = RunReport(
         kind="fig1e", preset="fig1e", config=cfg.to_dict(),
-        config_hash=cfg.config_hash(), seed=cfg.seed, version=__version__,
         fits={"afc_decay": fit.as_dict()}, notes=list(notes),
         checks=[
             _check("eta0_fit", eta0_fit, FIG1E["eta0"] - FIG1E["eta0_tol"],
@@ -499,9 +492,7 @@ def _reproduce_fig2(out: Path, cfg, notes) -> RunReport:
     (out / "fit_powerlaw.json").write_text(
         json.dumps(_json_safe(pl.as_dict()), indent=2, sort_keys=True) + "\n")
     return RunReport(kind="fig2", preset="fig2", config=cfg.to_dict(),
-                     config_hash=cfg.config_hash(), seed=cfg.seed,
-                     version=__version__, fits=fits, checks=checks,
-                     notes=list(notes))
+                     fits=fits, checks=checks, notes=list(notes))
 
 
 def _reproduce_tomo(cfg, notes) -> RunReport:

@@ -15,6 +15,9 @@ import numpy as np
 
 from .waveform import Waveform
 
+# Bloch norm drift per pulse that recommended_sample_rate is sized for.
+NORM_BUDGET = 1e-8
+
 
 @dataclass
 class HshSpec:
@@ -22,7 +25,6 @@ class HshSpec:
 
     duration_s: float
     bandwidth_hz: float
-    center_freq_hz: float = 0.0
     peak_rabi_hz: float | None = None
     edge_fraction: float = 0.3
     sech_cutoff: float = 2.6
@@ -121,7 +123,7 @@ def hsh_frequency(spec: HshSpec, t) -> np.ndarray:
     f_lin0 = -b2 + a * th
     out[mid] = f_lin0 + k * (t[mid] - te)
     out[fall] = b2 - a * (np.tanh(c * (spec.duration_s - te - t[fall]) / te) + th)
-    return out + spec.center_freq_hz
+    return out
 
 
 def hsh_phase(spec: HshSpec, t) -> np.ndarray:
@@ -155,12 +157,12 @@ def hsh_phase(spec: HshSpec, t) -> np.ndarray:
     # mirror of the rise integral
     phase[fall] = p_fall0 + (b2 - a * th) * u + a * (te / c) * np.log(
         np.cosh(c * u / te))
-    return 2 * np.pi * (phase + spec.center_freq_hz * t)
+    return 2 * np.pi * phase
 
 
 def hsh_time_of_frequency(spec: HshSpec, freq_hz) -> np.ndarray:
     """Closed-form inverse of hsh_frequency over the swept span."""
-    f = np.asarray(freq_hz, dtype=float) - spec.center_freq_hz
+    f = np.asarray(freq_hz, dtype=float)
     te = spec.edge_s
     c = spec.sech_cutoff
     k = chirp_rate(spec)
@@ -183,16 +185,14 @@ def hsh_time_of_frequency(spec: HshSpec, freq_hz) -> np.ndarray:
     return out
 
 
-def recommended_sample_rate(spec: HshSpec, detuning_margin_hz: float | None = None,
-                            norm_budget: float = 1e-8) -> float:
+def recommended_sample_rate(spec: HshSpec) -> float:
     """Sample rate such that RK4 on half-sample steps keeps the Bloch norm
-    drift per pulse below norm_budget for detunings up to the margin."""
-    if detuning_margin_hz is None:
-        detuning_margin_hz = 1.5 * spec.bandwidth_hz
-    f_rot = np.hypot(spec.rabi_hz, detuning_margin_hz + abs(spec.center_freq_hz))
+    drift per pulse below NORM_BUDGET for detunings up to 1.5 times the
+    pulse bandwidth."""
+    f_rot = np.hypot(spec.rabi_hz, 1.5 * spec.bandwidth_hz)
     f_rot = max(f_rot, 1.0 / spec.duration_s)
     # leading RK4 norm error per step ~ theta^6/144, theta = 2 pi f h
-    h = (144 * norm_budget / (spec.duration_s * (2 * np.pi * f_rot) ** 6)) ** 0.2
+    h = (144 * NORM_BUDGET / (spec.duration_s * (2 * np.pi * f_rot) ** 6)) ** 0.2
     h = min(h, 1.0 / (32 * f_rot))
     return 2.0 / h
 
@@ -224,7 +224,7 @@ def hsh_waveform(spec: HshSpec, sample_rate_hz: float | None = None) -> Waveform
     spec.validate()
     if sample_rate_hz is None:
         sample_rate_hz = recommended_sample_rate(spec)
-    min_rate = 8 * (spec.bandwidth_hz + spec.rabi_hz + abs(spec.center_freq_hz))
+    min_rate = 8 * (spec.bandwidth_hz + spec.rabi_hz)
     if sample_rate_hz < min_rate:
         raise ValueError(
             f"sample_rate_hz {sample_rate_hz:.3g} under-resolves the chirp; "
@@ -315,7 +315,6 @@ class DDSequence:
 
     kind: str
     total_time_s: float
-    pulse_duration_s: float
     phases_rad: np.ndarray = field(default=None)
     centers_s: np.ndarray = field(default=None)
 
@@ -327,7 +326,8 @@ class DDSequence:
 def dd_sequence(kind: str, total_time_s: float,
                 pulse_duration_s: float) -> DDSequence:
     """Build a CPMG-timed sequence: centers at odd multiples of
-    tau = total_time / (2 n_pulses)."""
+    tau = total_time / (2 n_pulses).  pulse_duration_s only bounds the
+    storage time: the train of pi pulses must fit inside it."""
     kind = normalize_dd_kind(kind)
     phases = dd_phases(kind)
     n = len(phases)
@@ -335,8 +335,5 @@ def dd_sequence(kind: str, total_time_s: float,
         raise ValueError("total_time_s too short for the pulse train")
     tau = total_time_s / (2 * n)
     centers = tau * (2 * np.arange(n) + 1)
-    if 2 * tau <= pulse_duration_s or centers[0] - pulse_duration_s / 2 <= 0:
-        raise ValueError("consecutive pulses overlap")
     return DDSequence(kind=kind, total_time_s=total_time_s,
-                      pulse_duration_s=pulse_duration_s,
                       phases_rad=phases, centers_s=centers)

@@ -240,7 +240,7 @@ def free_induction(bath: SpinBathParams, t_list, seed=None) -> np.ndarray:
     empty = np.empty(0)
     out = np.empty(len(t_list))
     for i, t in enumerate(t_list):
-        fid = DDSequence("none", float(t), 0.0, phases_rad=empty, centers_s=empty)
+        fid = DDSequence("none", float(t), phases_rad=empty, centers_s=empty)
         out[i] = np.abs(np.exp(1j * _propagate(rng, static, bath, fid)).mean())
     return out
 

@@ -69,16 +69,16 @@ class Waveform:
                 fh.write(f"{float(ti)!r},{float(s.real)!r},{float(s.imag)!r}\n")
 
 
-def gaussian_pulse(fwhm_s: float, center_s: float, sample_rate_hz: float,
-                   span_s: float | None = None, peak: float = 1.0) -> Waveform:
-    """Gaussian envelope whose magnitude has the given FWHM, centered at center_s."""
+def gaussian_pulse(fwhm_s: float, center_s: float,
+                   sample_rate_hz: float) -> Waveform:
+    """Unit-peak Gaussian envelope whose magnitude has the given FWHM,
+    centered at center_s and sampled over 8 FWHM."""
     if fwhm_s <= 0:
         raise ValueError("fwhm_s must be positive")
-    if span_s is None:
-        span_s = 8 * fwhm_s
+    span_s = 8 * fwhm_s
     t0 = center_s - span_s / 2
     n = int(round(span_s * sample_rate_hz))
     t = t0 + np.arange(n) / sample_rate_hz
     sigma = fwhm_s / (2 * np.sqrt(2 * np.log(2)))
-    env = peak * np.exp(-((t - center_s) ** 2) / (2 * sigma**2))
+    env = np.exp(-((t - center_s) ** 2) / (2 * sigma**2))
     return Waveform(sample_rate_hz, t0, env.astype(np.complex128))

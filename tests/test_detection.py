@@ -60,42 +60,31 @@ def test_dark_counts():
 
 
 def test_mode_sums_single_mode():
-    hist = CountHistogram(bin_width_s=165e-9, t0_s=0.0,
+    hist = CountHistogram(bin_width_s=165e-9,
                           counts=np.array([10, 20, 30] + [0] * 7),
                           n_trials=1000)
-    out = mode_sums(hist, 0.0, 1.65e-6, 1, 1.65e-6, CHAIN)
+    out = mode_sums(hist, 1.65e-6, 1, CHAIN)
     assert out.values[0] == pytest.approx(60 / (1000 * 0.57 * 0.185))
     assert out.raw_counts[0] == 60
+    # two 3-bin modes on an 8-bin histogram: the trailing bins are ignored
+    hist = CountHistogram(bin_width_s=0.5e-6,
+                          counts=np.array([1, 2, 3, 40, 50, 60, 700, 800]),
+                          n_trials=10)
+    out = mode_sums(hist, 1.5e-6, 2, CHAIN)
+    assert list(out.raw_counts) == [1 + 2 + 3, 40 + 50 + 60]
+    norm = 10 * CHAIN.total_transmission
+    assert out.values == pytest.approx([6 / norm, 150 / norm])
+    assert out.errors == pytest.approx([np.sqrt(6) / norm,
+                                        np.sqrt(150) / norm])
 
 
 def test_mode_sums_validation():
-    hist = CountHistogram(bin_width_s=165e-9, t0_s=0.0,
+    hist = CountHistogram(bin_width_s=165e-9,
                           counts=np.zeros(40, dtype=int), n_trials=10)
-    with pytest.raises(ValueError, match="overlap"):
-        mode_sums(hist, 0.0, 1e-6, 2, 1.65e-6, CHAIN)
     with pytest.raises(ValueError, match="divide"):
-        mode_sums(hist, 0.0, 1.65e-6, 2, 1.6e-6, CHAIN)
-    with pytest.raises(ValueError, match="align"):
-        mode_sums(hist, 100e-9, 1.65e-6, 2, 1.65e-6, CHAIN)
+        mode_sums(hist, 1.6e-6, 2, CHAIN)
     with pytest.raises(ValueError, match="span"):
-        mode_sums(hist, 0.0, 1.65e-6, 9, 1.65e-6, CHAIN)
-
-
-def test_mode_window_shift_reduces_sums():
-    # pulses centered in well-separated windows: a half-window shift of the
-    # mode grid strictly reduces every mode sum
-    from afcmem.harness import _gaussian_flux
-    dt = 165e-9 / 8
-    period = 3.3e-6
-    t = np.arange(int(round((6 * period + 1.65e-6) / dt))) * dt
-    flux = np.zeros_like(t)
-    for k in range(6):
-        flux += _gaussian_flux(t, k * period + 0.825e-6, 700e-9, 1.0)
-    hist = simulate_counts(flux, 1 / dt, CHAIN, 200_000, seed=5,
-                           bin_width_s=165e-9)
-    centered = mode_sums(hist, 0.0, period, 6, 1.65e-6, CHAIN)
-    shifted = mode_sums(hist, 0.825e-6, period, 6, 1.65e-6, CHAIN)
-    assert np.all(shifted.values < centered.values)
+        mode_sums(hist, 1.65e-6, 9, CHAIN)
 
 
 def test_unbiasedness():
@@ -103,7 +92,7 @@ def test_unbiasedness():
     flux, rate = _flat_flux(injected, n_modes=6)
     hist = simulate_counts(flux, rate, CHAIN, 50_000, seed=6,
                            bin_width_s=165e-9)
-    sums = mode_sums(hist, 0.0, 1.65e-6, 6, 1.65e-6, CHAIN)
+    sums = mode_sums(hist, 1.65e-6, 6, CHAIN)
     for v, e in zip(sums.values, sums.errors):
         assert abs(v - injected) < 3 * e
 
@@ -113,8 +102,8 @@ def test_errors_shrink_with_trials():
     h1 = simulate_counts(flux, rate, CHAIN, 10_000, seed=7, bin_width_s=165e-9)
     h2 = simulate_counts(flux, rate, CHAIN, 1_000_000, seed=8,
                          bin_width_s=165e-9)
-    e1 = mode_sums(h1, 0.0, 1.65e-6, 6, 1.65e-6, CHAIN).errors.mean()
-    e2 = mode_sums(h2, 0.0, 1.65e-6, 6, 1.65e-6, CHAIN).errors.mean()
+    e1 = mode_sums(h1, 1.65e-6, 6, CHAIN).errors.mean()
+    e2 = mode_sums(h2, 1.65e-6, 6, CHAIN).errors.mean()
     assert e1 / e2 == pytest.approx(10.0, rel=0.2)
 
 
@@ -144,12 +133,8 @@ def test_metrics_reference_rows():
 
 
 def test_metrics_conventions_and_errors():
-    mm = metrics(1.0, _sums([0.11], [0.01]), _sums([0.01], [0.001]),
-                 noise_subtracted=True)
+    mm = metrics(1.0, _sums([0.11], [0.01]), _sums([0.01], [0.001]))
     assert mm.snr[0] == pytest.approx(10.0)
-    raw = metrics(1.0, _sums([0.11], [0.01]), _sums([0.01], [0.001]),
-                  noise_subtracted=False)
-    assert raw.snr[0] == pytest.approx(11.0)
     assert mm.snr_err[0] > 0
     with pytest.raises(ValueError):
         metrics(0.0, _sums([0.1]), _sums([0.01]))
@@ -190,8 +175,8 @@ def test_snr_composition_convergence():
                             bin_width_s=165e-9)
     h_noise = simulate_counts(noise_flux, rate, CHAIN, n, seed=10,
                               bin_width_s=165e-9)
-    mm = metrics(mu, mode_sums(h_sig, 0.0, 1.65e-6, 6, 1.65e-6, CHAIN),
-                 mode_sums(h_noise, 0.0, 1.65e-6, 6, 1.65e-6, CHAIN))
+    mm = metrics(mu, mode_sums(h_sig, 1.65e-6, 6, CHAIN),
+                 mode_sums(h_noise, 1.65e-6, 6, CHAIN))
     snr, snr_err = mm.snr_avg
     assert snr == pytest.approx(mu * eta_true / p_true, abs=3 * snr_err)
     assert snr_err < 0.15
@@ -199,8 +184,8 @@ def test_snr_composition_convergence():
 
 def test_simulate_counts_keeps_origin():
     hist = simulate_counts(np.full(100, 5e4), 1e7, CHAIN, 10_000, seed=11,
-                           bin_width_s=2e-6, t0_s=1e-6)
-    assert hist.t0_s == 1e-6
+                           bin_width_s=2e-6)
+    assert hist.bin_starts()[0] == 0.0
     mean = hist.counts.sum() / 10_000
     expect = 5e4 * 1e-5 * CHAIN.total_transmission
     assert mean == pytest.approx(expect, rel=0.1)

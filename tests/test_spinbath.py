@@ -160,7 +160,7 @@ def test_coherence_against_filter_function(centers, t_s, fwhm):
     bath = SpinBathParams(inhom_fwhm_hz=fwhm, ou_sigma_hz=sigma,
                           ou_tau_c_s=tau_c, n_atoms=100_000, seed=23)
     if centers:
-        dd = DDSequence("XY4", t_s, PI_DURATION, phases_rad=np.zeros(len(centers)),
+        dd = DDSequence("XY4", t_s, phases_rad=np.zeros(len(centers)),
                         centers_s=np.array(centers))
         res = spin_echo_coherence(dd, bath)
         assert res.coherence == pytest.approx(expected,
