@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import sys
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .comb import CombParams, afc_decay_model, build_comb, propagate
-from .config import ExperimentConfig, provenance
+from .config import ExperimentConfig, _is_finite, provenance
 from .fitting import fit_afc_decay, fit_mims, fit_power_law
 from .harness import RunReport, reproduce, run_qubit_tomography, run_spinwave
 from .presets import PRESET_NAMES
@@ -86,13 +88,21 @@ def _cmd_simulate(args) -> int:
 
 
 def _read_xy_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """x and y from the first two columns of a CSV with one header line;
+    blank lines are skipped and any other malformed row is an error."""
     rows = []
     with open(path) as fh:
-        header = fh.readline()
-        for line in fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
             parts = line.strip().split(",")
-            if len(parts) >= 2:
-                rows.append((float(parts[0]), float(parts[1])))
+            if len(parts) < 2:
+                raise ValueError(f"{path}:{lineno}: need two columns")
+            x, y = float(parts[0]), float(parts[1])
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"{path}:{lineno}: non-finite value")
+            rows.append((x, y))
     if len(rows) < 3:
         raise ValueError(f"not enough data rows in {path}")
     arr = np.array(rows)
@@ -118,14 +128,46 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_tomo(args) -> int:
-    with open(args.counts) as fh:
+def _check_number(name: str, value) -> None:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not _is_finite(value)):
+        raise ValueError(f"{name} must be a finite number")
+
+
+def _read_counts_json(path) -> tuple[TomoCounts, np.ndarray, dict]:
+    """TomoCounts, target state and the parsed counts JSON object, every
+    value checked to be a finite number before any is used."""
+    with open(path) as fh:
         data = json.load(fh)
-    tc = TomoCounts(counts=data["counts"], n_trials=data["n_trials"],
-                    noise=data.get("noise", {}))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    tables = {}
+    for name in ("counts", "n_trials", "noise"):
+        table = data.get(name, {})
+        if not isinstance(table, dict):
+            raise ValueError(f"{name} must map projection names to numbers")
+        for key, value in table.items():
+            _check_number(f"{name}[{key!r}]", value)
+        tables[name] = table
+    tc = TomoCounts(**tables)
+    target = data.get("target", [1, 1])
+    if not isinstance(target, list) or len(target) != 2:
+        raise ValueError("target must be a list of two numbers")
+    for i, value in enumerate(target):
+        _check_number(f"target[{i}]", value)
+    target = np.array(target, dtype=float) / np.sqrt(2)
+    if not 0 < np.linalg.norm(target) < math.inf:
+        raise ValueError("target must be a nonzero vector of finite norm")
+    for name in ("snr", "mu_in", "eta"):
+        if name in data:
+            _check_number(name, data[name])
+    return tc, target, data
+
+
+def _cmd_tomo(args) -> int:
+    tc, target, data = _read_counts_json(args.counts)
     sx, sy, sz = pauli_expectations(tc, subtract_noise=args.subtract_noise)
     dm = direct_inversion([sx, sy, sz])
-    target = np.array(data.get("target", [1, 1])) / np.sqrt(2)
     f = fidelity(dm, target)
     p = purity(dm)
     result = {

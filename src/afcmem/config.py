@@ -18,6 +18,7 @@ from . import __version__
 from .comb import TOOTH_SHAPES
 from .pulses import dd_sequence, normalize_dd_kind
 from .spinbath import ou_sigma_for_t2
+from .tomography import MAX_MEAN_PHOTONS
 
 # OU bath calibrated so the two-pulse sequence decays with T2 = 70 ms
 # (slow-bath regime, correlation time 3 s).
@@ -66,7 +67,7 @@ _RANGES = {
     "path_transmission": _UNIT,
     "dark_rate_hz": _NONNEGATIVE,
     "bin_width_seconds": _POSITIVE,
-    "qubit_mu_in": _POSITIVE,
+    "qubit_mu_in": (0, MAX_MEAN_PHOTONS, True, False),
     "qubit_eta": _EFFICIENCY,
     "qubit_noise_per_mode": _NONNEGATIVE,
     "qubit_visibility": _UNIT,

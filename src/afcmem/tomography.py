@@ -12,6 +12,10 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 PROJECTION_KEYS = ("early", "late", "plus", "minus", "plus_i", "minus_i")
 
+# Largest mean photon number the classical bound accepts: its Poisson
+# table has about mu entries, and beyond this the bound is within 1e-6 of 1.
+MAX_MEAN_PHOTONS = 1e6
+
 
 @dataclass
 class TomoCounts:
@@ -161,8 +165,8 @@ def classical_bound_weak_coherent(mu: float, eta: float) -> float:
     easiest to estimate) and scoring each accepted n with (n+1)/(n+2);
     vacuum contributes a random guess at fidelity 1/2.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu <= MAX_MEAN_PHOTONS:
+        raise ValueError(f"mu must lie in (0, {MAX_MEAN_PHOTONS:g}]")
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
     # Poisson tail small enough to ignore beyond n_max

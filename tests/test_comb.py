@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from afcmem.comb import (CombParams, afc_decay_model, build_comb,
+from afcmem.comb import (TOOTH_SHAPES, CombParams, _raised_cosine_window,
+                         _tooth_profile, afc_decay_model, build_comb,
                          comb_efficiency_estimate, gaussian_tooth_efficiency,
                          propagate, square_tooth_efficiency)
 from afcmem.waveform import gaussian_pulse
@@ -68,6 +69,74 @@ def test_passivity_random_params():
                      passes=int(rng.integers(1, 3)))
         assert np.abs(spec.complex_response).max() <= 1 + 1e-9
         assert spec.alpha.min() >= 0
+
+
+def _tooth_profile_reference(f, params):
+    """Every tooth summed over every frequency, one tooth at a time."""
+    delta = params.comb_period_hz
+    fwhm = params.tooth_fwhm_hz
+    n_teeth = int(np.floor(params.bandwidth_hz / 2 / delta))
+    g = np.zeros_like(f)
+    for m in range(-n_teeth, n_teeth + 1):
+        df = f - m * delta
+        if params.tooth_shape == "square":
+            g += np.where(np.abs(df) <= fwhm / 2, params.peak_od, 0.0)
+        elif params.tooth_shape == "gaussian":
+            g += params.peak_od * np.exp(-4 * np.log(2) * (df / fwhm) ** 2)
+        else:
+            hw = fwhm / 2
+            g += params.peak_od * hw**2 / (hw**2 + df**2)
+    return g
+
+
+def test_tooth_sums_match_per_tooth_loop():
+    rng = np.random.default_rng(5)
+    f = (np.arange(N_TEST) - N_TEST // 2) * (SPAN / N_TEST)
+    for shape in TOOTH_SHAPES:
+        for finesse_range in ((1.5, 2), (2, 4), (4, 10)):
+            params = CombParams(comb_period_hz=float(rng.uniform(20e3, 100e3)),
+                                finesse=float(rng.uniform(*finesse_range)),
+                                peak_od=float(rng.uniform(0, 8)),
+                                bandwidth_hz=float(rng.uniform(1e6, 3e6)),
+                                tooth_shape=shape)
+            want = _tooth_profile_reference(f, params)
+            band = _raised_cosine_window(f, params.bandwidth_hz) > 0
+            # build_comb sums the teeth in band only
+            assert np.array_equal(_tooth_profile(f[band], params), want[band])
+            if shape != "lorentzian_sum":
+                assert np.array_equal(_tooth_profile(f, params), want)
+
+
+def _line_convolution_2n(g, df):
+    """Complex depth by linear convolution of g with the sampled line
+    (1/pi)/(gamma + i f), zero-padded to 2N points."""
+    n = g.size
+    f = (np.arange(n) - n // 2) * df
+    kernel = (1.0 / np.pi) / (4 * df + 1j * f)
+    conv = np.fft.ifft(np.fft.fft(g, 2 * n) * np.fft.fft(kernel, 2 * n))
+    return conv[n // 2: n // 2 + n] * df
+
+
+@pytest.mark.parametrize("shape,finesse,passes", [
+    ("square", 2.0, 2), ("gaussian", 10.0, 1), ("lorentzian_sum", 2.0, 2),
+])
+def test_default_grid_passive_and_absorbing(shape, finesse, passes):
+    # the benchmark's extremes on the production grid: the causal
+    # transform keeps the comb passive and its absorption equal to the
+    # linear convolution's to 1e-5 of the peak depth
+    params = CombParams(comb_period_hz=20e3, finesse=finesse, peak_od=6.0,
+                        background_od=0.5, bandwidth_hz=3e6,
+                        tooth_shape=shape, passes=passes)
+    spec = build_comb(params)
+    assert np.abs(spec.complex_response).max() <= 1 + 1e-9
+    f = spec.freq_grid_hz
+    window = _raised_cosine_window(f, params.bandwidth_hz)
+    band = window > 0
+    g = np.zeros_like(f)
+    g[band] = (_tooth_profile(f[band], params) + 0.5) * window[band]
+    want = _line_convolution_2n(g, f[1] - f[0]).real
+    assert want.min() > 0
+    assert np.abs(spec.alpha - want).max() <= 1e-5 * g.max()
 
 
 def test_validation_errors():
