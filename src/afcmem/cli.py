@@ -117,14 +117,13 @@ def _cmd_fit(args) -> int:
         fit = fit_mims(x, y)
     else:
         fit = fit_power_law(x, y)
+    if not fit.converged:
+        raise ValueError(f"the {args.model} fit did not converge on {args.data}")
     out = _out_dir(args)
     (out / f"fit_{args.model}.json").write_text(
         json.dumps(fit.as_dict(), indent=2, sort_keys=True) + "\n")
     for name, value, ci in zip(fit.names, fit.params, fit.ci95):
         print(f"{name} = {value:.6g} +- {ci:.3g} (95% CI)")
-    if not fit.converged:
-        print("warning: fit did not converge", file=sys.stderr)
-        return 3
     return 0
 
 

@@ -1,12 +1,19 @@
-"""Damped least-squares fits of the three decay laws with analytic
-Jacobians and 95% confidence intervals from the Jacobian covariance."""
+"""Least-squares fits of the three decay laws with analytic Jacobians and
+95% confidence intervals from the Jacobian covariance.
+
+The echo and spin decays are fitted by damped least squares; the power law
+is a straight line in log-log space, solved in closed form.  Data with
+fewer distinct x values than parameters, or no degrees of freedom left,
+are rejected before any arithmetic.  The Student-t quantile of the
+intervals comes from ``scipy.special.stdtrit``, imported when a fit runs,
+so importing the package loads no scipy.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .comb import afc_decay_model
 
@@ -82,23 +89,39 @@ def levenberg_marquardt(residual_fn, jac_fn, x0, max_iter: int = 200,
     return x, r, converged, n_iter
 
 
+def _check_determined(x, n_params: int) -> None:
+    """Raise ValueError unless the abscissae x can determine n_params."""
+    if x.size <= n_params:
+        raise ValueError(f"{n_params} parameters need more than {n_params} "
+                         f"data points, got {x.size}")
+    if np.unique(x).size < n_params:
+        raise ValueError(f"{n_params} parameters need at least {n_params} "
+                         f"distinct x values")
+
+
 def _finish(names, x, r, converged, n_iter, jac_fn) -> FitResult:
-    n, p = len(r), len(x)
+    from scipy.special import stdtrit  # heavy import, needed only here
+
     J = jac_fn(x)
-    dof = n - p
-    cov = np.full((p, p), np.nan)
-    ci = np.full(p, np.nan)
-    if dof > 0:
-        sigma2 = float(r @ r) / dof
-        try:
-            cov = sigma2 * np.linalg.inv(J.T @ J)
-            tq = stats.t.ppf(0.975, dof)
-            ci = tq * np.sqrt(np.maximum(np.diag(cov), 0.0))
-        except np.linalg.LinAlgError:
-            pass
+    dof = len(r) - len(x)
+    try:
+        cov = float(r @ r) / dof * np.linalg.inv(J.T @ J)
+    except np.linalg.LinAlgError:
+        cov = None
+    if cov is None or not np.all(np.isfinite(cov)):
+        raise ValueError("the data do not determine the fit parameters")
+    ci = stdtrit(dof, 0.975) * np.sqrt(np.maximum(np.diag(cov), 0.0))
     return FitResult(names=tuple(names), params=x, ci95=ci,
                      residual_norm=float(np.linalg.norm(r)),
                      converged=converged, n_iter=n_iter, cov=cov)
+
+
+def _damped_fit(names, resid, jac, x0) -> FitResult:
+    # trial steps may overflow the model: levenberg_marquardt rejects a
+    # non-finite cost and _finish a non-finite covariance
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, r, conv, it = levenberg_marquardt(resid, jac, x0)
+        return _finish(names, x, r, conv, it, jac)
 
 
 # --- AFC echo decay ---------------------------------------------------------
@@ -114,7 +137,10 @@ def fit_afc_decay(t, eta, zeeman_split_hz: float = 41.4e3,
     eta = np.asarray(eta, dtype=float)
     if np.any(eta <= 0):
         raise ValueError("eta values must be positive")
+    if np.any(t < 0):
+        raise ValueError("t values must not be negative")
     names = ("eta0", "t2", "mod_depth") if fit_modulation else ("eta0", "t2")
+    _check_determined(t, len(names))
 
     def unpack(x):
         if fit_modulation:
@@ -139,13 +165,13 @@ def fit_afc_decay(t, eta, zeeman_split_hz: float = 41.4e3,
             J[:, 2] = -e0 * decay * s2
         return J
 
-    # start from the log-linear envelope through the first/last points
+    # start from the log-linear envelope through the earliest/latest points
+    first, last = np.argmin(t), np.argmax(t)
     e0_guess = float(eta.max())
-    slope = (np.log(eta[-1]) - np.log(eta[0])) / (t[-1] - t[0])
-    t2_guess = -4.0 / slope if slope < 0 else 4.0 * t[-1]
+    slope = (np.log(eta[last]) - np.log(eta[first])) / (t[last] - t[first])
+    t2_guess = -4.0 / slope if slope < 0 else 4.0 * t[last]
     x0 = [e0_guess, t2_guess] + ([0.1] if fit_modulation else [])
-    x, r, conv, it = levenberg_marquardt(resid, jac, x0)
-    return _finish(names, x, r, conv, it, jac)
+    return _damped_fit(names, resid, jac, x0)
 
 
 # --- Mims (stretched-exponential) spin decay --------------------------------
@@ -161,6 +187,7 @@ def fit_mims(t, eta) -> FitResult:
     if np.any(eta <= 0) or np.any(t <= 0):
         raise ValueError("data must be positive")
     names = ("eta0", "t2", "m")
+    _check_determined(t, len(names))
 
     def resid(x):
         e0, t2, m = x
@@ -183,8 +210,7 @@ def fit_mims(t, eta) -> FitResult:
     target = e0_guess * np.exp(-2.0)
     idx = int(np.argmin(np.abs(eta - target)))
     x0 = [e0_guess, float(t[idx]), 2.0]
-    x, r, conv, it = levenberg_marquardt(resid, jac, x0)
-    return _finish(names, x, r, conv, it, jac)
+    return _damped_fit(names, resid, jac, x0)
 
 
 # --- power law T2(n) = T2(1) n^gamma ----------------------------------------
@@ -193,30 +219,27 @@ def fit_power_law(n_pulses, t2_values) -> FitResult:
     """Fit T2(n) = T2(1) n^gamma in log-log space.
 
     Parameters are reported as (t2_1, gamma); fitting the straight line in
-    log space equalizes relative errors across the decade span.
+    log space equalizes relative errors across the decade span.  The model
+    is linear in (ln t2_1, gamma), so ordinary least squares gives the
+    exact minimiser.
     """
     n = np.asarray(n_pulses, dtype=float)
     t2 = np.asarray(t2_values, dtype=float)
     if np.any(n <= 0) or np.any(t2 <= 0):
         raise ValueError("data must be positive")
     names = ("t2_1", "gamma")
+    _check_determined(n, len(names))
     ln_n = np.log(n)
     ln_t2 = np.log(t2)
-
-    def resid(x):
-        a, g = x
-        if a <= 0:
-            return np.full(n.size, np.inf)
-        return np.log(a) + g * ln_n - ln_t2
+    design = np.column_stack([np.ones_like(ln_n), ln_n])
+    (ln_a, gamma), *_ = np.linalg.lstsq(design, ln_t2)
+    x = np.array([np.exp(ln_a), gamma])
+    r = design @ [ln_a, gamma] - ln_t2
 
     def jac(x):
-        a, _ = x
         J = np.empty((n.size, 2))
-        J[:, 0] = 1.0 / a
+        J[:, 0] = 1.0 / x[0]
         J[:, 1] = ln_n
         return J
 
-    # closed-form linear start
-    g0, la0 = np.polyfit(ln_n, ln_t2, 1)
-    x, r, conv, it = levenberg_marquardt(resid, jac, [np.exp(la0), g0])
-    return _finish(names, x, r, conv, it, jac)
+    return _finish(names, x, r, True, 0, jac)

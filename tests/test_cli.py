@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,45 @@ def test_unknown_preset_usage_error():
     assert "invalid choice" in proc.stderr
 
 
+_COLD_START = r"""
+import json, sys, tempfile
+from pathlib import Path
+from afcmem.cli import main
+from afcmem.tomography import PROJECTION_KEYS
+
+out = Path(tempfile.mkdtemp())
+(out / "counts.json").write_text(json.dumps({
+    "counts": dict.fromkeys(PROJECTION_KEYS, 50),
+    "n_trials": dict.fromkeys(PROJECTION_KEYS, 100)}))
+(out / "decay.csv").write_text(
+    "t,eta\n0.02,0.078\n0.05,0.07\n0.1,0.045\n0.2,0.01\n")
+seen = {}
+for argv in (["reproduce", "table1-20ms"], ["simulate", "afc"],
+             ["simulate", "spinwave", "--trials", "2000"],
+             ["simulate", "qubit", "--trials", "2000"],
+             ["tomo", str(out / "counts.json")],
+             ["fit", "mims", str(out / "decay.csv")]):
+    code = main([*argv, "--out", str(out)])
+    seen[" ".join(argv[:2])] = [
+        code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_fits():
+    # structural, not a timing: only a fit (scipy.special) may load scipy
+    proc = subprocess.run([sys.executable, "-c", _COLD_START],
+                          capture_output=True, text=True, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    fit_code, fit_modules = seen.pop("fit mims")
+    for command, (code, modules) in seen.items():
+        assert code == 0, command
+        assert modules == [], command
+    assert fit_code == 0
+    assert "scipy.special" in fit_modules
+    assert "scipy.stats" not in fit_modules
+
+
 def _run_quiet(*args):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), \
@@ -212,6 +252,32 @@ def test_malformed_fit_csv_exits_2(tmp_path, row):
     assert ":4:" in err or "float" in err
 
 
+def _fit_quiet(tmp_path, model, rows):
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(["x,y", *rows]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _run_quiet("fit", model, str(path), "--out", str(tmp_path))
+
+
+@pytest.mark.parametrize("model", ["afc", "mims", "powerlaw"])
+@pytest.mark.parametrize("rows", [["1,1"] * 3, ["0,1", "0,0.5", "0,0.2"]])
+def test_undetermined_fit_csv_exits_2(tmp_path, model, rows):
+    code, err = _fit_quiet(tmp_path, model, rows)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("fit_*.json"))
+
+
+def test_unconverged_fit_exits_2(tmp_path):
+    # a flat decay: the mims minimum lies at t2 -> 0, m -> 0
+    code, err = _fit_quiet(tmp_path, "mims",
+                           ["0.02,1", "0.02,2", "0.05,1", "0.1,1"])
+    assert code == 2
+    assert err == f"error: the mims fit did not converge on {tmp_path / 'data.csv'}\n"
+    assert not list(tmp_path.glob("fit_*.json"))
+
+
 _PROJECTION_NAMES = st.sampled_from(PROJECTION_KEYS + ("other",))
 _TABLES = st.one_of(
     _VALUES, st.dictionaries(_PROJECTION_NAMES, _VALUES, max_size=7),
@@ -260,3 +326,25 @@ def test_any_fit_csv_fits_or_exits_2(rows):
         parsed = [[float(v) for v in row.split(",")[:2]] for row in rows
                   if row.strip()]
         assert len(parsed) >= 3 and np.all(np.isfinite(parsed))
+
+
+_FIT_X = st.one_of(st.just(0.0), st.sampled_from([0.02, 0.05, 0.1, 0.2]),
+                   st.floats(1e-3, 1e3))
+_FIT_Y = st.floats(1e-4, 10.0)
+_FIT_ROWS = st.lists(st.tuples(_FIT_X, _FIT_Y), min_size=3, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["afc", "mims", "powerlaw"]), _FIT_ROWS)
+def test_any_positive_fit_csv_fits_or_exits_2(model, rows):
+    # the real fits: any such CSV fits cleanly or exits 2 with one line,
+    # and what is written holds finite numbers only
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _fit_quiet(Path(tmp), model,
+                               [f"{x!r},{y!r}" for x, y in rows])
+        _assert_exit_0_or_one_line_2(code, err)
+        if code == 0:
+            assert err == ""
+        for written in Path(tmp).glob("fit_*.json"):
+            text = written.read_text()
+            assert "NaN" not in text and "Infinity" not in text

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy import stats
 
+from afcmem import fitting
 from afcmem.comb import afc_decay_model
 from afcmem.fitting import (fit_afc_decay, fit_mims, fit_power_law,
                             levenberg_marquardt, mims_curve)
@@ -177,3 +179,42 @@ def test_fit_input_validation():
         fit_power_law([2, 4], [1.0, -1.0])
     with pytest.raises(ValueError):
         fit_afc_decay([1e-6, 2e-6], [0.1, 0.0])
+
+
+def test_ci_quantile_is_student_t():
+    # unit residuals and a unit Jacobian column make sigma^2 and the
+    # covariance exactly 1, so the interval is the bare quantile
+    for dof in range(1, 200):
+        r = np.r_[np.ones(dof), 0.0]
+        J = np.zeros((dof + 1, 1))
+        J[0, 0] = 1.0
+        fit = fitting._finish(("a",), np.zeros(1), r, True, 0, lambda x: J)
+        assert fit.ci95[0] == stats.t.ppf(0.975, dof)
+
+
+def test_power_law_is_the_least_squares_minimiser():
+    n = np.array([2.0, 4.0, 8.0, 16.0])
+    t2 = np.array([70e-3, 106e-3, 154e-3, 230e-3])
+    fit = fit_power_law(n, t2)
+    assert fit.converged and fit.n_iter == 0
+
+    def resid(x):
+        return np.log(x[0]) + x[1] * np.log(n) - np.log(t2)
+
+    def jac(x):
+        return np.column_stack([np.full(n.size, 1.0 / x[0]), np.log(n)])
+
+    x, r, converged, _ = levenberg_marquardt(resid, jac, [0.03, 0.4])
+    assert converged
+    np.testing.assert_allclose(fit.params, x, rtol=1e-12)
+    assert fit.residual_norm == pytest.approx(np.linalg.norm(r), rel=1e-12)
+
+
+@pytest.mark.parametrize("fit, t", [
+    *[(fit, t) for fit in (fit_afc_decay, fit_mims)
+      for t in ([1.0, 1.0, 1.0], [1.0, 2.0, 2.0, 1.0], [0.1, 0.2, 0.3])],
+    (fit_power_law, [1.0, 1.0, 1.0]), (fit_power_law, [0.1, 0.2])])
+def test_underdetermined_data_raise(fit, t):
+    # fewer distinct x values than parameters, or no degrees of freedom left
+    with pytest.raises(ValueError, match="parameters need"):
+        fit(t, np.ones(len(t)))
