@@ -14,9 +14,12 @@ import numbers
 import typing
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__
 from .comb import TOOTH_SHAPES
-from .pulses import dd_sequence, normalize_dd_kind
+from .pulses import (dd_sequence, normalize_dd_kind, recommended_sample_rate,
+                     reference_transfer_pulse)
 from .spinbath import ou_sigma_for_t2
 from .tomography import MAX_MEAN_PHOTONS
 
@@ -24,6 +27,10 @@ from .tomography import MAX_MEAN_PHOTONS
 # (slow-bath regime, correlation time 3 s).
 DEFAULT_OU_TAU_C_S = 3.0
 DEFAULT_OU_SIGMA_HZ = ou_sigma_for_t2(2, 0.070, DEFAULT_OU_TAU_C_S)
+
+# Most samples a simulated transfer pulse may take.  The default pulse needs
+# about 1.9e4; the work of the transfer stage grows with the sample count.
+MAX_TRANSFER_SAMPLES = 2**20
 
 
 # Allowed interval of a numeric field: (low, high, low is open, high is open).
@@ -192,6 +199,18 @@ class ExperimentConfig:
                 f"{self.mode_duration_seconds:.3g} s + transfer "
                 f"{self.transfer_duration_seconds:.3g} s = {budget:.3g} s "
                 f"exceeds 1/Delta = {one_over_delta:.3g} s")
+        if self.eta_end_to_end_target is None and self.eta_transfer_fixed is None:
+            # numpy scalars, so that extreme inputs overflow to inf quietly
+            with np.errstate(all="ignore"):
+                spec = reference_transfer_pulse(
+                    np.float64(self.transfer_duration_seconds),
+                    np.float64(self.transfer_bandwidth_hz))
+                samples = spec.duration_s * recommended_sample_rate(spec)
+            if not samples <= MAX_TRANSFER_SAMPLES:
+                raise ValueError(
+                    f"transfer_bandwidth_hz/transfer_duration_seconds: the "
+                    f"transfer pulse needs {samples:.3g} samples, more than "
+                    f"{MAX_TRANSFER_SAMPLES}")
         if self.mode_duration_seconds <= self.input_fwhm_seconds:
             raise ValueError("mode duration must exceed the pulse width")
         ratio = self.mode_duration_seconds / self.bin_width_seconds

@@ -157,7 +157,8 @@ def metrics(mu_in: float, output_modes: ModeSums,
     sums.
 
     eta and snr use the noise-subtracted output, so snr is signal over
-    noise; mu1 = p_n / eta is the input photon number giving SNR 1.
+    noise; mu1 = p_n / eta is the input photon number giving SNR 1.  mu1
+    and its error are NaN in modes whose signal is not positive.
     """
     if mu_in <= 0:
         raise ValueError("mu_in must be positive")
@@ -178,11 +179,11 @@ def metrics(mu_in: float, output_modes: ModeSums,
             np.abs(snr) * np.sqrt((sig_err / np.where(signal != 0, signal, 1.0)) ** 2
                                   + (p_err / np.where(p_n > 0, p_n, 1.0)) ** 2),
             0.0)
-        if np.any(eta <= 0):
-            raise ValueError("nonpositive efficiency; mu1 undefined")
-        mu1 = p_n / eta
-        mu1_err = mu1 * np.sqrt((p_err / np.where(p_n > 0, p_n, 1.0)) ** 2
-                                + (eta_err / eta) ** 2)
+        defined = eta > 0
+        mu1 = np.where(defined, p_n / eta, np.nan)
+        mu1_err = np.where(defined, mu1 * np.sqrt(
+            (p_err / np.where(p_n > 0, p_n, 1.0)) ** 2 + (eta_err / eta) ** 2),
+            np.nan)
     return ModeMetrics(mu_in=mu_in, eta=eta, p_n=p_n, snr=snr, mu1=mu1,
                        eta_err=eta_err, p_n_err=p_err, snr_err=snr_err,
                        mu1_err=mu1_err)

@@ -259,6 +259,7 @@ def run_spinwave(cfg: ExperimentConfig, preset: str | None = None) -> RunReport:
     hist_input, sums_input = _read_out(cfg, input_flux, dt, cfg.n_trials,
                                        rngs[4], n)
     mm = metrics(cfg.mu_in_per_mode, sums_signal, sums_noise)
+    undefined = [m for m, eta in zip(modes, mm.eta) if not eta > 0]
 
     report = RunReport(
         kind="spinwave", preset=preset, config=cfg.to_dict(),
@@ -274,6 +275,8 @@ def run_spinwave(cfg: ExperimentConfig, preset: str | None = None) -> RunReport:
             "mu_in_measured": sums_input.values,
             "mu_in_measured_err": sums_input.errors,
         },
+        notes=[f"mu1 undefined in modes {undefined}: noise-subtracted "
+               "signal not positive"] if undefined else [],
     )
     report.histograms = {"hist_signal": hist_signal, "hist_noise": hist_noise,
                          "hist_input": hist_input}

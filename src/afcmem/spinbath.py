@@ -6,10 +6,12 @@ OU value at the interval's end and its integral over the interval are drawn
 exactly, as one jointly Gaussian pair per atom (Gillespie, Phys. Rev. E 54,
 2084 (1996)), so an interval costs the same whatever its length.  Stored
 coherence accumulates phase between pi pulses with a sign that toggles at
-each pulse center; imperfect pulses are applied as full 2x2 unitaries with
-finite-Rabi detuning tilt.  residual_excitation gives the storage-state
-population that the imperfect RF train excites out of the ground state;
-read-out noise is proportional to it.
+each pulse center.  Imperfect pulses are finite-Rabi SU(2) rotations in
+Cayley-Klein form, [[A, -B*], [B, A*]] (Gullion, Baker & Conradi, J. Magn.
+Reson. 89, 479 (1990)); each interval applies its free rotation and the
+pulse that ends it as one such map.  residual_excitation gives the
+storage-state population that the imperfect RF train excites out of the
+ground state; read-out noise is proportional to it.
 """
 
 from __future__ import annotations
@@ -126,11 +128,18 @@ def _ou_interval_law(h, sigma, tau):
     return e, a, b, c
 
 
-def _ou_interval(rng, x0, h, sigma, tau):
-    """One exact joint draw of (x1, I) per atom; see _ou_interval_law."""
+def _ou_interval(rng, x0, h, sigma, tau, work):
+    """One exact joint draw of (x1, I) per atom (see _ou_interval_law) in the
+    (4, n) scratch array work: x0 is overwritten by x1, I is work[2]."""
     e, a, b, c = _ou_interval_law(h, sigma, tau)
-    g1, g2 = rng.standard_normal((2, np.size(x0)))
-    return (1 - e) * x0 + a * g1, tau * e * x0 + b * g1 + c * g2
+    rng.standard_normal(out=work[:2])
+    g1, g2, integral, tmp = work
+    np.multiply(x0, tau * e, out=integral)
+    integral += np.multiply(g1, b, out=tmp)
+    integral += np.multiply(g2, c, out=g2)
+    x0 *= 1 - e
+    x0 += np.multiply(g1, a, out=g1)
+    return x0, integral
 
 
 def _propagate(rng, static, bath, dd, errors=None, spinor=None):
@@ -140,46 +149,75 @@ def _propagate(rng, static, bath, dd, errors=None, spinor=None):
     free phase 2 pi * integral of (static + OU) dt takes one exact OU draw
     per atom.  With errors=None the pulses are ideal instantaneous pi flips,
     so the phase changes sign at each pulse center, and the toggled phase
-    is returned.  Otherwise the spinor (up, dn) turns by each free phase and
-    by each pulse's finite-Rabi unitary at the spin's detuning at the pulse
-    (static + OU), and the final spinor is returned.
+    is returned.  Otherwise the spinor (up, dn) takes one SU(2) map
+    [[a, -b*], [b, a*]] per interval and is returned: the free rotation
+    r = exp(-i pi integral of delta dt), then the pulse that ends the
+    interval, A = c - i s delta/g and B = -i s (omega/g) e^(i phase), so
+    a = A r and b = B r, with g = hypot(omega, delta) and (c, s) =
+    (cos, sin)(pi g t_pi) at delta = static + OU.  exp(-i pi static h) is
+    recomputed only for a new interval length h, the pulse only where the
+    OU detuning moves; all work arrays are allocated once.
     """
+    n = static.size
     use_ou = bath.ou_sigma_hz > 0
-    ou = bath.ou_sigma_hz * rng.standard_normal(static.size) if use_ou else 0.0
-    phase = np.zeros(static.size)
-    up, dn = spinor or (None, None)
+    ou = bath.ou_sigma_hz * rng.standard_normal(n) if use_ou else 0.0
+    work = np.empty((4, n))
+    phase = np.zeros(n)
+    if errors is not None:
+        psi = np.array(spinor, dtype=np.complex128)  # a copy: rows up, dn
+        omega = errors.rf_rabi_hz * (1 + errors.area_error)
+        t_pi = 1.0 / (2.0 * errors.rf_rabi_hz)  # nominal pi duration
+        drive = -1j * omega * np.exp(1j * (dd.phases_rad + errors.phase_error_rad))
+        minus_static, h_rs = -static, np.inf
+        rs, r, ca, a, b = np.empty((5, n), dtype=np.complex128)
+        sg, g = np.empty((2, n))
     boundaries = np.concatenate([[0.0], dd.centers_s, [dd.total_time_s]])
     for i, h in enumerate(np.diff(boundaries)):
-        phi = 2 * np.pi * static * h
         if use_ou:
-            ou, integral = _ou_interval(rng, ou, h, bath.ou_sigma_hz, bath.ou_tau_c_s)
-            phi += 2 * np.pi * integral
+            ou, integral = _ou_interval(rng, ou, h, bath.ou_sigma_hz,
+                                        bath.ou_tau_c_s, work)
         if errors is None:
+            phi = 2 * np.pi * static * h
+            if use_ou:
+                phi += 2 * np.pi * integral
             phase += phi if i % 2 == 0 else -phi
             continue
-        rot = np.exp(-0.5j * phi)
-        up, dn = up * rot, dn * np.conj(rot)
-        if i < dd.n_pulses:
-            uuu, uud, udu, udd = _pulse_unitary(dd.phases_rad[i], static + ou, errors)
-            up, dn = uuu * up + uud * dn, udu * up + udd * dn
-    return phase if errors is None else (up, dn)
-
-
-def _pulse_unitary(phase_rad, delta_hz, errors: PulseErrorModel):
-    """2x2 rotation of a nominal pi pulse at the given drive phase acting on
-    a spin detuned by delta_hz, with area and phase errors applied."""
-    omega = errors.rf_rabi_hz * (1 + errors.area_error)
-    gen = np.hypot(omega, delta_hz)
-    t_p = 1.0 / (2.0 * errors.rf_rabi_hz)  # nominal pi duration
-    theta = 2 * np.pi * gen * t_p
-    ph = phase_rad + errors.phase_error_rad
-    nx = omega * np.cos(ph) / gen
-    ny = omega * np.sin(ph) / gen
-    nz = delta_hz / gen
-    c = np.cos(theta / 2)
-    s = np.sin(theta / 2)
-    return (c - 1j * s * nz, -1j * s * (nx - 1j * ny),
-            -1j * s * (nx + 1j * ny), c + 1j * s * nz)
+        d = h - h_rs
+        if abs(d) > 2 * np.spacing(dd.total_time_s):  # beyond time rounding
+            h_rs, d = h, 0.0
+            np.multiply(minus_static, np.pi * h, out=rs.imag)
+            np.cos(rs.imag, out=rs.real)
+            np.sin(rs.imag, out=rs.imag)
+        rot = rs
+        if use_ou or d:  # the small phases: OU and static over h - h_rs
+            x = np.multiply(minus_static, np.pi * d, out=work[3])
+            if use_ou:
+                x -= np.multiply(integral, np.pi, out=integral)
+            np.cos(x, out=r.real)
+            np.sin(x, out=r.imag)
+            rot = np.multiply(r, rs, out=r)
+        up, dn = psi
+        if i == dd.n_pulses:  # no pulse ends the last interval
+            up *= rot
+            dn *= np.conj(rot, out=rot)
+            break
+        if use_ou or i == 0:  # ca = A; sg = s/g, so B = sg * drive
+            minus_delta = np.subtract(minus_static, ou, out=work[3])
+            np.hypot(omega, minus_delta, out=g)
+            np.multiply(g, -np.pi * t_pi, out=sg)
+            sg += np.pi / 2  # pi/2 - pi g t_pi, small near resonance
+            np.sin(sg, out=ca.real)
+            np.cos(sg, out=sg)
+            sg /= g
+            np.multiply(sg, minus_delta, out=ca.imag)
+        np.multiply(ca, rot, out=a)
+        np.multiply(np.multiply(rot, drive[i], out=b), sg, out=b)
+        np.multiply(b, up, out=r)  # rot is used up: r is scratch
+        up *= a
+        up -= np.multiply(np.conj(b, out=b), dn, out=b)
+        dn *= np.conj(a, out=a)
+        dn += r
+    return phase if errors is None else (psi[0], psi[1])
 
 
 def _coherence_stats(phasors: np.ndarray, n_blocks: int = 10):
@@ -189,7 +227,7 @@ def _coherence_stats(phasors: np.ndarray, n_blocks: int = 10):
         vals = np.array([np.abs(b.mean()) for b in blocks])
         stderr = float(vals.std(ddof=1) / np.sqrt(n_blocks))
     else:
-        stderr = 0.0
+        stderr = float("nan")  # undefined with fewer than two atoms per block
     return coherence, stderr
 
 

@@ -109,7 +109,7 @@ def test_config_error_exit_code(tmp_path):
     {"t_s_seconds": "0.02"}, {"n_trials": 1.5}, {"comb_passes": 2.5},
     {"t_s_seconds": float("nan")}, {"n_trials_noise": True}, {"dd_kind": 4},
     {"seed": -1}, {"detector_efficiency": 1.5}, {"t_s_seconds": 3e-5},
-    {"qubit_mu_in": 1e7},
+    {"qubit_mu_in": 1e7}, {"transfer_bandwidth_hz": 1e9},
 ])
 def test_bath_config_error_exit_code(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
@@ -120,6 +120,36 @@ def test_bath_config_error_exit_code(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert next(iter(bad)) in err
+
+
+def _simulate_spinwave(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = run_cli("simulate", "spinwave", "--config", str(path),
+                   "--out", str(tmp_path))
+    return code, json.loads((tmp_path / "report.json").read_text())
+
+
+def test_long_storage_reports_undefined_mu1(tmp_path, capsys):
+    # a valid config whose stored signal sinks under the noise floor
+    code, report = _simulate_spinwave(tmp_path, {"t_s_seconds": 0.2,
+                                                 "dd_kind": "XX"})
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    mu1 = report["metrics"]["per_mode"]["mu1"]
+    undefined = [m + 1 for m, eta in enumerate(report["metrics"]["per_mode"]["eta"])
+                 if not eta > 0]
+    assert undefined and all(mu1[m - 1] is None for m in undefined)
+    assert report["metrics"]["summary"]["mu1"] is None
+    assert report["notes"] == [f"mu1 undefined in modes {undefined}: "
+                               "noise-subtracted signal not positive"]
+
+
+def test_single_atom_stderr_is_undefined(tmp_path):
+    code, report = _simulate_spinwave(tmp_path, {"n_atoms": 1})
+    assert code == 0
+    assert report["stages"]["eta_spin_stderr"] is None
+    assert 0 <= report["stages"]["eta_spin"] <= 1
 
 
 def test_version_is_package_version(tmp_path, capsys):

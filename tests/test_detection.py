@@ -144,8 +144,11 @@ def test_metrics_zero_noise_and_zero_eta():
     mm = metrics(1.0, _sums([0.1]), _sums([0.0]))
     assert np.isinf(mm.snr[0])
     assert mm.mu1[0] == 0.0
-    with pytest.raises(ValueError):
-        metrics(1.0, _sums([0.0]), _sums([0.01]))  # eta <= 0, mu1 undefined
+    # eta <= 0 in the second mode: its mu1 is undefined (NaN), not an error
+    mm = metrics(1.0, _sums([0.1, 0.0]), _sums([0.01, 0.01]))
+    assert mm.mu1[0] == pytest.approx(0.01 / 0.09)
+    assert np.isnan(mm.mu1[1]) and np.isnan(mm.mu1_err[1])
+    assert np.isnan(mm.summary()["mu1"])
 
 
 def test_table_metrics_helper():

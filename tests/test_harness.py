@@ -43,6 +43,24 @@ def test_config_misc_validation():
     ExperimentConfig().validate()
 
 
+def test_transfer_work_bounded_at_config():
+    # 4.5e7 samples for the transfer pulse; unless the stage is pinned
+    with pytest.raises(ValueError, match="transfer_bandwidth_hz"):
+        ExperimentConfig(transfer_bandwidth_hz=1e9).validate()
+    ExperimentConfig(transfer_bandwidth_hz=1e9, eta_transfer_fixed=0.9).validate()
+    ExperimentConfig(transfer_bandwidth_hz=1e9,
+                     eta_end_to_end_target=0.1).validate()
+
+
+def test_undefined_value_fails_gated_check():
+    from afcmem.harness import RunReport, _check
+    check = _check("mu1_avg", float("nan"), 0.0, 1.0)
+    assert check["pass"] is False
+    report = RunReport(kind="spinwave", preset="table1-20ms", config={},
+                       checks=[check])
+    assert not report.passed
+
+
 def test_stage_composition_identity():
     cfg = _fast_cfg()
     rep = run_spinwave(cfg)

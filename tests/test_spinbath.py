@@ -4,8 +4,8 @@ from scipy import integrate, stats
 
 from afcmem.pulses import DDSequence, dd_sequence
 from afcmem.spinbath import (FWHM_TO_SIGMA, PulseErrorModel, SpinBathParams,
-                             _ou_interval, _ou_interval_law, cpmg_ou_chi,
-                             efficiency_decay, free_induction,
+                             _ou_interval, _ou_interval_law, _propagate,
+                             cpmg_ou_chi, efficiency_decay, free_induction,
                              ou_sigma_for_t2, ou_trajectory,
                              residual_excitation, sample_ensemble,
                              spin_echo_coherence)
@@ -103,7 +103,7 @@ def test_ou_interval_sample_moments(h, tau):
     var_i = sigma**2 * tau**2 * (2 * (h / tau - e) - e**2)
     cov = sigma**2 * tau * e**2
     x1, integral = _ou_interval(np.random.default_rng(17), np.full(n, x0),
-                                h, sigma, tau)
+                                h, sigma, tau, np.empty((4, n)))
     # 4-sigma statistical bounds on each estimate
     assert x1.mean() == pytest.approx(mean[0], abs=4 * np.sqrt(var_x / n))
     assert integral.mean() == pytest.approx(mean[1], abs=4 * np.sqrt(var_i / n))
@@ -289,3 +289,111 @@ def test_mims_self_consistency_xy4():
     rows = efficiency_decay("XY4", t_list, bath)
     fit = fit_mims([r[0] for r in rows], [r[1] for r in rows])
     assert fit.params[1] == pytest.approx(0.106, rel=0.08)
+
+
+# --- the Cayley-Klein kernel against the per-interval reference loop --------
+
+def _pulse_unitary_reference(phase_rad, delta_hz, errors):
+    """2x2 rotation of a nominal pi pulse at the given drive phase acting on
+    a spin detuned by delta_hz, with area and phase errors applied."""
+    omega = errors.rf_rabi_hz * (1 + errors.area_error)
+    gen = np.hypot(omega, delta_hz)
+    t_p = 1.0 / (2.0 * errors.rf_rabi_hz)  # nominal pi duration
+    theta = 2 * np.pi * gen * t_p
+    ph = phase_rad + errors.phase_error_rad
+    nx = omega * np.cos(ph) / gen
+    ny = omega * np.sin(ph) / gen
+    nz = delta_hz / gen
+    c = np.cos(theta / 2)
+    s = np.sin(theta / 2)
+    return (c - 1j * s * nz, -1j * s * (nx - 1j * ny),
+            -1j * s * (nx + 1j * ny), c + 1j * s * nz)
+
+
+def _propagate_reference(rng, static, bath, dd, errors, spinor):
+    """Step-by-step reference for the pulse-error branch of _propagate: per
+    interval the full free phase, its exponential, then the pulse unitary,
+    each a fresh array; the same draws in the same order."""
+    use_ou = bath.ou_sigma_hz > 0
+    ou = bath.ou_sigma_hz * rng.standard_normal(static.size) if use_ou else 0.0
+    up, dn = spinor
+    boundaries = np.concatenate([[0.0], dd.centers_s, [dd.total_time_s]])
+    for i, h in enumerate(np.diff(boundaries)):
+        phi = 2 * np.pi * static * h
+        if use_ou:
+            tau = bath.ou_tau_c_s
+            e, a, b, c = _ou_interval_law(h, bath.ou_sigma_hz, tau)
+            g1, g2 = rng.standard_normal((2, static.size))
+            ou, integral = (1 - e) * ou + a * g1, tau * e * ou + b * g1 + c * g2
+            phi += 2 * np.pi * integral
+        rot = np.exp(-0.5j * phi)
+        up, dn = up * rot, dn * np.conj(rot)
+        if i < dd.n_pulses:
+            uuu, uud, udu, udd = _pulse_unitary_reference(dd.phases_rad[i],
+                                                          static + ou, errors)
+            up, dn = uuu * up + uud * dn, udu * up + udd * dn
+    return up, dn
+
+
+def _oracle_sequence(name, t_s):
+    if name == "uneven":
+        # every interval length distinct, the static line still refocused:
+        # lengths 0.05, 0.17, 0.30, 0.22, 0.15, 0.11 of t_s
+        centers = t_s * np.array([0.05, 0.22, 0.52, 0.74, 0.89])
+        return DDSequence("XY4", t_s, centers_s=centers,
+                          phases_rad=np.array([0.0, 1.9, 0.4, 3.3, 5.0]))
+    if name == "none":
+        return DDSequence("none", t_s, phases_rad=np.empty(0),
+                          centers_s=np.empty(0))
+    return dd_sequence(name, t_s, PI_DURATION)
+
+
+@pytest.mark.parametrize("ou_sigma_hz", [0.0, 30.0])
+@pytest.mark.parametrize("n_atoms", [1, 7, 40_000])
+@pytest.mark.parametrize("name", ["XX", "XY4", "XY8", "XY16", "uneven", "none"])
+def test_kernel_matches_reference_loop(name, n_atoms, ou_sigma_hz):
+    # Free phases of 0.2 s at 4 line sigmas reach 6e4 rad, which double
+    # precision holds to 1e-11 rad in either loop.  Large ensembles average
+    # that away from a refocused coherence; a few atoms store for 20 ms, and
+    # free induction, which nothing refocuses, runs for the line's T2*.
+    t_s = 8e-6 if name == "none" else 0.2 if n_atoms > 1000 else 0.02
+    dd = _oracle_sequence(name, t_s)
+    bath = SpinBathParams(inhom_fwhm_hz=60e3, ou_sigma_hz=ou_sigma_hz,
+                          ou_tau_c_s=3.0, n_atoms=n_atoms, seed=5)
+    errors = PulseErrorModel(area_error=0.03, phase_error_rad=0.02)
+
+    def reference(rng, spinor_of):
+        static = sample_ensemble(bath, rng)
+        return _propagate_reference(rng, static, bath, dd, errors,
+                                    spinor_of(n_atoms))
+
+    def equal(n):
+        return (np.full(n, 1 / np.sqrt(2), dtype=complex),) * 2
+
+    rng_ref = np.random.default_rng(11)
+    up_ref, dn_ref = reference(rng_ref, equal)
+    rng = np.random.default_rng(11)
+    static = sample_ensemble(bath, rng)
+    up, dn = _propagate(rng, static, bath, dd, errors, equal(n_atoms))
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert np.abs(up - up_ref).max() <= 1e-10
+    assert np.abs(dn - dn_ref).max() <= 1e-10
+
+    rng = np.random.default_rng(11)  # the same draws through the public call
+    res = spin_echo_coherence(dd, bath, errors, seed=rng)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    want = abs(np.mean(2 * up_ref * np.conj(dn_ref)))
+    assert res.coherence == pytest.approx(want, rel=1e-12, abs=0)
+
+    if ou_sigma_hz == 0:  # residual_excitation runs the static line only
+        got = residual_excitation(dd, errors, bath, seed=13)
+        up_ref, _ = reference(np.random.default_rng(13), lambda n: (
+            np.zeros(n, dtype=complex), np.ones(n, dtype=complex)))
+        want = np.mean(np.abs(up_ref) ** 2)
+        if n_atoms > 1000:
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+        else:
+            # Robust trains leave amplitudes made of canceling terms that
+            # carry the phase rounding above; with few atoms nothing averages
+            # it, so the rms amplitude is held to the spinor bound.
+            assert np.sqrt(got) == pytest.approx(np.sqrt(want), abs=1e-10)
