@@ -29,7 +29,7 @@ DEFAULT_OU_TAU_C_S = 3.0
 DEFAULT_OU_SIGMA_HZ = ou_sigma_for_t2(2, 0.070, DEFAULT_OU_TAU_C_S)
 
 # Most samples a simulated transfer pulse may take.  The default pulse needs
-# about 1.9e4; the work of the transfer stage grows with the sample count.
+# about 9.5e3; the work of the transfer stage grows with the sample count.
 MAX_TRANSFER_SAMPLES = 2**20
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -164,6 +165,17 @@ def _staged(stage: str):
     return _Ctx()
 
 
+@functools.lru_cache(maxsize=64)
+def _eta_transfer(duration_s: float, bandwidth_hz: float) -> float:
+    """Per-pulse transfer efficiency of the reference pulse: its mean
+    inversion over the in-band 80 % of the sweep.  It depends on the pulse
+    geometry alone, so each geometry is propagated once per process."""
+    spec = reference_transfer_pulse(duration_s, bandwidth_hz)
+    grid = np.linspace(-0.4, 0.4, 41) * bandwidth_hz
+    prof = transfer_profile(hsh_waveform(spec), grid)
+    return float(prof.inversion.mean())
+
+
 def _stage_efficiencies(cfg: ExperimentConfig, rng_spin, rng_noise):
     """Compose the echo, transfer and spin stages; returns a stages dict."""
     one_over_delta = 1.0 / cfg.comb_period_hz
@@ -198,11 +210,8 @@ def _stage_efficiencies(cfg: ExperimentConfig, rng_spin, rng_noise):
         eta_transfer = cfg.eta_transfer_fixed
     else:
         with _staged("transfer"):
-            spec = reference_transfer_pulse(cfg.transfer_duration_seconds,
-                                            cfg.transfer_bandwidth_hz)
-            grid = np.linspace(-0.4, 0.4, 41) * cfg.transfer_bandwidth_hz
-            prof = transfer_profile(hsh_waveform(spec), grid)
-            eta_transfer = float(prof.inversion.mean())
+            eta_transfer = _eta_transfer(cfg.transfer_duration_seconds,
+                                         cfg.transfer_bandwidth_hz)
 
     with _staged("spin"):
         resid = residual_excitation(dd, errors, bath, seed=rng_noise)

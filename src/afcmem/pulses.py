@@ -15,7 +15,9 @@ import numpy as np
 
 from .waveform import Waveform
 
-# Bloch norm drift per pulse that recommended_sample_rate is sized for.
+# Bloch norm drift per pulse that recommended_sample_rate is sized for: the
+# sum over RK4 steps of theta^6/72, theta = pi h hypot(|s|, d) the spinor's
+# turn per step.
 NORM_BUDGET = 1e-8
 
 
@@ -188,12 +190,17 @@ def hsh_time_of_frequency(spec: HshSpec, freq_hz) -> np.ndarray:
 def recommended_sample_rate(spec: HshSpec) -> float:
     """Sample rate such that RK4 on half-sample steps keeps the Bloch norm
     drift per pulse below NORM_BUDGET for detunings up to 1.5 times the
-    pulse bandwidth."""
-    f_rot = np.hypot(spec.rabi_hz, 1.5 * spec.bandwidth_hz)
-    f_rot = max(f_rot, 1.0 / spec.duration_s)
-    # leading RK4 norm error per step ~ theta^6/144, theta = 2 pi f h
-    h = (144 * NORM_BUDGET / (spec.duration_s * (2 * np.pi * f_rot) ** 6)) ** 0.2
-    h = min(h, 1.0 / (32 * f_rot))
+    pulse bandwidth.
+
+    bloch steps the spinor under -i pi [[d, s*], [s, -d]], which turns it
+    by theta = pi h hypot(|s|, d) in a step h.  The RK4 stability function
+    has |R(i theta)|^2 = 1 - theta^6/72 + theta^8/576, so the norm drifts by
+    theta^6/72 per step, and by T (pi f)^6 h^5 / 72 over a pulse of
+    duration T whose largest hypot(|s|, d) is f.
+    """
+    f_rot = max(np.hypot(spec.rabi_hz, 1.5 * spec.bandwidth_hz),
+                1.0 / spec.duration_s)
+    h = (72 * NORM_BUDGET / (spec.duration_s * (np.pi * f_rot) ** 6)) ** 0.2
     return 2.0 / h
 
 
@@ -202,11 +209,13 @@ def _grid(duration_s: float, sample_rate_hz: float):
     interval count and the smallest rate not below sample_rate_hz.
 
     The endpoints are sampled rather than zeroed, which would otherwise
-    inject a spurious envelope jump into the final integrator step.
+    inject a spurious envelope jump into the final integrator step.  k /
+    rate can round above duration_s by an ulp at k = n, so the times are
+    clamped to it.
     """
     n_int = 2 * int(np.ceil(duration_s * sample_rate_hz / 2))
     rate = n_int / duration_s
-    return rate, np.arange(n_int + 1) / rate
+    return rate, np.minimum(np.arange(n_int + 1) / rate, duration_s)
 
 
 def _envelope(spec: HshSpec, t: np.ndarray) -> np.ndarray:
@@ -242,8 +251,10 @@ def chsh_waveform(spec: ChshSpec, sample_rate_hz: float | None = None) -> Wavefo
     base = spec.base
     rate, t = _grid(base.duration_s + spec.separation_s, sample_rate_hz)
     phase_factor = np.exp(1j * spec.relative_phase_rad)
+    # the delayed copy ends with the grid; clamp its rounding overshoot too
+    late = np.minimum(t - spec.separation_s, base.duration_s)
     env = spec.amplitude_scale * (
-        _envelope(base, t) + phase_factor * _envelope(base, t - spec.separation_s))
+        _envelope(base, t) + phase_factor * _envelope(base, late))
     return Waveform(rate, 0.0, env)
 
 

@@ -163,7 +163,9 @@ def _propagate(rng, static, bath, dd, errors=None, spinor=None):
     ou = bath.ou_sigma_hz * rng.standard_normal(n) if use_ou else 0.0
     work = np.empty((4, n))
     phase = np.zeros(n)
-    if errors is not None:
+    if errors is None:
+        two_pi_static = 2 * np.pi * static
+    else:
         psi = np.array(spinor, dtype=np.complex128)  # a copy: rows up, dn
         omega = errors.rf_rabi_hz * (1 + errors.area_error)
         t_pi = 1.0 / (2.0 * errors.rf_rabi_hz)  # nominal pi duration
@@ -177,10 +179,13 @@ def _propagate(rng, static, bath, dd, errors=None, spinor=None):
             ou, integral = _ou_interval(rng, ou, h, bath.ou_sigma_hz,
                                         bath.ou_tau_c_s, work)
         if errors is None:
-            phi = 2 * np.pi * static * h
+            phi = np.multiply(two_pi_static, h, out=work[3])
             if use_ou:
-                phi += 2 * np.pi * integral
-            phase += phi if i % 2 == 0 else -phi
+                phi += np.multiply(integral, 2 * np.pi, out=integral)
+            if i % 2 == 0:
+                phase += phi
+            else:
+                phase -= phi
             continue
         d = h - h_rs
         if abs(d) > 2 * np.spacing(dd.total_time_s):  # beyond time rounding

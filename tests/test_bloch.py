@@ -3,8 +3,8 @@ import pytest
 
 from afcmem.bloch import (_BLOCK_STEPS, _propagate_spinors, bloch_propagate,
                           transfer_profile)
-from afcmem.pulses import (ChshSpec, HshSpec, chirp_rate, chsh_waveform,
-                           half_transfer_rabi, hsh_waveform,
+from afcmem.pulses import (NORM_BUDGET, ChshSpec, HshSpec, chirp_rate,
+                           chsh_waveform, half_transfer_rabi, hsh_waveform,
                            recommended_sample_rate, reference_transfer_pulse)
 from afcmem.waveform import Waveform
 
@@ -201,3 +201,15 @@ def test_norm_drift_within_sample_rate_budget():
     coarse = transfer_profile(
         hsh_waveform(spec, recommended_sample_rate(spec) / 4), grid)
     assert coarse.norm_drift > 10 * prof.norm_drift
+
+
+@pytest.mark.parametrize("duration_s,bandwidth_hz", [
+    (10e-6, 1.5e6), (15e-6, 1.5e6), (15e-6, 3e6), (30e-6, 1.5e6),
+    (50e-6, 2e6)])
+def test_sample_rate_budget_is_tight(duration_s, bandwidth_hz):
+    # the recommended rate neither under- nor over-resolves: the drift over
+    # the detunings it is sized for lies within a factor 4 of the budget
+    spec = reference_transfer_pulse(duration_s, bandwidth_hz)
+    grid = np.linspace(-1.5, 1.5, 61) * bandwidth_hz
+    prof = transfer_profile(hsh_waveform(spec), grid)
+    assert NORM_BUDGET / 4 <= prof.norm_drift <= NORM_BUDGET

@@ -102,6 +102,33 @@ def test_bloch_transfer_stage_when_unpinned():
     assert 0.98 < rep.stages["eta_transfer"] <= 1.0
 
 
+def test_transfer_profile_computed_once_per_pulse(tmp_path, monkeypatch):
+    from afcmem import harness
+    calls = []
+    profile = harness.transfer_profile
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return profile(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "transfer_profile", counting)
+    harness._eta_transfer.cache_clear()
+
+    def report_bytes(name, **kw):
+        (tmp_path / name).mkdir()
+        run_spinwave(_fast_cfg(**kw)).save(tmp_path / name)
+        return (tmp_path / name / "report.json").read_bytes()
+
+    report_bytes("first")
+    cached = report_bytes("cached", dd_kind="XY8")
+    assert len(calls) == 1  # equal transfer fields: one propagation
+    harness._eta_transfer.cache_clear()
+    assert report_bytes("cold", dd_kind="XY8") == cached
+    assert len(calls) == 2
+    report_bytes("wider", transfer_bandwidth_hz=1.6e6)
+    assert len(calls) == 3  # a new bandwidth is a new pulse
+
+
 def test_qubit_ideal_chain_high_fidelity():
     cfg = _fast_cfg(qubit_noise_per_mode=0.0, qubit_visibility=1.0,
                     n_trials=200_000)

@@ -178,3 +178,46 @@ def test_ideal_pulse_train_composes_to_identity(kind):
         u = (-1j * sig) @ u
     assert abs(u[0, 0]) == pytest.approx(1.0, abs=1e-12)
     assert abs(u[1, 0]) == pytest.approx(0.0, abs=1e-12)
+
+
+def _envelope_at(spec, t):
+    t = np.array([t])
+    return (hsh_amplitude(spec, t) * np.exp(1j * hsh_phase(spec, t)))[0]
+
+
+def _unclamped_end(duration_s, rate):
+    # the last time of the grid before clamping: n / (n / duration_s)
+    n = 2 * int(np.ceil(duration_s * rate / 2))
+    return n / (n / duration_s)
+
+
+def test_grid_end_sampled_when_rounding_overshoots():
+    # at 882.88 MHz the last grid time n / rate rounds an ulp above the
+    # duration; the final sample must still be the envelope's endpoint
+    spec = reference_transfer_pulse()
+    assert _unclamped_end(spec.duration_s, 882.88e6) > spec.duration_s
+    wf = hsh_waveform(spec, 882.88e6)
+    assert wf.samples[-1] == _envelope_at(spec, spec.duration_s) != 0
+
+
+def test_delayed_chsh_copy_end_sampled_when_rounding_overshoots():
+    # (15 us + 1.5 us) - 1.5 us rounds above 15 us: the delayed copy's end
+    # is the grid's end and must be sampled, not zeroed
+    base = reference_transfer_pulse()
+    spec = ChshSpec(base=base, separation_s=1.5e-6, relative_phase_rad=1.0)
+    total = base.duration_s + spec.separation_s
+    assert total - spec.separation_s > base.duration_s
+    for rate in (620e6, 882.88e6):
+        wf = chsh_waveform(spec, rate)
+        end = spec.amplitude_scale * (np.exp(1j * spec.relative_phase_rad)
+                                      * _envelope_at(base, base.duration_s))
+        assert wf.samples[-1] == end != 0
+
+
+def test_grid_clamp_leaves_exact_grids_bitwise_equal():
+    spec = reference_transfer_pulse()
+    assert _unclamped_end(spec.duration_s, 884e6) <= spec.duration_s
+    wf = hsh_waveform(spec, 884e6)
+    t = np.arange(wf.n_samples) / wf.sample_rate_hz
+    want = hsh_amplitude(spec, t) * np.exp(1j * hsh_phase(spec, t))
+    assert np.array_equal(wf.samples, want)
