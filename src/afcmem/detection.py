@@ -74,11 +74,12 @@ def simulate_counts(flux_per_s, sample_rate_hz: float, chain: DetectionChain,
     padded = np.zeros(n_bins * per_bin)
     padded[: flux.size] = flux
     mean_per_trial = padded.reshape(n_bins, per_bin).sum(axis=1) * dt
+    # dark counts accrue over the realised bin, per_bin samples wide
+    width = per_bin * dt
     mean_per_trial = mean_per_trial * chain.total_transmission \
-        + chain.dark_rate_hz * bin_width_s
+        + chain.dark_rate_hz * width
     counts = rng.poisson(n_trials * mean_per_trial)
-    return CountHistogram(bin_width_s=per_bin * dt, counts=counts,
-                          n_trials=n_trials)
+    return CountHistogram(bin_width_s=width, counts=counts, n_trials=n_trials)
 
 
 @dataclass

@@ -124,13 +124,10 @@ def tomo_preset() -> tuple[ExperimentConfig, list[str]]:
     p_noise = float((mu_q / 2) * eta_q / FIG4["sigma_z_snr"])
     visibility = float(2 * FIG4["bright_pulse_fidelity"] - 1)
     cfg = ExperimentConfig(
-        dd_kind="XY4",
-        t_s_seconds=0.020,
         qubit_mu_in=mu_q,
         qubit_eta=eta_q,
         qubit_noise_per_mode=p_noise,
         qubit_visibility=visibility,
-        eta_afc_fixed=ETA_AFC_REFERENCE,
         n_trials=50_000,
         seed=6,
     )

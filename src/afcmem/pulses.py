@@ -4,7 +4,11 @@ The chirped transfer pulse has hyperbolic-secant amplitude edges around a
 flat plateau.  Its instantaneous frequency sweeps the full pulse bandwidth:
 linearly over the plateau, with tanh-rounded turn-on and turn-off during
 the edges, so the sweep is strictly monotone and C1 and the swept span
-equals bandwidth_hz exactly.
+equals bandwidth_hz exactly.  With edges of te = edge_fraction * T < T/2
+a time t enters at most one edge, so each quantity is one closed form in
+the plateau time p = clip(t, te, T - te) - te and the signed edge time
+e = t - clip(t, te, T - te), negative in the rise and positive in the
+fall: amplitude W / cosh(c e / te), frequency f0 + k p + a tanh(c e / te).
 """
 
 from __future__ import annotations
@@ -92,99 +96,54 @@ def chirp_rate(spec: HshSpec) -> float:
     return spec.bandwidth_hz / denom
 
 
+def _sweep(spec: HshSpec, t):
+    """(k, a, f0, p, e): the plateau chirp rate k, the edge sweep scale
+    a = k te / c, the plateau's start frequency f0 = -B/2 + a tanh(c), and
+    the plateau time p and signed edge time e of the times t."""
+    te = spec.edge_s
+    k = chirp_rate(spec)
+    a = k * te / spec.sech_cutoff
+    t_plateau = np.clip(t, te, spec.duration_s - te)
+    return (k, a, -spec.bandwidth_hz / 2 + a * np.tanh(spec.sech_cutoff),
+            t_plateau - te, t - t_plateau)
+
+
 def hsh_amplitude(spec: HshSpec, t) -> np.ndarray:
     """Envelope magnitude: sech rise, flat plateau, mirrored sech fall."""
     t = np.asarray(t, dtype=float)
-    te = spec.edge_s
-    c = spec.sech_cutoff
-    omega = spec.rabi_hz
-    out = np.full(t.shape, omega)
-    rise = t < te
-    out[rise] = omega / np.cosh(c * (t[rise] - te) / te)
-    fall = t > spec.duration_s - te
-    out[fall] = omega / np.cosh(c * (t[fall] - (spec.duration_s - te)) / te)
-    out[(t < 0) | (t > spec.duration_s)] = 0.0
-    return out
+    *_, e = _sweep(spec, t)
+    amp = spec.rabi_hz / np.cosh(spec.sech_cutoff * e / spec.edge_s)
+    return np.where((t < 0) | (t > spec.duration_s), 0.0, amp)
 
 
 def hsh_frequency(spec: HshSpec, t) -> np.ndarray:
     """Instantaneous frequency relative to the carrier; strictly monotone."""
-    t = np.asarray(t, dtype=float)
-    te = spec.edge_s
-    c = spec.sech_cutoff
-    k = chirp_rate(spec)
-    a = k * te / c
-    b2 = spec.bandwidth_hz / 2
-    th = np.tanh(c)
-
-    out = np.empty(t.shape)
-    rise = t < te
-    mid = (t >= te) & (t <= spec.duration_s - te)
-    fall = t > spec.duration_s - te
-    out[rise] = -b2 + a * (np.tanh(c * (t[rise] - te) / te) + th)
-    f_lin0 = -b2 + a * th
-    out[mid] = f_lin0 + k * (t[mid] - te)
-    out[fall] = b2 - a * (np.tanh(c * (spec.duration_s - te - t[fall]) / te) + th)
-    return out
+    k, a, f0, p, e = _sweep(spec, np.asarray(t, dtype=float))
+    return f0 + k * p + a * np.tanh(spec.sech_cutoff * e / spec.edge_s)
 
 
 def hsh_phase(spec: HshSpec, t) -> np.ndarray:
     """Envelope phase 2*pi*integral of the instantaneous frequency (closed form)."""
     t = np.asarray(t, dtype=float)
-    te = spec.edge_s
+    k, a, f0, p, e = _sweep(spec, t)
     c = spec.sech_cutoff
-    k = chirp_rate(spec)
-    a = k * te / c
-    b2 = spec.bandwidth_hz / 2
-    th = np.tanh(c)
-    lc = np.log(np.cosh(c))
-    T = spec.duration_s
-
-    def rise_int(u):
-        # integral of -b2 + a*(tanh(c*(x-te)/te) + th) from 0 to u
-        return (-b2 + a * th) * u + a * (te / c) * (
-            np.log(np.cosh(c * (u - te) / te)) - lc)
-
-    phase = np.empty(t.shape)
-    rise = t < te
-    mid = (t >= te) & (t <= T - te)
-    fall = t > T - te
-
-    phase[rise] = rise_int(t[rise])
-    p_te = rise_int(np.array(te))
-    f_lin0 = -b2 + a * th
-    phase[mid] = p_te + f_lin0 * (t[mid] - te) + 0.5 * k * (t[mid] - te) ** 2
-    p_fall0 = p_te + f_lin0 * (T - 2 * te) + 0.5 * k * (T - 2 * te) ** 2
-    u = t[fall] - (T - te)
-    # mirror of the rise integral
-    phase[fall] = p_fall0 + (b2 - a * th) * u + a * (te / c) * np.log(
-        np.cosh(c * u / te))
-    return 2 * np.pi * phase
+    edges = (a / c) * spec.edge_s * (np.log(np.cosh(c * e / spec.edge_s))
+                                     - np.log(np.cosh(c)))
+    return 2 * np.pi * (f0 * t + k * p * (p / 2 + e) + edges)
 
 
 def hsh_time_of_frequency(spec: HshSpec, freq_hz) -> np.ndarray:
     """Closed-form inverse of hsh_frequency over the swept span."""
     f = np.asarray(freq_hz, dtype=float)
-    te = spec.edge_s
-    c = spec.sech_cutoff
-    k = chirp_rate(spec)
-    a = k * te / c
-    b2 = spec.bandwidth_hz / 2
-    th = np.tanh(c)
-    T = spec.duration_s
-    if np.any(np.abs(f) > b2):
+    if spec.bandwidth_hz == 0:
+        raise ValueError("a zero-bandwidth pulse sweeps no frequency")
+    if np.any(np.abs(f) > spec.bandwidth_hz / 2):
         raise ValueError("frequency outside the swept span")
-
-    f_lo = -b2 + a * th
-    f_hi = b2 - a * th
-    out = np.empty(f.shape)
-    lo = f < f_lo
-    hi = f > f_hi
-    mid = ~(lo | hi)
-    out[mid] = te + (f[mid] - f_lo) / k
-    out[lo] = te + (te / c) * np.arctanh((f[lo] + b2) / a - th)
-    out[hi] = (T - te) - (te / c) * np.arctanh((b2 - f[hi]) / a - th)
-    return out
+    k, a, f0, _, _ = _sweep(spec, 0.0)
+    # the plateau sweeps [f0, -f0]; f - g is the part swept in an edge
+    g = np.clip(f, f0, -f0)
+    return (spec.edge_s + (g - f0) / k
+            + spec.edge_s / spec.sech_cutoff * np.arctanh((f - g) / a))
 
 
 def recommended_sample_rate(spec: HshSpec) -> float:

@@ -59,6 +59,19 @@ def test_dark_counts():
     assert per_bin == pytest.approx(1e4 * 165e-9, rel=0.1)
 
 
+def test_dark_counts_use_realised_bin_width():
+    # at 1 GHz a 2.4 ns bin rounds to 2 samples: dark counts accrue over 2 ns
+    chain = DetectionChain(dark_rate_hz=1e6)
+    n_trials = 1_000_000
+    hist = simulate_counts(np.zeros(200), 1e9, chain, n_trials, seed=5,
+                           bin_width_s=2.4e-9)
+    assert hist.bin_width_s == pytest.approx(2e-9, rel=1e-12)
+    expect = 1e6 * 2e-9
+    mean = hist.counts.mean() / n_trials
+    sigma = np.sqrt(expect / (n_trials * hist.n_bins))
+    assert abs(mean - expect) < 5 * sigma
+
+
 def test_mode_sums_single_mode():
     hist = CountHistogram(bin_width_s=165e-9,
                           counts=np.array([10, 20, 30] + [0] * 7),

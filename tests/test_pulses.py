@@ -130,6 +130,96 @@ def test_waveform_csv_export(tmp_path):
     assert len(lines) == wf.n_samples + 1
 
 
+def test_zero_bandwidth_inverse_rejected():
+    spec = ChshSpec(base=_spec(bandwidth_hz=0.0, peak_rabi_hz=1e5),
+                    separation_s=1.65e-6)
+    with pytest.raises(ValueError, match="zero-bandwidth"):
+        hsh_time_of_frequency(spec.base, 0.0)
+    with pytest.raises(ValueError, match="zero-bandwidth"):
+        chsh_crossing_times(spec, 0.0)
+
+
+# Piecewise oracle: the pulse written segment by segment (sech rise, linear
+# plateau, mirrored fall), each segment integrated on its own.
+
+def _piecewise(spec):
+    te, c, T = spec.edge_s, spec.sech_cutoff, spec.duration_s
+    k = chirp_rate(spec)
+    a = k * te / c
+    b2 = spec.bandwidth_hz / 2
+    th = np.tanh(c)
+    return te, c, T, k, a, b2, th, -b2 + a * th
+
+
+def _piecewise_amplitude(spec, t):
+    te, c, T, *_ = _piecewise(spec)
+    out = np.full(t.shape, spec.rabi_hz)
+    rise, fall = t < te, t > T - te
+    out[rise] = spec.rabi_hz / np.cosh(c * (t[rise] - te) / te)
+    out[fall] = spec.rabi_hz / np.cosh(c * (t[fall] - (T - te)) / te)
+    return out
+
+
+def _piecewise_frequency(spec, t):
+    te, c, T, k, a, b2, th, f_lo = _piecewise(spec)
+    rise, fall = t < te, t > T - te
+    mid = ~(rise | fall)
+    out = np.empty(t.shape)
+    out[rise] = -b2 + a * (np.tanh(c * (t[rise] - te) / te) + th)
+    out[mid] = f_lo + k * (t[mid] - te)
+    out[fall] = b2 - a * (np.tanh(c * (T - te - t[fall]) / te) + th)
+    return out
+
+
+def _piecewise_phase(spec, t):
+    te, c, T, k, a, b2, th, f_lo = _piecewise(spec)
+    lc = np.log(np.cosh(c))
+
+    def rise_int(u):
+        return f_lo * u + a * (te / c) * (np.log(np.cosh(c * (u - te) / te)) - lc)
+
+    rise, fall = t < te, t > T - te
+    mid = ~(rise | fall)
+    out = np.empty(t.shape)
+    out[rise] = rise_int(t[rise])
+    p_te = rise_int(te)
+    out[mid] = p_te + f_lo * (t[mid] - te) + 0.5 * k * (t[mid] - te) ** 2
+    p_fall = p_te + f_lo * (T - 2 * te) + 0.5 * k * (T - 2 * te) ** 2
+    u = t[fall] - (T - te)
+    out[fall] = p_fall + (b2 - a * th) * u + a * (te / c) * np.log(np.cosh(c * u / te))
+    return 2 * np.pi * out
+
+
+def _piecewise_time_of_frequency(spec, f):
+    te, c, T, k, a, b2, th, f_lo = _piecewise(spec)
+    lo, hi = f < f_lo, f > -f_lo
+    mid = ~(lo | hi)
+    out = np.empty(f.shape)
+    out[mid] = te + (f[mid] - f_lo) / k
+    out[lo] = te + (te / c) * np.arctanh((f[lo] + b2) / a - th)
+    out[hi] = (T - te) - (te / c) * np.arctanh((b2 - f[hi]) / a - th)
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    _spec(), reference_transfer_pulse(), reference_transfer_pulse(50e-6, 3e6)],
+    ids=["default", "reference", "reference-50us-3MHz"])
+def test_closed_forms_match_piecewise_oracle(spec):
+    T, te, b = spec.duration_s, spec.edge_s, spec.bandwidth_hz
+    joints = [x for j in (te, T - te)
+              for x in (np.nextafter(j, 0), j, np.nextafter(j, T))]
+    # the grid holds 0 and T, both joints and their neighbouring doubles
+    t = np.sort(np.concatenate([np.linspace(0, T, 4001), joints]))
+    f = np.sort(np.concatenate([np.linspace(-b / 2, b / 2, 4001),
+                                hsh_frequency(spec, np.array(joints))]))
+    for got, want, scale in (
+            (hsh_amplitude(spec, t), _piecewise_amplitude(spec, t), spec.rabi_hz),
+            (hsh_frequency(spec, t), _piecewise_frequency(spec, t), b),
+            (hsh_phase(spec, t), _piecewise_phase(spec, t), 2 * np.pi * b * T),
+            (hsh_time_of_frequency(spec, f), _piecewise_time_of_frequency(spec, f), T)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
 # --- dynamical decoupling ---------------------------------------------------
 
 def test_dd_xx_layout():
