@@ -11,7 +11,7 @@ from .pulses import (ChshSpec, DDSequence, HshSpec, chirp_rate, chsh_waveform,
 from .bloch import TransferProfile, bloch_propagate, transfer_profile
 from .spinbath import (PulseErrorModel, SpinBathParams, SpinStorageResult,
                        efficiency_decay, free_induction, ou_sigma_for_t2,
-                       ou_trajectory, residual_excitation, sample_ensemble,
+                       residual_excitation, sample_ensemble,
                        spin_echo_coherence)
 from .detection import (CountHistogram, DetectionChain, ModeMetrics, ModeSums,
                         metrics, mode_sums, noise_floor_model, simulate_counts,

@@ -471,13 +471,10 @@ def _reproduce_fig2(out: Path, cfg, notes) -> RunReport:
     fits = {}
     t2_fitted = {}
     checks = []
-    ss = np.random.SeedSequence(cfg.seed)
-    for kind, child in zip(DD_KINDS, ss.spawn(len(DD_KINDS))):
+    for kind in DD_KINDS:
         t_list = spin_t2_nominal(kind, xx_t2) * np.array(
             [0.4, 0.55, 0.7, 0.85, 1.0, 1.2, 1.4])
-        rows = efficiency_decay(kind, t_list, bath,
-                                rabi_hz=cfg.rf_rabi_hz,
-                                seed=child)
+        rows = efficiency_decay(kind, t_list, bath, rabi_hz=cfg.rf_rabi_hz)
         decay_table_to_csv(out / f"decay_{kind}.csv", rows)
         fit = fit_mims([r[0] for r in rows], [r[1] for r in rows])
         fits[f"mims_{kind}"] = fit.as_dict()

@@ -1,17 +1,21 @@
-"""Monte Carlo spin-wave storage under dynamical decoupling.
+"""Spin-wave storage under dynamical decoupling.
 
 Each atom carries a static detuning drawn from the inhomogeneous spin line
-plus an Ornstein-Uhlenbeck (OU) frequency fluctuation.  Between pulses the
-OU value at the interval's end and its integral over the interval are drawn
-exactly, as one jointly Gaussian pair per atom (Gillespie, Phys. Rev. E 54,
-2084 (1996)), so an interval costs the same whatever its length.  Stored
-coherence accumulates phase between pi pulses with a sign that toggles at
-each pulse center.  Imperfect pulses are finite-Rabi SU(2) rotations in
-Cayley-Klein form, [[A, -B*], [B, A*]] (Gullion, Baker & Conradi, J. Magn.
-Reson. 89, 479 (1990)); each interval applies its free rotation and the
-pulse that ends it as one such map.  residual_excitation gives the
-storage-state population that the imperfect RF train excites out of the
-ground state; read-out noise is proportional to it.
+plus an Ornstein-Uhlenbeck (OU) frequency fluctuation.  With ideal
+instantaneous pi pulses the stored phase changes sign at each pulse center
+and is Gaussian, so the coherence is exp(-chi_static - chi_OU) in closed
+form, chi_OU being the filter-function integral of the OU kernel
+(Cywinski, Lutchyn, Nave & Das Sarma, Phys. Rev. B 77, 174509 (2008)).
+Imperfect pulses are sampled by Monte Carlo: between pulses the OU value at
+the interval's end and its integral over the interval are drawn exactly, as
+one jointly Gaussian pair per atom (Gillespie, Phys. Rev. E 54, 2084
+(1996)), so an interval costs the same whatever its length, and each pulse
+is a finite-Rabi SU(2) rotation in Cayley-Klein form, [[A, -B*], [B, A*]]
+(Gullion, Baker & Conradi, J. Magn. Reson. 89, 479 (1990)); each interval
+applies its free rotation and the pulse that ends it as one such map.
+residual_excitation gives the storage-state population that the imperfect
+RF train excites out of the ground state; read-out noise is proportional
+to it.
 """
 
 from __future__ import annotations
@@ -86,25 +90,6 @@ def _rng(seed, default_seed) -> np.random.Generator:
     return np.random.default_rng(default_seed if seed is None else seed)
 
 
-def ou_trajectory(sigma_hz: float, tau_c_s: float, dt_s: float, n_steps: int,
-                  seed=None) -> np.ndarray:
-    """Exactly discretized OU path, stationary start.
-
-    d_{k+1} = d_k e^(-dt/tau) + sigma sqrt(1 - e^(-2dt/tau)) g_k.
-    """
-    from scipy.signal import lfilter  # heavy import, needed only here
-
-    if dt_s <= 0:
-        raise ValueError("dt_s must be positive")
-    rng = _rng(seed, None)
-    start = sigma_hz * rng.standard_normal()
-    rho = np.exp(-dt_s / tau_c_s)
-    q = sigma_hz * np.sqrt(1 - rho * rho)
-    g = rng.standard_normal(n_steps)
-    path = lfilter([q], [1.0, -rho], g, zi=[rho * start])[0]
-    return np.concatenate([[start], path])
-
-
 def _ou_interval_law(h, sigma, tau):
     """Law of the OU value x1 at the end of an interval h and of the OU
     integral I over it, given the value x0 at its start:
@@ -142,51 +127,62 @@ def _ou_interval(rng, x0, h, sigma, tau, work):
     return x0, integral
 
 
-def _propagate(rng, static, bath, dd, errors=None, spinor=None):
-    """Carry every atom through the free intervals and pulses of dd.
+def _ideal_coherence(bounds, bath: SpinBathParams) -> float:
+    """Coherence exp(-chi) of the ideal-pulse sequence whose stored phase
+    changes sign at the interior bounds of [0, centers..., T].
+
+    With s_j = (-1)^j the sign and h_j the length of interval j,
+    chi_static = (1/2) (2 pi sigma_line sum_j s_j h_j)^2 and chi_OU =
+    (1/2) (2 pi sigma)^2 [sum_j 2 tau^2 (h_j/tau - e_j) + sum_{j<k} 2 s_j s_k
+    tau^2 e_j e_k exp(-(b_k - b_{j+1})/tau)], e_j = 1 - exp(-h_j/tau).  The
+    pair sum runs as acc <- acc (1 - e_k) + s_k e_k, acc holding
+    sum_{j<k} s_j e_j exp(-(b_k - b_{j+1})/tau).
+    """
+    h = np.diff(bounds)
+    s = (-1.0) ** np.arange(h.size)
+    tau = bath.ou_tau_c_s
+    e = -np.expm1(-h / tau)
+    total = np.sum(2 * tau**2 * (h / tau - e))
+    acc = 0.0
+    for s_k, e_k in zip(s, e):
+        total += 2 * s_k * e_k * tau**2 * acc
+        acc = acc * (1 - e_k) + s_k * e_k
+    line = 2 * np.pi * bath.inhom_fwhm_hz * FWHM_TO_SIGMA * np.dot(s, h)
+    chi = 0.5 * line**2 + 0.5 * (2 * np.pi * bath.ou_sigma_hz) ** 2 * total
+    return float(np.exp(-chi))
+
+
+def _propagate(rng, static, bath, dd, errors, spinor):
+    """Carry every atom's spinor (up, dn) through the free intervals and
+    imperfect pulses of dd.
 
     This is the one interval loop of the module.  Over each interval the
     free phase 2 pi * integral of (static + OU) dt takes one exact OU draw
-    per atom.  With errors=None the pulses are ideal instantaneous pi flips,
-    so the phase changes sign at each pulse center, and the toggled phase
-    is returned.  Otherwise the spinor (up, dn) takes one SU(2) map
-    [[a, -b*], [b, a*]] per interval and is returned: the free rotation
-    r = exp(-i pi integral of delta dt), then the pulse that ends the
-    interval, A = c - i s delta/g and B = -i s (omega/g) e^(i phase), so
-    a = A r and b = B r, with g = hypot(omega, delta) and (c, s) =
-    (cos, sin)(pi g t_pi) at delta = static + OU.  exp(-i pi static h) is
-    recomputed only for a new interval length h, the pulse only where the
-    OU detuning moves; all work arrays are allocated once.
+    per atom, and the spinor takes one SU(2) map [[a, -b*], [b, a*]]: the
+    free rotation r = exp(-i pi integral of delta dt), then the pulse that
+    ends the interval, A = c - i s delta/g and B = -i s (omega/g)
+    e^(i phase), so a = A r and b = B r, with g = hypot(omega, delta) and
+    (c, s) = (cos, sin)(pi g t_pi) at delta = static + OU.
+    exp(-i pi static h) is recomputed only for a new interval length h, the
+    pulse only where the OU detuning moves; all work arrays are allocated
+    once.  Returns the final (up, dn).
     """
     n = static.size
     use_ou = bath.ou_sigma_hz > 0
     ou = bath.ou_sigma_hz * rng.standard_normal(n) if use_ou else 0.0
     work = np.empty((4, n))
-    phase = np.zeros(n)
-    if errors is None:
-        two_pi_static = 2 * np.pi * static
-    else:
-        psi = np.array(spinor, dtype=np.complex128)  # a copy: rows up, dn
-        omega = errors.rf_rabi_hz * (1 + errors.area_error)
-        t_pi = 1.0 / (2.0 * errors.rf_rabi_hz)  # nominal pi duration
-        drive = -1j * omega * np.exp(1j * (dd.phases_rad + errors.phase_error_rad))
-        minus_static, h_rs = -static, np.inf
-        rs, r, ca, a, b = np.empty((5, n), dtype=np.complex128)
-        sg, g = np.empty((2, n))
+    psi = np.array(spinor, dtype=np.complex128)  # a copy: rows up, dn
+    omega = errors.rf_rabi_hz * (1 + errors.area_error)
+    t_pi = 1.0 / (2.0 * errors.rf_rabi_hz)  # nominal pi duration
+    drive = -1j * omega * np.exp(1j * (dd.phases_rad + errors.phase_error_rad))
+    minus_static, h_rs = -static, np.inf
+    rs, r, ca, a, b = np.empty((5, n), dtype=np.complex128)
+    sg, g = np.empty((2, n))
     boundaries = np.concatenate([[0.0], dd.centers_s, [dd.total_time_s]])
     for i, h in enumerate(np.diff(boundaries)):
         if use_ou:
             ou, integral = _ou_interval(rng, ou, h, bath.ou_sigma_hz,
                                         bath.ou_tau_c_s, work)
-        if errors is None:
-            phi = np.multiply(two_pi_static, h, out=work[3])
-            if use_ou:
-                phi += np.multiply(integral, 2 * np.pi, out=integral)
-            if i % 2 == 0:
-                phase += phi
-            else:
-                phase -= phi
-            continue
         d = h - h_rs
         if abs(d) > 2 * np.spacing(dd.total_time_s):  # beyond time rounding
             h_rs, d = h, 0.0
@@ -222,7 +218,7 @@ def _propagate(rng, static, bath, dd, errors=None, spinor=None):
         up -= np.multiply(np.conj(b, out=b), dn, out=b)
         dn *= np.conj(a, out=a)
         dn += r
-    return phase if errors is None else (psi[0], psi[1])
+    return psi[0], psi[1]
 
 
 def _coherence_stats(phasors: np.ndarray, n_blocks: int = 10):
@@ -242,21 +238,21 @@ def spin_echo_coherence(dd: DDSequence, bath: SpinBathParams,
     """Ensemble-averaged stored coherence surviving the DD sequence.
 
     With errors=None the pulses are ideal instantaneous pi flips and the
-    evolution reduces to sign-toggled phase accumulation; with an error
-    model each pulse is a full finite-Rabi unitary.
+    coherence is the closed form of _ideal_coherence, with zero standard
+    error; with an error model each pulse is a full finite-Rabi unitary,
+    sampled over bath.n_atoms atoms.
     """
     bath.validate()
+    if errors is None:
+        coherence = _ideal_coherence(
+            np.concatenate([[0.0], dd.centers_s, [dd.total_time_s]]), bath)
+        return SpinStorageResult(coherence=coherence, eta_spin=coherence**2)
+    errors.validate()
     rng = _rng(seed, bath.seed)
     static = sample_ensemble(bath, rng)
-    if errors is None:
-        phasors = np.exp(1j * _propagate(rng, static, bath, dd))
-    else:
-        errors.validate()
-        up = np.full(bath.n_atoms, 1 / np.sqrt(2), dtype=np.complex128)
-        up, dn = _propagate(rng, static, bath, dd, errors, (up, up))
-        phasors = 2 * up * np.conj(dn)
-
-    coherence, stderr = _coherence_stats(phasors)
+    up = np.full(bath.n_atoms, 1 / np.sqrt(2), dtype=np.complex128)
+    up, dn = _propagate(rng, static, bath, dd, errors, (up, up))
+    coherence, stderr = _coherence_stats(2 * up * np.conj(dn))
     return SpinStorageResult(coherence=coherence, eta_spin=coherence**2,
                              coherence_stderr=stderr)
 
@@ -276,16 +272,10 @@ def residual_excitation(dd: DDSequence, errors: PulseErrorModel,
     return float(np.mean(np.abs(up) ** 2))
 
 
-def free_induction(bath: SpinBathParams, t_list, seed=None) -> np.ndarray:
+def free_induction(bath: SpinBathParams, t_list) -> np.ndarray:
     """Free-dephasing coherence |<exp(i phi)>| at each time (no pulses)."""
-    rng = _rng(seed, bath.seed)
-    static = sample_ensemble(bath, rng)
-    empty = np.empty(0)
-    out = np.empty(len(t_list))
-    for i, t in enumerate(t_list):
-        fid = DDSequence("none", float(t), phases_rad=empty, centers_s=empty)
-        out[i] = np.abs(np.exp(1j * _propagate(rng, static, bath, fid)).mean())
-    return out
+    bath.validate()
+    return np.array([_ideal_coherence([0.0, t], bath) for t in t_list])
 
 
 def efficiency_decay(dd_kind: str, t_list, bath: SpinBathParams,

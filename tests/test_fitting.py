@@ -9,12 +9,17 @@ from afcmem.fitting import (fit_afc_decay, fit_mims, fit_power_law,
 
 
 def test_mims_exact_recovery():
-    t = np.linspace(0.02, 0.3, 12)
-    eta = mims_curve(t, 0.08, 0.106, 1.8)
-    fit = fit_mims(t, eta)
-    assert fit.converged
-    for got, want in zip(fit.params, (0.08, 0.106, 1.8)):
-        assert got == pytest.approx(want, rel=1e-6)
+    # noise-free data, the second set at the fig2 storage times: a zero
+    # residual must leave finite, non-negative intervals and no NaN
+    for t, truth in ((np.linspace(0.02, 0.3, 12), (0.08, 0.106, 1.8)),
+                     (0.070 * np.array([0.4, 0.55, 0.7, 0.85, 1.0, 1.2, 1.4]),
+                      (1.0, 0.070, 3.0))):
+        fit = fit_mims(t, mims_curve(t, *truth))
+        assert fit.converged
+        for got, want in zip(fit.params, truth):
+            assert got == pytest.approx(want, rel=1e-6)
+        assert np.all(np.isfinite(fit.ci95)) and np.all(fit.ci95 >= 0)
+        assert not np.isnan(list(fit.as_dict().values())).any()
 
 
 def test_power_law_reference_data():

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate
 
 from afcmem.pulses import DDSequence, dd_sequence
 from afcmem.spinbath import (FWHM_TO_SIGMA, PulseErrorModel, SpinBathParams,
                              _ou_interval, _ou_interval_law, _propagate,
                              cpmg_ou_chi, efficiency_decay, free_induction,
-                             ou_sigma_for_t2, ou_trajectory,
+                             ou_sigma_for_t2,
                              residual_excitation, sample_ensemble,
                              spin_echo_coherence)
 
@@ -28,46 +28,6 @@ def test_sample_ensemble_deterministic():
 def test_zero_width_line():
     bath = SpinBathParams(inhom_fwhm_hz=0.0, n_atoms=100, seed=1)
     assert np.all(sample_ensemble(bath) == 0)
-
-
-def test_ou_zero_sigma():
-    path = ou_trajectory(0.0, 1e-3, 1e-5, 100, seed=3)
-    assert np.all(path == 0)
-
-
-def test_ou_lag1_autocorrelation():
-    tau_c, dt, n = 1e-3, 1e-5, 100_000
-    path = ou_trajectory(50.0, tau_c, dt, n, seed=5)
-    r1 = np.corrcoef(path[:-1], path[1:])[0, 1]
-    # 3 sigma statistical bound on the lag-1 estimate
-    assert r1 == pytest.approx(np.exp(-dt / tau_c), abs=3 / np.sqrt(n))
-
-
-def test_ou_stationary_variance():
-    sigma, n = 80.0, 100_000
-    path = ou_trajectory(sigma, 1e-3, 5e-3, n, seed=6)  # nearly independent
-    assert path.var() == pytest.approx(sigma**2, rel=3 * np.sqrt(2 / n))
-
-
-def test_ou_stationary_distribution_ks():
-    sigma = 1.0
-    path = ou_trajectory(sigma, 1e-3, 5e-3, 100_000, seed=8)
-    # dt >> tau_c so successive samples decorrelate; KS against N(0, sigma)
-    res = stats.kstest(path, "norm", args=(0, sigma))
-    assert res.pvalue > 0.01
-
-
-def test_ou_trajectory_matches_recursion():
-    # the per-step recursion of the docstring, drawn from the same stream
-    sigma, tau_c, dt, n = 50.0, 1e-3, 1e-5, 2000
-    path = ou_trajectory(sigma, tau_c, dt, n, seed=4)
-    rng = np.random.default_rng(4)
-    ref = [sigma * rng.standard_normal()]
-    rho = np.exp(-dt / tau_c)
-    for g in rng.standard_normal(n):
-        ref.append(ref[-1] * rho + sigma * np.sqrt(1 - rho * rho) * g)
-    np.testing.assert_allclose(path, ref, rtol=1e-12, atol=1e-12 * sigma)
-    assert ou_trajectory(sigma, tau_c, dt, 0, seed=4).shape == (1,)
 
 
 @pytest.mark.parametrize("u", [1e-7, 1e-4, 1e-3, 9e-3, 1.1e-2, 0.3, 4.0, 60.0])
@@ -158,17 +118,33 @@ def test_coherence_against_filter_function(centers, t_s, fwhm):
     expected = np.exp(-chi)
     assert 0.2 < expected < 0.8
     bath = SpinBathParams(inhom_fwhm_hz=fwhm, ou_sigma_hz=sigma,
-                          ou_tau_c_s=tau_c, n_atoms=100_000, seed=23)
+                          ou_tau_c_s=tau_c)
     if centers:
         dd = DDSequence("XY4", t_s, phases_rad=np.zeros(len(centers)),
                         centers_s=np.array(centers))
         res = spin_echo_coherence(dd, bath)
-        assert res.coherence == pytest.approx(expected,
-                                              abs=4 * res.coherence_stderr)
+        assert res.coherence == pytest.approx(expected, rel=1e-12, abs=0)
+        assert res.coherence_stderr == 0
     else:
-        # 1/sqrt(n) is the spread of |<exp(i phi)>| around exp(-chi)
         assert free_induction(bath, [t_s])[0] == pytest.approx(
-            expected, abs=4 / np.sqrt(bath.n_atoms))
+            expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("kind,t_s", [("XX", 0.05), ("XY4", 0.08),
+                                      ("XY16", 0.2)])
+def test_error_free_pulses_match_closed_form(kind, t_s):
+    # the Monte Carlo kernel under OU, with error-free pulses too short to
+    # tilt against the line, against the exact ideal-pulse coherence
+    bath = SpinBathParams(inhom_fwhm_hz=60e3,
+                          ou_sigma_hz=ou_sigma_for_t2(2, 0.070, 3.0),
+                          ou_tau_c_s=3.0, n_atoms=40_000, seed=29)
+    dd = dd_sequence(kind, t_s, PI_DURATION)
+    errors = PulseErrorModel(area_error=0.0, phase_error_rad=0.0,
+                             rf_rabi_hz=1e9)
+    res = spin_echo_coherence(dd, bath, errors)
+    exact = spin_echo_coherence(dd, bath).coherence
+    assert 0.1 < exact < 0.9
+    assert res.coherence == pytest.approx(exact, abs=4 * res.coherence_stderr)
 
 
 @pytest.mark.parametrize("kind,t_s", [("XX", 0.02), ("XY4", 0.02),
@@ -183,13 +159,13 @@ def test_refocusing_identity(kind, t_s):
 
 
 def test_free_dephasing_time():
-    bath = SpinBathParams(inhom_fwhm_hz=60e3, ou_sigma_hz=0.0,
-                          n_atoms=150_000, seed=3)
+    bath = SpinBathParams(inhom_fwhm_hz=60e3, ou_sigma_hz=0.0)
     t_list = np.linspace(2e-6, 16e-6, 15)
     c = free_induction(bath, t_list)
     t_e = np.interp(np.exp(-1), c[::-1], t_list[::-1])
+    # the exact curve, read off by linear interpolation on a 1 us grid
     assert t_e == pytest.approx(1 / (np.sqrt(2) * np.pi * 60e3 * FWHM_TO_SIGMA),
-                                rel=0.03)
+                                rel=3e-3)
 
 
 def test_coherence_against_quadrature_oracle():
@@ -264,7 +240,7 @@ def test_atom_count_convergence():
     for n, seed in ((10_000, 31), (20_000, 32)):
         bath = SpinBathParams(inhom_fwhm_hz=60e3, ou_sigma_hz=sigma,
                               ou_tau_c_s=3.0, n_atoms=n, seed=seed)
-        res = spin_echo_coherence(dd, bath)
+        res = spin_echo_coherence(dd, bath, PulseErrorModel())
         vals.append((res.eta_spin, 2 * res.coherence * res.coherence_stderr))
     assert abs(vals[0][0] - vals[1][0]) < 4 * (vals[0][1] + vals[1][1]) + 1e-3
 
