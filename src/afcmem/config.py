@@ -54,7 +54,6 @@ _RANGES = {
     "eta_afc_fixed": _EFFICIENCY,
     "transfer_duration_seconds": _POSITIVE,
     "transfer_bandwidth_hz": _POSITIVE,
-    "eta_transfer_fixed": _EFFICIENCY,
     "eta_end_to_end_target": _EFFICIENCY,
     "t_s_seconds": _POSITIVE,
     "rf_rabi_hz": _POSITIVE,
@@ -65,18 +64,14 @@ _RANGES = {
     "bath_ou_sigma_hz": _NONNEGATIVE,
     "bath_ou_tau_c_seconds": _POSITIVE,
     "n_atoms": _COUNT,
-    "eta_spin_fixed": _EFFICIENCY,
     "mode_count": _COUNT,
     "mode_duration_seconds": _POSITIVE,
     "input_fwhm_seconds": _POSITIVE,
-    "mu_in_per_mode": _POSITIVE,
+    "mu_in_per_mode": (0, MAX_MEAN_PHOTONS, True, False),
     "detector_efficiency": _UNIT,
     "path_transmission": _UNIT,
     "dark_rate_hz": _NONNEGATIVE,
     "bin_width_seconds": _POSITIVE,
-    "qubit_mu_in": (0, MAX_MEAN_PHOTONS, True, False),
-    "qubit_eta": _EFFICIENCY,
-    "qubit_noise_per_mode": _NONNEGATIVE,
     "qubit_visibility": _UNIT,
     "n_trials": _COUNT,
     "n_trials_noise": _COUNT,
@@ -135,7 +130,6 @@ class ExperimentConfig:
     # optical transfer pulses
     transfer_duration_seconds: float = 15e-6
     transfer_bandwidth_hz: float = 1.5e6
-    eta_transfer_fixed: float | None = None
     # calibration: when set, the per-pulse transfer efficiency is backed out
     # so the composed stage product equals this end-to-end efficiency
     eta_end_to_end_target: float | None = None
@@ -152,7 +146,6 @@ class ExperimentConfig:
     bath_ou_sigma_hz: float = DEFAULT_OU_SIGMA_HZ
     bath_ou_tau_c_seconds: float = DEFAULT_OU_TAU_C_S
     n_atoms: int = 10_000
-    eta_spin_fixed: float | None = None
 
     # temporal mode layout
     mode_count: int = 6
@@ -166,10 +159,7 @@ class ExperimentConfig:
     dark_rate_hz: float = 0.0
     bin_width_seconds: float = 165e-9
 
-    # qubit storage run
-    qubit_mu_in: float = 0.92
-    qubit_eta: float = 0.0739
-    qubit_noise_per_mode: float = 0.009768
+    # qubit read-out: intrinsic interference visibility of the analyser
     qubit_visibility: float = 0.92
 
     # run control
@@ -199,7 +189,7 @@ class ExperimentConfig:
                 f"{self.mode_duration_seconds:.3g} s + transfer "
                 f"{self.transfer_duration_seconds:.3g} s = {budget:.3g} s "
                 f"exceeds 1/Delta = {one_over_delta:.3g} s")
-        if self.eta_end_to_end_target is None and self.eta_transfer_fixed is None:
+        if self.eta_end_to_end_target is None:
             # numpy scalars, so that extreme inputs overflow to inf quietly
             with np.errstate(all="ignore"):
                 spec = reference_transfer_pulse(

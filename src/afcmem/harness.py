@@ -23,12 +23,17 @@ from .bloch import transfer_profile
 from .spinbath import (PulseErrorModel, SpinBathParams, efficiency_decay,
                        decay_table_to_csv, residual_excitation,
                        spin_echo_coherence)
-from .tomography import (TomoCounts, classical_bound_weak_coherent,
+from .tomography import (PROJECTION_KEYS, TomoCounts,
+                         classical_bound_weak_coherent,
                          direct_inversion, fidelity, pauli_expectations, purity,
                          white_noise_fidelity)
 
 
 NOISE_LIFETIME_S = 1.9e-3
+
+# Analyser phase theta of each interference projection of the qubit run.
+ANALYSER_PHASES_RAD = {"plus": 0.0, "plus_i": np.pi / 2, "minus": np.pi,
+                       "minus_i": 3 * np.pi / 2}
 
 
 def _json_safe(x):
@@ -177,7 +182,8 @@ def _eta_transfer(duration_s: float, bandwidth_hz: float) -> float:
 
 
 def _stage_efficiencies(cfg: ExperimentConfig, rng_spin, rng_noise):
-    """Compose the echo, transfer and spin stages; returns a stages dict."""
+    """Compose the echo, transfer and spin stages; returns the stages dict
+    and their product, the end-to-end memory efficiency."""
     one_over_delta = 1.0 / cfg.comb_period_hz
     if cfg.eta_afc_fixed is not None:
         eta_afc = cfg.eta_afc_fixed
@@ -194,20 +200,16 @@ def _stage_efficiencies(cfg: ExperimentConfig, rng_spin, rng_noise):
         errors = PulseErrorModel(area_error=cfg.rf_area_error,
                                  phase_error_rad=cfg.rf_phase_error_rad,
                                  rf_rabi_hz=cfg.rf_rabi_hz)
-        if cfg.eta_spin_fixed is not None:
-            eta_spin = cfg.eta_spin_fixed
-            coherence_stderr = 0.0
-        else:
-            res = spin_echo_coherence(dd, bath, errors, seed=rng_spin)
-            eta_spin = res.eta_spin
-            coherence_stderr = res.coherence_stderr
+        res = spin_echo_coherence(dd, bath, errors, seed=rng_spin)
 
     if cfg.eta_end_to_end_target is not None:
         # back the per-pulse transfer efficiency out of the target product
-        eta_transfer = float(np.sqrt(cfg.eta_end_to_end_target
-                                     / (eta_afc * eta_spin)))
-    elif cfg.eta_transfer_fixed is not None:
-        eta_transfer = cfg.eta_transfer_fixed
+        stored = eta_afc * res.eta_spin
+        if not stored >= cfg.eta_end_to_end_target:
+            raise ValueError(
+                f"eta_end_to_end_target {cfg.eta_end_to_end_target:g} exceeds "
+                f"the echo and spin stage product {stored:.3g}")
+        eta_transfer = float(np.sqrt(cfg.eta_end_to_end_target / stored))
     else:
         with _staged("transfer"):
             eta_transfer = _eta_transfer(cfg.transfer_duration_seconds,
@@ -225,16 +227,18 @@ def _stage_efficiencies(cfg: ExperimentConfig, rng_spin, rng_noise):
         kappa = None
         p_noise = 0.0
 
-    return {
+    stages = {
         "eta_afc": float(eta_afc),
         "eta_transfer": float(eta_transfer),
         "eta_transfer_sq": float(eta_transfer**2),
-        "eta_spin": float(eta_spin),
-        "eta_spin_stderr": float(coherence_stderr),
+        "eta_spin": float(res.eta_spin),
+        "eta_spin_stderr": float(res.coherence_stderr),
         "p_noise_per_mode": float(p_noise),
         "residual_excitation": float(resid),
         "noise_gain_kappa": None if kappa is None else float(kappa),
     }
+    return stages, (stages["eta_afc"] * stages["eta_transfer_sq"]
+                    * stages["eta_spin"])
 
 
 def run_spinwave(cfg: ExperimentConfig, preset: str | None = None) -> RunReport:
@@ -244,9 +248,7 @@ def run_spinwave(cfg: ExperimentConfig, preset: str | None = None) -> RunReport:
     ss = np.random.SeedSequence(cfg.seed)
     rngs = [np.random.default_rng(c) for c in ss.spawn(5)]
 
-    stages = _stage_efficiencies(cfg, rngs[0], rngs[1])
-    eta_total = (stages["eta_afc"] * stages["eta_transfer_sq"]
-                 * stages["eta_spin"])
+    stages, eta_total = _stage_efficiencies(cfg, rngs[0], rngs[1])
 
     n = cfg.mode_count
     t, dt = _flux_grid(cfg, n + 2)
@@ -292,24 +294,19 @@ def run_spinwave(cfg: ExperimentConfig, preset: str | None = None) -> RunReport:
     return report
 
 
-def run_qubit_tomography(cfg: ExperimentConfig, theta_list=None,
-                         input_phase_rad: float = 0.0,
+def run_qubit_tomography(cfg: ExperimentConfig, input_phase_rad: float = 0.0,
                          preset: str | None = None) -> RunReport:
-    """Time-bin qubit storage with analyser read-out.
+    """Time-bin qubit storage with analyser read-out, in the memory that
+    run_spinwave composes from the same config.
 
-    Two qubits occupy temporal modes (2, 3) and (5, 6).  For sigma_x and
-    sigma_y the second transfer pulse is the composite analyser with phase
-    theta, which splits each bin over two emission times so the middle bin
-    interferes early against late; sigma_z uses a plain read-out.  Counts
-    are Poisson draws from the resulting mode intensities.
+    Two qubits of mu_in_per_mode photons occupy temporal modes (2, 3) and
+    (5, 6).  For sigma_x and sigma_y the second transfer pulse is the
+    composite analyser with phase theta, which splits each bin over two
+    emission times so the middle bin interferes early against late;
+    sigma_z uses a plain read-out.  Counts are Poisson draws from the
+    resulting mode intensities.
     """
     cfg.validate()
-    if theta_list is None:
-        theta_list = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
-    theta_list = [float(x) for x in theta_list]
-    if len(theta_list) != 4:
-        raise ValueError("theta_list must hold the four analyser phases")
-
     t_m = cfg.mode_duration_seconds
     if cfg.input_fwhm_seconds >= t_m / 2:
         raise ValueError("pulse width too large: interference bins would overlap")
@@ -317,29 +314,30 @@ def run_qubit_tomography(cfg: ExperimentConfig, theta_list=None,
     n_span = 9
     t, dt = _flux_grid(cfg, n_span)
 
-    mu_q = cfg.qubit_mu_in
-    eta_q = cfg.qubit_eta
-    p_noise = cfg.qubit_noise_per_mode
+    # spawn order fixes each run's random stream: the stage generators last
+    ss = np.random.SeedSequence(cfg.seed)
+    *rngs_analyser, rng_z, rng_spin, rng_noise = (
+        np.random.default_rng(c) for c in ss.spawn(len(ANALYSER_PHASES_RAD) + 3))
+    stages, eta = _stage_efficiencies(cfg, rng_spin, rng_noise)
+    mu = cfg.mu_in_per_mode
+    p_noise = stages["p_noise_per_mode"]
     v0 = cfg.qubit_visibility
     noise_flux = noise_floor_model(t, p_noise / t_m, NOISE_LIFETIME_S)
 
-    ss = np.random.SeedSequence(cfg.seed)
-    rngs = [np.random.default_rng(c) for c in ss.spawn(len(theta_list) + 1)]
-
     # analyser runs: early bin, interference bin, trailing bin per qubit
-    mid_sums = []
-    for theta, rng in zip(theta_list, rngs[:-1]):
-        fringe = 0.5 * mu_q * eta_q * (1 + v0 * np.cos(theta - input_phase_rad))
+    mid_sums = {}
+    for (key, theta), rng in zip(ANALYSER_PHASES_RAD.items(), rngs_analyser):
+        fringe = 0.5 * mu * eta * (1 + v0 * np.cos(theta - input_phase_rad))
         flux = _pulse_train(cfg, t, noise_flux, [
             pulse for early, late in qubits
-            for pulse in ((early, 0.25 * mu_q * eta_q), (late, fringe),
-                          (late + 1, 0.25 * mu_q * eta_q))])
-        mid_sums.append(_read_out(cfg, flux, dt, cfg.n_trials, rng, n_span)[1])
+            for pulse in ((early, 0.25 * mu * eta), (late, fringe),
+                          (late + 1, 0.25 * mu * eta))])
+        mid_sums[key] = _read_out(cfg, flux, dt, cfg.n_trials, rng, n_span)[1]
 
     # sigma_z run: plain read-out, each bin carries half the qubit
     flux = _pulse_train(cfg, t, noise_flux,
-                        [(m, 0.5 * mu_q * eta_q) for q in qubits for m in q])
-    hist_z, z_sums = _read_out(cfg, flux, dt, cfg.n_trials, rngs[-1], n_span)
+                        [(m, 0.5 * mu * eta) for q in qubits for m in q])
+    hist_z, z_sums = _read_out(cfg, flux, dt, cfg.n_trials, rng_z, n_span)
 
     # detector-level noise per trial
     noise_det = p_noise * _chain(cfg).total_transmission
@@ -352,15 +350,11 @@ def run_qubit_tomography(cfg: ExperimentConfig, theta_list=None,
             counts={
                 "early": int(z_sums.raw_counts[early - 1]),
                 "late": int(z_sums.raw_counts[late - 1]),
-                "plus": int(mid_sums[0].raw_counts[mid]),
-                "plus_i": int(mid_sums[1].raw_counts[mid]),
-                "minus": int(mid_sums[2].raw_counts[mid]),
-                "minus_i": int(mid_sums[3].raw_counts[mid]),
+                **{key: int(sums.raw_counts[mid])
+                   for key, sums in mid_sums.items()},
             },
-            n_trials={k: cfg.n_trials for k in
-                      ("early", "late", "plus", "minus", "plus_i", "minus_i")},
-            noise={k: noise_det for k in
-                   ("early", "late", "plus", "minus", "plus_i", "minus_i")},
+            n_trials=dict.fromkeys(PROJECTION_KEYS, cfg.n_trials),
+            noise=dict.fromkeys(PROJECTION_KEYS, noise_det),
         )
         sx, sy, sz = pauli_expectations(tc)
         dm = direct_inversion([sx, sy, sz])
@@ -380,13 +374,15 @@ def run_qubit_tomography(cfg: ExperimentConfig, theta_list=None,
         })
 
     # measured interference SNR scaled to one photon per qubit
-    plus_minus_photons = ((mid_sums[0].values[qubits[0][1] - 1]
-                           + mid_sums[2].values[qubits[0][1] - 1]
-                           + mid_sums[0].values[qubits[1][1] - 1]
-                           + mid_sums[2].values[qubits[1][1] - 1]) / 2
+    plus_minus_photons = ((mid_sums["plus"].values[qubits[0][1] - 1]
+                           + mid_sums["minus"].values[qubits[0][1] - 1]
+                           + mid_sums["plus"].values[qubits[1][1] - 1]
+                           + mid_sums["minus"].values[qubits[1][1] - 1]) / 2
                           - 2 * p_noise)
     snr_measured = plus_minus_photons / p_noise if p_noise > 0 else float("inf")
-    bound_oracle = classical_bound_weak_coherent(mu_q, eta_q)
+    # no classical bound for a memory that stores nothing
+    bound_oracle = (classical_bound_weak_coherent(mu, eta) if eta > 0
+                    else float("nan"))
 
     tomo = {
         "per_qubit": per_qubit,
@@ -397,12 +393,11 @@ def run_qubit_tomography(cfg: ExperimentConfig, theta_list=None,
         if math.isfinite(snr_measured) else 1.0,
         "classical_bound_weak_coherent": float(bound_oracle),
         "input_phase_rad": float(input_phase_rad),
-        "theta_list": theta_list,
+        "theta_list": list(ANALYSER_PHASES_RAD.values()),
     }
     report = RunReport(
         kind="qubit", preset=preset, config=cfg.to_dict(),
-        stages={"eta_qubit": eta_q, "p_noise_per_mode": p_noise,
-                "visibility": v0},
+        stages={**stages, "visibility": v0}, eta_end_to_end=float(eta),
         tomography=tomo,
     )
     report.histograms = {"hist_sigma_z": hist_z}
@@ -474,7 +469,7 @@ def _reproduce_fig2(out: Path, cfg, notes) -> RunReport:
     for kind in DD_KINDS:
         t_list = spin_t2_nominal(kind, xx_t2) * np.array(
             [0.4, 0.55, 0.7, 0.85, 1.0, 1.2, 1.4])
-        rows = efficiency_decay(kind, t_list, bath, rabi_hz=cfg.rf_rabi_hz)
+        rows = efficiency_decay(kind, t_list, bath)
         decay_table_to_csv(out / f"decay_{kind}.csv", rows)
         fit = fit_mims([r[0] for r in rows], [r[1] for r in rows])
         fits[f"mims_{kind}"] = fit.as_dict()

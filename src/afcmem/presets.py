@@ -124,9 +124,9 @@ def tomo_preset() -> tuple[ExperimentConfig, list[str]]:
     p_noise = float((mu_q / 2) * eta_q / FIG4["sigma_z_snr"])
     visibility = float(2 * FIG4["bright_pulse_fidelity"] - 1)
     cfg = ExperimentConfig(
-        qubit_mu_in=mu_q,
-        qubit_eta=eta_q,
-        qubit_noise_per_mode=p_noise,
+        mu_in_per_mode=mu_q,
+        eta_end_to_end_target=eta_q,
+        p_noise_target_per_mode=p_noise,
         qubit_visibility=visibility,
         n_trials=50_000,
         seed=6,

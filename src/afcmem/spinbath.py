@@ -279,10 +279,10 @@ def free_induction(bath: SpinBathParams, t_list) -> np.ndarray:
 
 
 def efficiency_decay(dd_kind: str, t_list, bath: SpinBathParams,
-                     errors: PulseErrorModel | None = None,
-                     rabi_hz: float = 120e3, seed=None):
+                     errors: PulseErrorModel | None = None, seed=None):
     """Spin storage efficiency versus storage time, one independent
-    sub-seeded bath per point.  Returns a list of (t_s, eta, stderr)."""
+    sub-seeded bath per point; each pi pulse lasts half a period of the
+    Rabi frequency of errors.  Returns a list of (t_s, eta, stderr)."""
     t_arr = np.asarray(t_list, dtype=float)
     if np.any(np.diff(t_arr) <= 0):
         raise ValueError("t_list must be sorted ascending")
@@ -290,9 +290,10 @@ def efficiency_decay(dd_kind: str, t_list, bath: SpinBathParams,
         ss = seed
     else:
         ss = np.random.SeedSequence(bath.seed if seed is None else seed)
+    pulse_s = 1.0 / (2.0 * (errors or PulseErrorModel()).rf_rabi_hz)
     rows = []
     for child, t_s in zip(ss.spawn(len(t_arr)), t_arr):
-        dd = dd_sequence(dd_kind, t_s, 1.0 / (2.0 * rabi_hz))
+        dd = dd_sequence(dd_kind, t_s, pulse_s)
         res = spin_echo_coherence(dd, bath, errors,
                                   seed=np.random.default_rng(child))
         eta_err = 2 * res.coherence * res.coherence_stderr

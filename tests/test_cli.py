@@ -109,7 +109,8 @@ def test_config_error_exit_code(tmp_path):
     {"t_s_seconds": "0.02"}, {"n_trials": 1.5}, {"comb_passes": 2.5},
     {"t_s_seconds": float("nan")}, {"n_trials_noise": True}, {"dd_kind": 4},
     {"seed": -1}, {"detector_efficiency": 1.5}, {"t_s_seconds": 3e-5},
-    {"qubit_mu_in": 1e7}, {"transfer_bandwidth_hz": 1e9},
+    {"mu_in_per_mode": 1e7}, {"transfer_bandwidth_hz": 1e9},
+    {"eta_end_to_end_target": 0.5, "afc_eta0": 0.0},
 ])
 def test_bath_config_error_exit_code(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
@@ -120,6 +121,19 @@ def test_bath_config_error_exit_code(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert next(iter(bad)) in err
+
+
+@pytest.mark.parametrize("name", [
+    "qubit_mu_in", "qubit_eta", "qubit_noise_per_mode", "eta_spin_fixed",
+    "eta_transfer_fixed"])
+def test_deleted_config_key_exit_code(tmp_path, capsys, name):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({name: 0.5}))
+    code = run_cli("simulate", "qubit", "--config", str(path),
+                   "--out", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unknown config keys: ['{name}']\n"
 
 
 def _simulate_spinwave(tmp_path, config):

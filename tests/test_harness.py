@@ -44,10 +44,9 @@ def test_config_misc_validation():
 
 
 def test_transfer_work_bounded_at_config():
-    # 4.5e7 samples for the transfer pulse; unless the stage is pinned
+    # 4.5e7 samples for the transfer pulse, unless a target backs it out
     with pytest.raises(ValueError, match="transfer_bandwidth_hz"):
         ExperimentConfig(transfer_bandwidth_hz=1e9).validate()
-    ExperimentConfig(transfer_bandwidth_hz=1e9, eta_transfer_fixed=0.9).validate()
     ExperimentConfig(transfer_bandwidth_hz=1e9,
                      eta_end_to_end_target=0.1).validate()
 
@@ -70,11 +69,13 @@ def test_stage_composition_identity():
 
 
 def test_forced_spin_and_no_noise_composition():
-    cfg = _fast_cfg(eta_spin_fixed=1.0, p_noise_target_per_mode=None,
-                    eta_afc_fixed=0.28, eta_transfer_fixed=0.5)
+    cfg = _fast_cfg(p_noise_target_per_mode=None, eta_afc_fixed=0.28)
     rep = run_spinwave(cfg)
-    assert rep.eta_end_to_end == pytest.approx(0.28 * 0.25, rel=1e-12)
-    assert rep.stages["p_noise_per_mode"] == 0.0
+    s = rep.stages
+    assert s["eta_afc"] == 0.28
+    assert rep.eta_end_to_end == pytest.approx(
+        0.28 * s["eta_transfer_sq"] * s["eta_spin"], rel=1e-12)
+    assert s["p_noise_per_mode"] == 0.0
     # no-noise run reports the snr as an infinity marker (null in JSON)
     assert json.loads(rep.to_json())["metrics"]["summary"]["snr"] is None
 
@@ -130,10 +131,35 @@ def test_transfer_profile_computed_once_per_pulse(tmp_path, monkeypatch):
 
 
 def test_qubit_ideal_chain_high_fidelity():
-    cfg = _fast_cfg(qubit_noise_per_mode=0.0, qubit_visibility=1.0,
+    cfg = _fast_cfg(p_noise_target_per_mode=0.0, qubit_visibility=1.0,
                     n_trials=200_000)
     rep = run_qubit_tomography(cfg)
     assert rep.tomography["fidelity_avg"] > 0.99
+
+
+def test_one_config_gives_one_memory():
+    cfg = _fast_cfg()
+    sw = run_spinwave(cfg).stages
+    q = run_qubit_tomography(cfg).stages
+    for key in ("eta_afc", "eta_transfer", "p_noise_per_mode"):
+        assert q[key] == sw[key]
+    # eta_spin = coherence^2 from independent atom draws
+    err = np.hypot(*(2 * np.sqrt(s["eta_spin"]) * s["eta_spin_stderr"]
+                     for s in (sw, q)))
+    assert abs(q["eta_spin"] - sw["eta_spin"]) <= 4 * err
+    cfg = _fast_cfg(eta_end_to_end_target=0.0739)
+    eta_sw = run_spinwave(cfg).eta_end_to_end
+    assert run_qubit_tomography(cfg).eta_end_to_end == pytest.approx(
+        eta_sw, abs=1e-12)
+    assert eta_sw == pytest.approx(0.0739, abs=1e-12)
+
+
+def test_qubit_run_in_a_memory_that_stores_nothing():
+    rep = run_qubit_tomography(_fast_cfg(afc_eta0=0.0))
+    assert rep.eta_end_to_end == 0.0
+    tomo = json.loads(rep.to_json())["tomography"]
+    assert tomo["classical_bound_weak_coherent"] is None
+    assert 0 <= tomo["fidelity_avg"] <= 1
 
 
 def test_qubit_minus_input_destructive():

@@ -254,6 +254,15 @@ def test_efficiency_decay_short_time_limit():
         efficiency_decay("XY4", [0.02, 0.01], bath)
 
 
+def test_efficiency_decay_pulse_train_at_error_model_rabi():
+    # 16 pi pulses of 50 us need more than 0.5 ms of storage
+    bath = SpinBathParams(n_atoms=100, seed=1)
+    with pytest.raises(ValueError, match="too short for the pulse train"):
+        efficiency_decay("XY16", [5e-4], bath,
+                         errors=PulseErrorModel(rf_rabi_hz=10e3))
+    assert len(efficiency_decay("XY16", [5e-4], bath)) == 1
+
+
 def test_mims_self_consistency_xy4():
     # bath tuned for T2 = 106 ms under XY4: the e^-2 point of the fitted
     # curve lands near 106 ms
