@@ -356,7 +356,16 @@ def run_qubit_tomography(cfg: ExperimentConfig, input_phase_rad: float = 0.0,
             n_trials=dict.fromkeys(PROJECTION_KEYS, cfg.n_trials),
             noise=dict.fromkeys(PROJECTION_KEYS, noise_det),
         )
-        sx, sy, sz = pauli_expectations(tc)
+        try:
+            sx, sy, sz = pauli_expectations(tc)
+        except ValueError as exc:  # a config that stores too little light
+            raise ValueError(
+                f"[tomography] {exc} in {cfg.n_trials} trials per projection: "
+                f"the composed eta_end_to_end is {eta:.3g} = eta_afc "
+                f"{stages['eta_afc']:.3g} x eta_transfer_sq "
+                f"{stages['eta_transfer_sq']:.3g} x eta_spin "
+                f"{stages['eta_spin']:.3g}; raise a low stage, mu_in_per_mode "
+                f"or n_trials") from None
         dm = direct_inversion([sx, sy, sz])
         f = fidelity(dm, target)
         p = purity(dm)

@@ -125,6 +125,7 @@ def tomo_preset() -> tuple[ExperimentConfig, list[str]]:
     visibility = float(2 * FIG4["bright_pulse_fidelity"] - 1)
     cfg = ExperimentConfig(
         mu_in_per_mode=mu_q,
+        eta_afc_fixed=ETA_AFC_REFERENCE,
         eta_end_to_end_target=eta_q,
         p_noise_target_per_mode=p_noise,
         qubit_visibility=visibility,
@@ -137,7 +138,8 @@ def tomo_preset() -> tuple[ExperimentConfig, list[str]]:
         f"intrinsic interference visibility {visibility:.2f} pinned by the "
         f"reference bright-pulse fidelity {FIG4['bright_pulse_fidelity']}",
         "memory efficiency for the qubit run taken from the 20 ms reference "
-        "row",
+        f"row, split over the stages like table1-20ms: eta_afc pinned to "
+        f"{ETA_AFC_REFERENCE}, the transfer backed out",
     ]
     return cfg, notes
 

@@ -9,10 +9,11 @@ form, chi_OU being the filter-function integral of the OU kernel
 Imperfect pulses are sampled by Monte Carlo: between pulses the OU value at
 the interval's end and its integral over the interval are drawn exactly, as
 one jointly Gaussian pair per atom (Gillespie, Phys. Rev. E 54, 2084
-(1996)), so an interval costs the same whatever its length, and each pulse
-is a finite-Rabi SU(2) rotation in Cayley-Klein form, [[A, -B*], [B, A*]]
-(Gullion, Baker & Conradi, J. Magn. Reson. 89, 479 (1990)); each interval
-applies its free rotation and the pulse that ends it as one such map.
+(1996)), so an interval costs the same whatever its length.  Its free
+rotation is one phasor of its phase in turns, reduced exactly to at most
+half a turn; with the finite-Rabi pulse that ends it, an SU(2) rotation
+[[A, -B*], [B, A*]] (Gullion, Baker & Conradi, J. Magn. Reson. 89, 479
+(1990)), it forms one Cayley-Klein map.
 residual_excitation gives the storage-state population that the imperfect
 RF train excites out of the ground state; read-out noise is proportional
 to it.
@@ -152,59 +153,58 @@ def _ideal_coherence(bounds, bath: SpinBathParams) -> float:
     return float(np.exp(-chi))
 
 
+def _phasor(turns, out):
+    """exp(-2 pi i turns) into the complex array out, overwriting turns:
+    turns - rint(turns) is exact and at most 1/2, so cos and sin take only a
+    quarter angle, in libm's fast range [-pi/4, pi/4], and two squarings give
+    the whole turn (Cody & Waite, Software Manual for the Elementary
+    Functions, 1980)."""
+    turns -= np.rint(turns, out=out.real)
+    turns *= -np.pi / 2
+    np.cos(turns, out=out.real)
+    np.sin(turns, out=out.imag)
+    return np.square(np.square(out, out=out), out=out)
+
+
 def _propagate(rng, static, bath, dd, errors, spinor):
     """Carry every atom's spinor (up, dn) through the free intervals and
-    imperfect pulses of dd.
+    imperfect pulses of dd: the module's one interval loop.
 
-    This is the one interval loop of the module.  Over each interval the
-    free phase 2 pi * integral of (static + OU) dt takes one exact OU draw
-    per atom, and the spinor takes one SU(2) map [[a, -b*], [b, a*]]: the
-    free rotation r = exp(-i pi integral of delta dt), then the pulse that
-    ends the interval, A = c - i s delta/g and B = -i s (omega/g)
-    e^(i phase), so a = A r and b = B r, with g = hypot(omega, delta) and
-    (c, s) = (cos, sin)(pi g t_pi) at delta = static + OU.
-    exp(-i pi static h) is recomputed only for a new interval length h, the
-    pulse only where the OU detuning moves; all work arrays are allocated
-    once.  Returns the final (up, dn).
+    Over an interval h each atom takes one exact OU draw of the integral I
+    and a free phase of (static h + I) / 2 turns, whose rotation r comes from
+    _phasor.  With the pulse that ends the interval, A = C - i S delta/g and
+    B = -i S (omega/g) e^(i phase), the spinor takes one SU(2) map
+    [[a, -b*], [b, a*]], a = A r and b = B r, where g = sqrt(omega^2 +
+    delta^2) and (C, S) = (cos, sin)(pi g t_pi) at delta = static + OU.  The
+    pulse is recomputed only where the OU detuning moves.  Returns (up, dn).
     """
     n = static.size
     use_ou = bath.ou_sigma_hz > 0
     ou = bath.ou_sigma_hz * rng.standard_normal(n) if use_ou else 0.0
     work = np.empty((4, n))
-    psi = np.array(spinor, dtype=np.complex128)  # a copy: rows up, dn
+    up, dn = np.array(spinor, dtype=np.complex128)  # views of a copy
     omega = errors.rf_rabi_hz * (1 + errors.area_error)
     t_pi = 1.0 / (2.0 * errors.rf_rabi_hz)  # nominal pi duration
     drive = -1j * omega * np.exp(1j * (dd.phases_rad + errors.phase_error_rad))
-    minus_static, h_rs = -static, np.inf
-    rs, r, ca, a, b = np.empty((5, n), dtype=np.complex128)
+    minus_static = -static
+    r, ca, a, b = np.empty((4, n), dtype=np.complex128)
     sg, g = np.empty((2, n))
     boundaries = np.concatenate([[0.0], dd.centers_s, [dd.total_time_s]])
     for i, h in enumerate(np.diff(boundaries)):
+        turns = np.multiply(static, h / 2, out=g)  # g is free until the pulse
         if use_ou:
             ou, integral = _ou_interval(rng, ou, h, bath.ou_sigma_hz,
                                         bath.ou_tau_c_s, work)
-        d = h - h_rs
-        if abs(d) > 2 * np.spacing(dd.total_time_s):  # beyond time rounding
-            h_rs, d = h, 0.0
-            np.multiply(minus_static, np.pi * h, out=rs.imag)
-            np.cos(rs.imag, out=rs.real)
-            np.sin(rs.imag, out=rs.imag)
-        rot = rs
-        if use_ou or d:  # the small phases: OU and static over h - h_rs
-            x = np.multiply(minus_static, np.pi * d, out=work[3])
-            if use_ou:
-                x -= np.multiply(integral, np.pi, out=integral)
-            np.cos(x, out=r.real)
-            np.sin(x, out=r.imag)
-            rot = np.multiply(r, rs, out=r)
-        up, dn = psi
+            turns += np.multiply(integral, 0.5, out=integral)
+        rot = _phasor(turns, r)
         if i == dd.n_pulses:  # no pulse ends the last interval
             up *= rot
             dn *= np.conj(rot, out=rot)
             break
-        if use_ou or i == 0:  # ca = A; sg = s/g, so B = sg * drive
+        if use_ou or i == 0:  # ca = A; sg = S/g, so B = sg * drive
             minus_delta = np.subtract(minus_static, ou, out=work[3])
-            np.hypot(omega, minus_delta, out=g)
+            np.add(np.square(minus_delta, out=g), omega**2, out=g)
+            np.sqrt(g, out=g)
             np.multiply(g, -np.pi * t_pi, out=sg)
             sg += np.pi / 2  # pi/2 - pi g t_pi, small near resonance
             np.sin(sg, out=ca.real)
@@ -218,7 +218,7 @@ def _propagate(rng, static, bath, dd, errors, spinor):
         up -= np.multiply(np.conj(b, out=b), dn, out=b)
         dn *= np.conj(a, out=a)
         dn += r
-    return psi[0], psi[1]
+    return up, dn
 
 
 def _coherence_stats(phasors: np.ndarray, n_blocks: int = 10):

@@ -392,3 +392,19 @@ def test_any_positive_fit_csv_fits_or_exits_2(model, rows):
         for written in Path(tmp).glob("fit_*.json"):
             text = written.read_text()
             assert "NaN" not in text and "Infinity" not in text
+
+
+def test_qubit_run_without_counts_names_stage(tmp_path, capsys):
+    # an echo stage that stores nothing leaves the analyser bins empty at a
+    # few thousand trials: exit 2, one line naming the stage, the trial
+    # count and the composed efficiency
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"afc_eta0": 0}))
+    code = run_cli("simulate", "qubit", "--trials", "2000", "--config",
+                   str(path), "--out", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [tomography] no counts in basis")
+    assert err.count("\n") == 1
+    assert "2000 trials" in err and "eta_end_to_end is 0 " in err
+    assert "eta_afc 0 " in err

@@ -241,3 +241,23 @@ def test_noise_calibration_example():
 def test_reproduce_output_files(tmp_path, preset, files):
     reproduce(preset, tmp_path)
     assert {p.name for p in tmp_path.iterdir()} == files
+
+
+def test_tomo_preset_splits_the_20ms_row_like_table1():
+    # fig4-tomo stores in the 20 ms row's memory: the same eta_afc, and the
+    # transfer backed out of the same eta, so its eta_transfer differs from
+    # table1-20ms's only through eta_spin, which each run samples with its
+    # own generator; hold it to three combined standard errors
+    tab = run_spinwave(preset_config("table1-20ms")[0]).stages
+    tomo = run_qubit_tomography(preset_config("fig4-tomo")[0]).stages
+    assert tomo["eta_afc"] == tab["eta_afc"]
+
+    def eta_spin_err(s):  # eta = coherence^2
+        return 2 * np.sqrt(s["eta_spin"]) * s["eta_spin_stderr"]
+
+    # eta_transfer = sqrt(eta / (eta_afc eta_spin)) moves by half eta_spin's
+    # relative error
+    rel = (0.5 * np.hypot(eta_spin_err(tab), eta_spin_err(tomo))
+           / tab["eta_spin"])
+    assert tomo["eta_transfer"] == pytest.approx(tab["eta_transfer"],
+                                                 rel=3 * rel)

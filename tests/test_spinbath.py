@@ -4,7 +4,8 @@ from scipy import integrate
 
 from afcmem.pulses import DDSequence, dd_sequence
 from afcmem.spinbath import (FWHM_TO_SIGMA, PulseErrorModel, SpinBathParams,
-                             _ou_interval, _ou_interval_law, _propagate,
+                             _ou_interval, _ou_interval_law, _phasor,
+                             _propagate,
                              cpmg_ou_chi, efficiency_decay, free_induction,
                              ou_sigma_for_t2,
                              residual_excitation, sample_ensemble,
@@ -382,3 +383,45 @@ def test_kernel_matches_reference_loop(name, n_atoms, ou_sigma_hz):
             # carry the phase rounding above; with few atoms nothing averages
             # it, so the rms amplitude is held to the spinor bound.
             assert np.sqrt(got) == pytest.approx(np.sqrt(want), abs=1e-10)
+
+
+# --- the reduced-turn phasor -----------------------------------------------
+
+def test_phasor_against_libm_exponential():
+    edges = [0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 7.0, -12.0, 1.5, -2.5,
+             3.75, 1e6, -1e6, 1e6 + 0.5, -1e6 + 0.25, 999_999.5]
+    rng = np.random.default_rng(0)
+    turns = np.concatenate([edges, rng.uniform(-3, 3, 50_000),
+                            rng.uniform(-1e6, 1e6, 50_000)])
+    got = _phasor(turns.copy(), np.empty(turns.size, dtype=complex))
+    want = np.exp(-2j * np.pi * (turns - np.rint(turns)))
+    assert np.abs(got - want).max() <= 2e-15
+    assert np.abs(np.abs(got) - 1).max() <= 2e-15
+    assert got[0] == 1 and got[5] == 1  # whole turns are exact
+
+
+@pytest.mark.parametrize("name", ["none", "XX", "XY4", "XY16"])
+def test_kernel_matches_reference_loop_at_large_phases(name):
+    # A 1 MHz line stored for 1 s: free phases reach 1.5e6 turns, over a
+    # hundred times any preset's.  Per interval the reference rounds
+    # pi static h three times (2 pi, static, h) and the kernel rounds
+    # static h / 2 once, so their rotations differ by at most
+    # 2 eps pi |static| h; libm, the pulses and the spinor products are held
+    # to 1e-14 per interval.
+    t_s = 1.0
+    dd = _oracle_sequence(name, t_s)
+    bath = SpinBathParams(inhom_fwhm_hz=1e6, n_atoms=2000, seed=5)
+    errors = PulseErrorModel(area_error=0.03, phase_error_rad=0.02)
+    up0 = np.full(bath.n_atoms, 1 / np.sqrt(2), dtype=complex)
+    rng = np.random.default_rng(11)
+    static = sample_ensemble(bath, rng)
+    up, dn = _propagate(rng, static, bath, dd, errors, (up0, up0))
+    rng_ref = np.random.default_rng(11)
+    up_ref, dn_ref = _propagate_reference(
+        rng_ref, sample_ensemble(bath, rng_ref), bath, dd, errors, (up0, up0))
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert np.abs(static).max() * t_s > 1e6  # phases far beyond a preset's
+    bound = (2 * np.finfo(float).eps * np.pi * np.abs(static) * t_s
+             + 1e-14 * (dd.n_pulses + 1))
+    assert np.all(np.abs(up - up_ref) <= bound)
+    assert np.all(np.abs(dn - dn_ref) <= bound)
