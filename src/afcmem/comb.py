@@ -88,9 +88,13 @@ class CombSpectrum:
 
 @dataclass
 class EchoResult:
+    """Output of propagate; leak_fraction is the input energy fraction
+    outside the comb band, at most MAX_LEAK_FRACTION."""
+
     output_waveform: Waveform
     echo_time_s: float
     echo_efficiency: float
+    leak_fraction: float
 
 
 def _raised_cosine_window(f: np.ndarray, bandwidth_hz: float) -> np.ndarray:
@@ -168,6 +172,11 @@ def build_comb(params: CombParams, n_points: int = DEFAULT_GRID_POINTS,
     group delay below 0.4 % of 1/Delta for peak depths up to 6.  The field
     transfer is exp(-(passes/2) * D(f)) with D the resulting complex
     optical depth.
+
+    The grid ascends, so the band is one slice of it, and g is filled there
+    in place.  Both transforms and the final exponential run in one complex
+    N-point buffer, which is returned as complex_response; at most the
+    grid, g and that buffer (four float64 grid arrays) are alive at once.
     """
     params.validate()
     if span_hz < 1.25 * params.bandwidth_hz:
@@ -179,26 +188,43 @@ def build_comb(params: CombParams, n_points: int = DEFAULT_GRID_POINTS,
             f"{params.tooth_fwhm_hz:.1f} Hz (need at least 8 points per tooth)")
     gamma = 4 * df
 
-    f = (np.arange(n_points) - n_points // 2) * df
-    window = _raised_cosine_window(f, params.bandwidth_hz)
-    band = window > 0
+    # The window is nonzero only where |f| < B/2, which is f[i0:i1]; where
+    # its ramp rounds to 0, g is 0 as well.
+    f = np.arange(-(n_points // 2), n_points - n_points // 2, dtype=float)
+    f *= df
+    half = params.bandwidth_hz / 2
+    i0 = int(np.searchsorted(f, -half, "right"))
+    i1 = int(np.searchsorted(f, half, "left"))
     g = np.zeros(n_points)
-    g[band] = (_tooth_profile(f[band], params) + params.background_od) * window[band]
+    band = g[i0:i1]
+    np.add(_tooth_profile(f[i0:i1], params), params.background_od, out=band)
+    band *= _raised_cosine_window(f[i0:i1], params.bandwidth_hz)
 
     # g is real, so its time signal at t >= 0 is the conjugate of its rfft.
     # A circular convolution does not depend on where the grid puts f = 0,
     # so g needs no shift to or from FFT order.
-    g_t = np.fft.rfft(g).conj()
-    decay = 2 * np.exp(-2 * np.pi * gamma * np.arange(g_t.size) / (n_points * df))
+    d_complex = np.empty(n_points, complex)
+    g_t = np.fft.rfft(g, out=d_complex[:n_points // 2 + 1])
+    d_complex[g_t.size:] = 0.0
+    del g, band
+    np.conjugate(g_t, out=g_t)
+    decay = np.arange(g_t.size, dtype=float)
+    decay *= -2 * np.pi * gamma
+    decay /= n_points * df
+    np.exp(decay, out=decay)
+    decay *= 2
     decay[0] = 1.0
     if n_points % 2 == 0:
         decay[-1] /= 2
-    d_complex = np.fft.fft(decay * g_t, n_points, norm="forward")
+    np.multiply(decay, g_t, out=g_t)
+    del decay
+    np.fft.fft(d_complex, norm="forward", out=d_complex)
 
     alpha = np.maximum(d_complex.real, 0.0)
-    response = np.exp(-(params.passes / 2.0) * d_complex)
+    np.multiply(-(params.passes / 2.0), d_complex, out=d_complex)
+    np.exp(d_complex, out=d_complex)
     return CombSpectrum(freq_grid_hz=f, alpha=alpha,
-                        complex_response=response, params=params)
+                        complex_response=d_complex, params=params)
 
 
 def propagate(inp: Waveform, spectrum: CombSpectrum) -> EchoResult:
@@ -234,10 +260,8 @@ def propagate(inp: Waveform, spectrum: CombSpectrum) -> EchoResult:
         raise ValueError(
             f"input spectrum leaks {leak:.1%} of its energy outside the comb band")
 
-    h = np.interp(f_sig, spectrum.freq_grid_hz, spectrum.complex_response.real,
-                  left=1.0, right=1.0) + 1j * np.interp(
-        f_sig, spectrum.freq_grid_hz, spectrum.complex_response.imag,
-        left=0.0, right=0.0)
+    h = np.interp(f_sig, spectrum.freq_grid_hz, spectrum.complex_response,
+                  left=1.0, right=1.0)
     out = np.fft.ifft(spec_in * h)
     out_wf = Waveform(work.sample_rate_hz, work.t0_s, out)
 
@@ -258,7 +282,7 @@ def propagate(inp: Waveform, spectrum: CombSpectrum) -> EchoResult:
         if denom < 0:
             echo_t += out_wf.dt_s * 0.5 * (energy_density[i - 1] - energy_density[i + 1]) / denom
     return EchoResult(output_waveform=out_wf, echo_time_s=float(echo_t),
-                      echo_efficiency=float(efficiency))
+                      echo_efficiency=float(efficiency), leak_fraction=leak)
 
 
 def afc_decay_model(one_over_delta_s, eta0: float, t2afc_s: float,

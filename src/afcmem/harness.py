@@ -232,7 +232,8 @@ def _stage_efficiencies(cfg: ExperimentConfig, rng_spin, rng_noise):
         "eta_transfer": float(eta_transfer),
         "eta_transfer_sq": float(eta_transfer**2),
         "eta_spin": float(res.eta_spin),
-        "eta_spin_stderr": float(res.coherence_stderr),
+        # eta_spin = coherence^2, so its error is 2 |coherence| stderr
+        "eta_spin_stderr": float(2 * abs(res.coherence) * res.coherence_stderr),
         "p_noise_per_mode": float(p_noise),
         "residual_excitation": float(resid),
         "noise_gain_kappa": None if kappa is None else float(kappa),

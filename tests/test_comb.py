@@ -1,7 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from afcmem.comb import (TOOTH_SHAPES, CombParams, _raised_cosine_window,
+from afcmem.comb import (DEFAULT_GRID_POINTS, TOOTH_SHAPES, CombParams,
+                         _raised_cosine_window,
                          _tooth_profile, afc_decay_model, build_comb,
                          comb_efficiency_estimate, gaussian_tooth_efficiency,
                          propagate, square_tooth_efficiency)
@@ -107,6 +111,59 @@ def test_tooth_sums_match_per_tooth_loop():
                 assert np.array_equal(_tooth_profile(f, params), want)
 
 
+def _build_comb_reference(params, n_points, span_hz):
+    """build_comb's numbers written plainly, with full-grid temporaries."""
+    span_hz = max(span_hz, 1.25 * params.bandwidth_hz)
+    df = span_hz / n_points
+    gamma = 4 * df
+    f = (np.arange(n_points) - n_points // 2) * df
+    window = _raised_cosine_window(f, params.bandwidth_hz)
+    band = window > 0
+    g = np.zeros(n_points)
+    g[band] = (_tooth_profile(f[band], params) + params.background_od) * window[band]
+    g_t = np.fft.rfft(g).conj()
+    decay = 2 * np.exp(-2 * np.pi * gamma * np.arange(g_t.size) / (n_points * df))
+    decay[0] = 1.0
+    if n_points % 2 == 0:
+        decay[-1] /= 2
+    d_complex = np.fft.fft(decay * g_t, n_points, norm="forward")
+    return f, np.maximum(d_complex.real, 0.0), np.exp(-(params.passes / 2.0) * d_complex)
+
+
+@pytest.mark.parametrize("shape", TOOTH_SHAPES)
+@pytest.mark.parametrize("passes", [1, 2])
+@pytest.mark.parametrize("n_points,span_hz,edge_on_grid", [
+    (2**14, 4e6, True), (2**14, 4.1e6, False), (2**14 + 1, 4e6, False),
+])
+def test_build_comb_matches_plain_formula(shape, passes, n_points, span_hz,
+                                          edge_on_grid):
+    # build_comb fills the band in place and runs both transforms in one
+    # buffer; it must give the plain formula's numbers to the bit
+    params = CombParams(comb_period_hz=40e3, finesse=4.0, peak_od=3.0,
+                        background_od=0.3, bandwidth_hz=3e6,
+                        tooth_shape=shape, passes=passes)
+    spec = build_comb(params, n_points=n_points, span_hz=span_hz)
+    f, alpha, response = _build_comb_reference(params, n_points, span_hz)
+    assert np.isin([-1.5e6, 1.5e6], f).all() == edge_on_grid
+    assert np.array_equal(spec.freq_grid_hz, f)
+    assert np.array_equal(spec.alpha, alpha)
+    assert np.array_equal(spec.complex_response, response)
+
+
+def test_default_grid_build_memory():
+    # the grid, g and one complex buffer: at most six float64 grid arrays
+    # are traced at once (Gaussian teeth hold the most in-band temporaries)
+    params = CombParams(comb_period_hz=40e3, finesse=4.0, peak_od=3.0,
+                        background_od=0.2, tooth_shape="gaussian", passes=2)
+    tracemalloc.start()
+    try:
+        build_comb(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * DEFAULT_GRID_POINTS * 8
+
+
 def _line_convolution_2n(g, df):
     """Complex depth by linear convolution of g with the sampled line
     (1/pi)/(gamma + i f), zero-padded to 2N points."""
@@ -163,6 +220,25 @@ def test_transparent_comb_passes_input():
     assert res.echo_efficiency < 1e-10
     out = res.output_waveform.samples[: inp.n_samples]
     assert np.max(np.abs(out - inp.samples)) < 1e-6
+
+
+def test_leak_fraction_of_gaussian_pulse():
+    # |E(f)|^2 of a Gaussian field of std s is Gaussian with std
+    # 1/(2 sqrt(2) pi s), so the energy beyond |f| = B/2 is erfc(pi s B).  At
+    # 16 MHz the band edge falls on a bin of the padded transform, and the
+    # sum over the bins beyond it is the trapezoid rule less half of each
+    # edge bin.
+    spec = _comb()
+    fwhm = 500e-9
+    res = propagate(gaussian_pulse(fwhm, 0.0, 16e6), spec)
+    s = fwhm / (2 * math.sqrt(2 * math.log(2)))
+    sigma_f = 1 / (2 * math.sqrt(2) * math.pi * s)
+    bin_hz = 16e6 / res.output_waveform.n_samples
+    edge_density = (math.exp(-(1.5e6 / sigma_f) ** 2 / 2)
+                    / (math.sqrt(2 * math.pi) * sigma_f))
+    want = math.erfc(math.pi * s * 3e6) - bin_hz * edge_density
+    assert res.leak_fraction == pytest.approx(want, rel=1e-4)
+    assert 1e-3 < res.leak_fraction < 0.01
 
 
 def test_broadband_input_rejected():

@@ -143,9 +143,8 @@ def test_one_config_gives_one_memory():
     q = run_qubit_tomography(cfg).stages
     for key in ("eta_afc", "eta_transfer", "p_noise_per_mode"):
         assert q[key] == sw[key]
-    # eta_spin = coherence^2 from independent atom draws
-    err = np.hypot(*(2 * np.sqrt(s["eta_spin"]) * s["eta_spin_stderr"]
-                     for s in (sw, q)))
+    # eta_spin from independent atom draws
+    err = np.hypot(sw["eta_spin_stderr"], q["eta_spin_stderr"])
     assert abs(q["eta_spin"] - sw["eta_spin"]) <= 4 * err
     cfg = _fast_cfg(eta_end_to_end_target=0.0739)
     eta_sw = run_spinwave(cfg).eta_end_to_end
@@ -252,12 +251,9 @@ def test_tomo_preset_splits_the_20ms_row_like_table1():
     tomo = run_qubit_tomography(preset_config("fig4-tomo")[0]).stages
     assert tomo["eta_afc"] == tab["eta_afc"]
 
-    def eta_spin_err(s):  # eta = coherence^2
-        return 2 * np.sqrt(s["eta_spin"]) * s["eta_spin_stderr"]
-
     # eta_transfer = sqrt(eta / (eta_afc eta_spin)) moves by half eta_spin's
     # relative error
-    rel = (0.5 * np.hypot(eta_spin_err(tab), eta_spin_err(tomo))
+    rel = (0.5 * np.hypot(tab["eta_spin_stderr"], tomo["eta_spin_stderr"])
            / tab["eta_spin"])
     assert tomo["eta_transfer"] == pytest.approx(tab["eta_transfer"],
                                                  rel=3 * rel)
