@@ -19,11 +19,11 @@ from . import __version__
 from .comb import CombParams, afc_decay_model, build_comb, propagate
 from .config import ExperimentConfig, _is_finite, provenance
 from .fitting import fit_afc_decay, fit_mims, fit_power_law
-from .harness import RunReport, reproduce, run_qubit_tomography, run_spinwave
+from .harness import (RunReport, json_text, reproduce, run_qubit_tomography,
+                      run_spinwave)
 from .presets import PRESET_NAMES
 from .tomography import (TomoCounts, classical_bound_weak_coherent,
-                         direct_inversion, fidelity, pauli_expectations, purity,
-                         white_noise_fidelity)
+                         reconstruct, white_noise_fidelity)
 from .waveform import gaussian_pulse
 
 
@@ -69,8 +69,7 @@ def _cmd_simulate(args) -> int:
                 cfg.afc_mod_depth, cfg.zeeman_split_hz),
             "provenance": provenance(cfg.to_dict()),
         }
-        (out / "report.json").write_text(
-            json.dumps(result, indent=2, sort_keys=True) + "\n")
+        (out / "report.json").write_text(json_text(result))
         print(f"echo at {echo.echo_time_s * 1e6:.3f} us, "
               f"efficiency {echo.echo_efficiency:.4f}")
         return 0
@@ -120,8 +119,7 @@ def _cmd_fit(args) -> int:
     if not fit.converged:
         raise ValueError(f"the {args.model} fit did not converge on {args.data}")
     out = _out_dir(args)
-    (out / f"fit_{args.model}.json").write_text(
-        json.dumps(fit.as_dict(), indent=2, sort_keys=True) + "\n")
+    (out / f"fit_{args.model}.json").write_text(json_text(fit.as_dict()))
     for name, value, ci in zip(fit.names, fit.params, fit.ci95):
         print(f"{name} = {value:.6g} +- {ci:.3g} (95% CI)")
     return 0
@@ -165,27 +163,16 @@ def _read_counts_json(path) -> tuple[TomoCounts, np.ndarray, dict]:
 
 def _cmd_tomo(args) -> int:
     tc, target, data = _read_counts_json(args.counts)
-    sx, sy, sz = pauli_expectations(tc, subtract_noise=args.subtract_noise)
-    dm = direct_inversion([sx, sy, sz])
-    f = fidelity(dm, target)
-    p = purity(dm)
-    result = {
-        "expectations": {"sx": sx, "sy": sy, "sz": sz},
-        "rho": [[[dm.matrix[i, j].real, dm.matrix[i, j].imag]
-                 for j in range(2)] for i in range(2)],
-        "rescaled": dm.rescaled,
-        "fidelity": f,
-        "purity": p,
-    }
+    result = reconstruct(tc, target, subtract_noise=args.subtract_noise)
     if "snr" in data:
         result["white_noise_fidelity"] = white_noise_fidelity(data["snr"])
     if "mu_in" in data and "eta" in data:
         result["classical_bound_weak_coherent"] = classical_bound_weak_coherent(
             data["mu_in"], data["eta"])
-    out = _out_dir(args)
-    (out / "tomo_report.json").write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n")
-    print(f"F = {f:.4f}  P = {p:.4f}  <sx,sy,sz> = ({sx:.3f}, {sy:.3f}, {sz:.3f})")
+    (_out_dir(args) / "tomo_report.json").write_text(json_text(result))
+    e = result["expectations"]
+    print(f"F = {result['fidelity']:.4f}  P = {result['purity']:.4f}  "
+          f"<sx,sy,sz> = ({e['sx']:.3f}, {e['sy']:.3f}, {e['sz']:.3f})")
     return 0
 
 

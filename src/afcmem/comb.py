@@ -35,6 +35,9 @@ MAX_LEAK_FRACTION = 0.01
 # this length (256 KiB each) fit in a core's L2 cache.
 LORENTZIAN_BLOCK_POINTS = 2**15
 
+# Excited-state Zeeman splitting that modulates the echo efficiency.
+ZEEMAN_SPLIT_HZ = 41.4e3
+
 
 @dataclass
 class CombParams:
@@ -286,7 +289,8 @@ def propagate(inp: Waveform, spectrum: CombSpectrum) -> EchoResult:
 
 
 def afc_decay_model(one_over_delta_s, eta0: float, t2afc_s: float,
-                    mod_depth: float = 0.0, zeeman_split_hz: float = 41.4e3):
+                    mod_depth: float = 0.0,
+                    zeeman_split_hz: float = ZEEMAN_SPLIT_HZ):
     """Phenomenological echo efficiency versus rephasing delay 1/Delta.
 
     eta0 * exp(-4 t / T2) * [1 - mod_depth * sin^2(pi * f_z * t)], where the

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .comb import TOOTH_SHAPES
+from .comb import TOOTH_SHAPES, ZEEMAN_SPLIT_HZ
 from .pulses import (dd_sequence, normalize_dd_kind, recommended_sample_rate,
                      reference_transfer_pulse)
 from .spinbath import ou_sigma_for_t2
@@ -58,7 +58,6 @@ _RANGES = {
     "t_s_seconds": _POSITIVE,
     "rf_rabi_hz": _POSITIVE,
     "rf_area_error": (-0.5, 0.5, True, True),
-    "noise_gain_kappa": _NONNEGATIVE,
     "p_noise_target_per_mode": _NONNEGATIVE,
     "bath_inhom_fwhm_hz": _NONNEGATIVE,
     "bath_ou_sigma_hz": _NONNEGATIVE,
@@ -121,7 +120,7 @@ class ExperimentConfig:
     comb_bandwidth_hz: float = 3e6
     comb_tooth_shape: str = "square"
     comb_passes: int = 2
-    zeeman_split_hz: float = 41.4e3
+    zeeman_split_hz: float = ZEEMAN_SPLIT_HZ
     afc_eta0: float = 0.36
     afc_t2_seconds: float = 240e-6
     afc_mod_depth: float = 0.0
@@ -140,8 +139,8 @@ class ExperimentConfig:
     rf_rabi_hz: float = 120e3
     rf_area_error: float = 0.01
     rf_phase_error_rad: float = 0.0
-    noise_gain_kappa: float | None = None
-    p_noise_target_per_mode: float | None = 0.0073
+    # read-out noise per mode from the RF manipulation; 0 runs noiseless
+    p_noise_target_per_mode: float = 0.0073
     bath_inhom_fwhm_hz: float = 60e3
     bath_ou_sigma_hz: float = DEFAULT_OU_SIGMA_HZ
     bath_ou_tau_c_seconds: float = DEFAULT_OU_TAU_C_S

@@ -11,6 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Lifetime of the spontaneous-emission noise floor after read-out.
+NOISE_LIFETIME_S = 1.9e-3
+
 
 @dataclass
 class DetectionChain:
@@ -210,7 +213,7 @@ def table_metrics(mu_in: float, eta: float, p_n: float,
 
 
 def noise_floor_model(t_after_readout_s, p_n_ref: float,
-                      lifetime_s: float = 1.9e-3):
+                      lifetime_s: float = NOISE_LIFETIME_S):
     """Noise density versus delay after readout: exponential decay of the
     spontaneous-emission floor, normalized to p_n_ref at zero delay."""
     t = np.asarray(t_after_readout_s, dtype=float)

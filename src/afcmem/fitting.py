@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comb import afc_decay_model
+from .comb import ZEEMAN_SPLIT_HZ, afc_decay_model
 
 
 @dataclass
@@ -126,8 +126,8 @@ def _damped_fit(names, resid, jac, x0) -> FitResult:
 
 # --- AFC echo decay ---------------------------------------------------------
 
-def fit_afc_decay(t, eta, zeeman_split_hz: float = 41.4e3,
-                  fit_modulation: bool = True) -> FitResult:
+def fit_afc_decay(t, eta,
+                  zeeman_split_hz: float = ZEEMAN_SPLIT_HZ) -> FitResult:
     """Fit eta0 exp(-4t/T2) [1 - m sin^2(pi f_z t)] to echo-decay data.
 
     The modulation depth is a fitted parameter (it is not predicted); the
@@ -139,30 +139,24 @@ def fit_afc_decay(t, eta, zeeman_split_hz: float = 41.4e3,
         raise ValueError("eta values must be positive")
     if np.any(t < 0):
         raise ValueError("t values must not be negative")
-    names = ("eta0", "t2", "mod_depth") if fit_modulation else ("eta0", "t2")
+    names = ("eta0", "t2", "mod_depth")
     _check_determined(t, len(names))
 
-    def unpack(x):
-        if fit_modulation:
-            return x[0], x[1], x[2]
-        return x[0], x[1], 0.0
-
     def resid(x):
-        e0, t2, m = unpack(x)
+        e0, t2, m = x
         if t2 <= 0 or e0 <= 0 or not 0 <= m <= 1:
             return np.full(t.size, np.inf)
         return afc_decay_model(t, e0, t2, m, zeeman_split_hz) - eta
 
     def jac(x):
-        e0, t2, m = unpack(x)
+        e0, t2, m = x
         decay = np.exp(-4.0 * t / t2)
         s2 = np.sin(np.pi * zeeman_split_hz * t) ** 2
         mod = 1.0 - m * s2
-        J = np.empty((t.size, len(names)))
+        J = np.empty((t.size, 3))
         J[:, 0] = decay * mod
         J[:, 1] = e0 * decay * mod * (4.0 * t / t2**2)
-        if fit_modulation:
-            J[:, 2] = -e0 * decay * s2
+        J[:, 2] = -e0 * decay * s2
         return J
 
     # start from the log-linear envelope through the earliest/latest points
@@ -170,8 +164,7 @@ def fit_afc_decay(t, eta, zeeman_split_hz: float = 41.4e3,
     e0_guess = float(eta.max())
     slope = (np.log(eta[last]) - np.log(eta[first])) / (t[last] - t[first])
     t2_guess = -4.0 / slope if slope < 0 else 4.0 * t[last]
-    x0 = [e0_guess, t2_guess] + ([0.1] if fit_modulation else [])
-    return _damped_fit(names, resid, jac, x0)
+    return _damped_fit(names, resid, jac, [e0_guess, t2_guess, 0.1])
 
 
 # --- Mims (stretched-exponential) spin decay --------------------------------

@@ -24,12 +24,8 @@ from .spinbath import (PulseErrorModel, SpinBathParams, efficiency_decay,
                        decay_table_to_csv, residual_excitation,
                        spin_echo_coherence)
 from .tomography import (PROJECTION_KEYS, TomoCounts,
-                         classical_bound_weak_coherent,
-                         direct_inversion, fidelity, pauli_expectations, purity,
+                         classical_bound_weak_coherent, reconstruct,
                          white_noise_fidelity)
-
-
-NOISE_LIFETIME_S = 1.9e-3
 
 # Analyser phase theta of each interference projection of the qubit run.
 ANALYSER_PHASES_RAD = {"plus": 0.0, "plus_i": np.pi / 2, "minus": np.pi,
@@ -48,6 +44,12 @@ def _json_safe(x):
     if isinstance(x, np.ndarray):
         return [_json_safe(v) for v in x.tolist()]
     return x
+
+
+def json_text(obj) -> str:
+    """obj as indented, key-sorted JSON with a final newline; non-finite
+    floats become null."""
+    return json.dumps(_json_safe(obj), indent=2, sort_keys=True) + "\n"
 
 
 @dataclass
@@ -86,12 +88,12 @@ class RunReport:
         })
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json_text(self.to_dict())
 
     def save(self, out_dir) -> None:
         """Write report.json and one CSV per histogram into out_dir."""
         out = Path(out_dir)
-        (out / "report.json").write_text(self.to_json() + "\n")
+        (out / "report.json").write_text(self.to_json())
         for name, hist in self.histograms.items():
             hist.to_csv(out / f"{name}.csv")
 
@@ -109,12 +111,6 @@ def _gaussian_flux(t: np.ndarray, center: float, fwhm: float,
     sigma = fwhm / (2 * np.sqrt(2 * np.log(2)))
     return photons * np.exp(-((t - center) ** 2) / (2 * sigma**2)) \
         / (sigma * np.sqrt(2 * np.pi))
-
-
-def _chain(cfg: ExperimentConfig) -> DetectionChain:
-    return DetectionChain(detector_efficiency=cfg.detector_efficiency,
-                          path_transmission=cfg.path_transmission,
-                          dark_rate_hz=cfg.dark_rate_hz)
 
 
 def _bath(cfg: ExperimentConfig) -> SpinBathParams:
@@ -147,7 +143,9 @@ def _read_out(cfg: ExperimentConfig, flux: np.ndarray, dt: float,
               n_trials: int, rng, n_modes: int):
     """Count histogram of flux over n_trials and its sums over the first
     n_modes temporal modes; returns (hist, sums)."""
-    chain = _chain(cfg)
+    chain = DetectionChain(detector_efficiency=cfg.detector_efficiency,
+                           path_transmission=cfg.path_transmission,
+                           dark_rate_hz=cfg.dark_rate_hz)
     hist = simulate_counts(flux, 1.0 / dt, chain, n_trials, rng,
                            cfg.bin_width_seconds)
     return hist, mode_sums(hist, cfg.mode_duration_seconds, n_modes, chain)
@@ -217,15 +215,7 @@ def _stage_efficiencies(cfg: ExperimentConfig, rng_spin, rng_noise):
 
     with _staged("spin"):
         resid = residual_excitation(dd, errors, bath, seed=rng_noise)
-    if cfg.p_noise_target_per_mode is not None:
-        p_noise = cfg.p_noise_target_per_mode
-        kappa = p_noise / resid if resid > 0 else None
-    elif cfg.noise_gain_kappa is not None:
-        kappa = cfg.noise_gain_kappa
-        p_noise = kappa * resid
-    else:
-        kappa = None
-        p_noise = 0.0
+    p_noise = cfg.p_noise_target_per_mode
 
     stages = {
         "eta_afc": float(eta_afc),
@@ -236,7 +226,8 @@ def _stage_efficiencies(cfg: ExperimentConfig, rng_spin, rng_noise):
         "eta_spin_stderr": float(2 * abs(res.coherence) * res.coherence_stderr),
         "p_noise_per_mode": float(p_noise),
         "residual_excitation": float(resid),
-        "noise_gain_kappa": None if kappa is None else float(kappa),
+        # the gain that maps the residual excitation onto the read-out noise
+        "noise_gain_kappa": float(p_noise / resid) if resid > 0 else None,
     }
     return stages, (stages["eta_afc"] * stages["eta_transfer_sq"]
                     * stages["eta_spin"])
@@ -256,8 +247,7 @@ def run_spinwave(cfg: ExperimentConfig, preset: str | None = None) -> RunReport:
     modes = range(1, n + 1)
     zeros = np.zeros_like(t)
     noise_flux = noise_floor_model(
-        t, stages["p_noise_per_mode"] / cfg.mode_duration_seconds,
-        NOISE_LIFETIME_S)
+        t, stages["p_noise_per_mode"] / cfg.mode_duration_seconds)
     signal_flux = _pulse_train(
         cfg, t, zeros, [(m, cfg.mu_in_per_mode * eta_total) for m in modes]) \
         + noise_flux
@@ -323,7 +313,7 @@ def run_qubit_tomography(cfg: ExperimentConfig, input_phase_rad: float = 0.0,
     mu = cfg.mu_in_per_mode
     p_noise = stages["p_noise_per_mode"]
     v0 = cfg.qubit_visibility
-    noise_flux = noise_floor_model(t, p_noise / t_m, NOISE_LIFETIME_S)
+    noise_flux = noise_floor_model(t, p_noise / t_m)
 
     # analyser runs: early bin, interference bin, trailing bin per qubit
     mid_sums = {}
@@ -340,11 +330,8 @@ def run_qubit_tomography(cfg: ExperimentConfig, input_phase_rad: float = 0.0,
                         [(m, 0.5 * mu * eta) for q in qubits for m in q])
     hist_z, z_sums = _read_out(cfg, flux, dt, cfg.n_trials, rng_z, n_span)
 
-    # detector-level noise per trial
-    noise_det = p_noise * _chain(cfg).total_transmission
     target = np.array([1, 1]) / np.sqrt(2)
     per_qubit = []
-    fids, purs = [], []
     for early, late in qubits:
         mid = late - 1  # 0-indexed interference window = late mode window
         tc = TomoCounts(
@@ -355,10 +342,9 @@ def run_qubit_tomography(cfg: ExperimentConfig, input_phase_rad: float = 0.0,
                    for key, sums in mid_sums.items()},
             },
             n_trials=dict.fromkeys(PROJECTION_KEYS, cfg.n_trials),
-            noise=dict.fromkeys(PROJECTION_KEYS, noise_det),
         )
         try:
-            sx, sy, sz = pauli_expectations(tc)
+            rec = reconstruct(tc, target)
         except ValueError as exc:  # a config that stores too little light
             raise ValueError(
                 f"[tomography] {exc} in {cfg.n_trials} trials per projection: "
@@ -367,21 +353,7 @@ def run_qubit_tomography(cfg: ExperimentConfig, input_phase_rad: float = 0.0,
                 f"{stages['eta_transfer_sq']:.3g} x eta_spin "
                 f"{stages['eta_spin']:.3g}; raise a low stage, mu_in_per_mode "
                 f"or n_trials") from None
-        dm = direct_inversion([sx, sy, sz])
-        f = fidelity(dm, target)
-        p = purity(dm)
-        fids.append(f)
-        purs.append(p)
-        per_qubit.append({
-            "modes": [early, late],
-            "expectations": {"sx": sx, "sy": sy, "sz": sz},
-            "rho": [[[dm.matrix[i, j].real, dm.matrix[i, j].imag]
-                     for j in range(2)] for i in range(2)],
-            "rescaled": dm.rescaled,
-            "fidelity": f,
-            "purity": p,
-            "counts": tc.counts,
-        })
+        per_qubit.append({"modes": [early, late], **rec, "counts": tc.counts})
 
     # measured interference SNR scaled to one photon per qubit
     plus_minus_photons = ((mid_sums["plus"].values[qubits[0][1] - 1]
@@ -396,8 +368,8 @@ def run_qubit_tomography(cfg: ExperimentConfig, input_phase_rad: float = 0.0,
 
     tomo = {
         "per_qubit": per_qubit,
-        "fidelity_avg": float(np.mean(fids)),
-        "purity_avg": float(np.mean(purs)),
+        "fidelity_avg": float(np.mean([q["fidelity"] for q in per_qubit])),
+        "purity_avg": float(np.mean([q["purity"] for q in per_qubit])),
         "interference_snr": float(snr_measured),
         "white_noise_fidelity": float(white_noise_fidelity(max(snr_measured, 0.0)))
         if math.isfinite(snr_measured) else 1.0,
@@ -453,8 +425,7 @@ def _reproduce_fig1e(out: Path, cfg, notes) -> RunReport:
         fh.write("one_over_delta_s,eta_data,eta_fit\n")
         for row in zip(t, data, model):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    (out / "fit_afc.json").write_text(
-        json.dumps(_json_safe(fit.as_dict()), indent=2, sort_keys=True) + "\n")
+    (out / "fit_afc.json").write_text(json_text(fit.as_dict()))
 
     report = RunReport(
         kind="fig1e", preset="fig1e", config=cfg.to_dict(),
@@ -503,8 +474,7 @@ def _reproduce_fig2(out: Path, cfg, notes) -> RunReport:
                          g_ref + g_err, gated=False,
                          note="reference dataset value; ideal OU bath "
                               "scaling is 2/3"))
-    (out / "fit_powerlaw.json").write_text(
-        json.dumps(_json_safe(pl.as_dict()), indent=2, sort_keys=True) + "\n")
+    (out / "fit_powerlaw.json").write_text(json_text(pl.as_dict()))
     return RunReport(kind="fig2", preset="fig2", config=cfg.to_dict(),
                      fits=fits, checks=checks, notes=list(notes))
 

@@ -60,18 +60,19 @@ class HshSpec:
         return 3.0 * np.sqrt(rate) if rate > 0 else 1.0 / self.duration_s
 
 
+# Amplitude of each composite component relative to its base pulse, so the
+# composite peak stays within the single-pulse hardware amplitude.
+CHSH_AMPLITUDE_SCALE = 0.5
+
+
 @dataclass
 class ChshSpec:
-    """Composite pulse: sum of two identical chirped pulses shifted by separation_s.
-
-    Each component is scaled by amplitude_scale so the composite peak stays
-    within the single-pulse hardware amplitude.
-    """
+    """Composite pulse: sum of two identical chirped pulses shifted by
+    separation_s, each scaled by CHSH_AMPLITUDE_SCALE."""
 
     base: HshSpec
     separation_s: float
     relative_phase_rad: float = 0.0
-    amplitude_scale: float = 0.5
 
     def validate(self) -> None:
         self.base.validate()
@@ -79,8 +80,6 @@ class ChshSpec:
             raise ValueError("separation_s must be positive")
         if not 0 <= self.relative_phase_rad < 2 * np.pi:
             raise ValueError("relative_phase_rad must lie in [0, 2pi)")
-        if self.amplitude_scale <= 0:
-            raise ValueError("amplitude_scale must be positive")
 
 
 def chirp_rate(spec: HshSpec) -> float:
@@ -212,7 +211,7 @@ def chsh_waveform(spec: ChshSpec, sample_rate_hz: float | None = None) -> Wavefo
     phase_factor = np.exp(1j * spec.relative_phase_rad)
     # the delayed copy ends with the grid; clamp its rounding overshoot too
     late = np.minimum(t - spec.separation_s, base.duration_s)
-    env = spec.amplitude_scale * (
+    env = CHSH_AMPLITUDE_SCALE * (
         _envelope(base, t) + phase_factor * _envelope(base, late))
     return Waveform(rate, 0.0, env)
 

@@ -15,8 +15,8 @@ half a turn; with the finite-Rabi pulse that ends it, an SU(2) rotation
 [[A, -B*], [B, A*]] (Gullion, Baker & Conradi, J. Magn. Reson. 89, 479
 (1990)), it forms one Cayley-Klein map.
 residual_excitation gives the storage-state population that the imperfect
-RF train excites out of the ground state; read-out noise is proportional
-to it.
+RF train excites out of the ground state; the harness reports the gain
+that maps it onto the read-out noise.
 """
 
 from __future__ import annotations
@@ -278,27 +278,19 @@ def free_induction(bath: SpinBathParams, t_list) -> np.ndarray:
     return np.array([_ideal_coherence([0.0, t], bath) for t in t_list])
 
 
-def efficiency_decay(dd_kind: str, t_list, bath: SpinBathParams,
-                     errors: PulseErrorModel | None = None, seed=None):
-    """Spin storage efficiency versus storage time, one independent
-    sub-seeded bath per point; each pi pulse lasts half a period of the
-    Rabi frequency of errors.  Returns a list of (t_s, eta, stderr)."""
+def efficiency_decay(dd_kind: str, t_list, bath: SpinBathParams):
+    """Ideal-pulse spin storage efficiency versus storage time, in closed
+    form; each pi pulse lasts half a period of the default RF Rabi
+    frequency.  Returns a list of (t_s, eta, 0.0): the third column is the
+    standard error, zero for a closed form."""
     t_arr = np.asarray(t_list, dtype=float)
     if np.any(np.diff(t_arr) <= 0):
         raise ValueError("t_list must be sorted ascending")
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(bath.seed if seed is None else seed)
-    pulse_s = 1.0 / (2.0 * (errors or PulseErrorModel()).rf_rabi_hz)
-    rows = []
-    for child, t_s in zip(ss.spawn(len(t_arr)), t_arr):
-        dd = dd_sequence(dd_kind, t_s, pulse_s)
-        res = spin_echo_coherence(dd, bath, errors,
-                                  seed=np.random.default_rng(child))
-        eta_err = 2 * res.coherence * res.coherence_stderr
-        rows.append((float(t_s), res.eta_spin, eta_err))
-    return rows
+    pulse_s = 1.0 / (2.0 * PulseErrorModel().rf_rabi_hz)
+    return [(float(t_s),
+             spin_echo_coherence(dd_sequence(dd_kind, t_s, pulse_s),
+                                 bath).eta_spin, 0.0)
+            for t_s in t_arr]
 
 
 def decay_table_to_csv(path, rows) -> None:

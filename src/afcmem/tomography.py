@@ -107,6 +107,22 @@ def direct_inversion(r) -> DensityMatrix:
     return DensityMatrix(matrix=rho, bloch=r, rescaled=rescaled)
 
 
+def reconstruct(tc: TomoCounts, target, subtract_noise: bool = False) -> dict:
+    """Pauli expectations of tc, their direct inversion, and its fidelity
+    to the pure target state and purity, as a JSON-ready dict; rho holds
+    each element as [real, imag]."""
+    sx, sy, sz = pauli_expectations(tc, subtract_noise=subtract_noise)
+    dm = direct_inversion([sx, sy, sz])
+    return {
+        "expectations": {"sx": sx, "sy": sy, "sz": sz},
+        "rho": [[[dm.matrix[i, j].real, dm.matrix[i, j].imag]
+                 for j in range(2)] for i in range(2)],
+        "rescaled": dm.rescaled,
+        "fidelity": fidelity(dm, target),
+        "purity": purity(dm),
+    }
+
+
 def _as_matrix(rho) -> np.ndarray:
     if isinstance(rho, DensityMatrix):
         return rho.matrix

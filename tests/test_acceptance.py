@@ -83,7 +83,7 @@ def test_criterion_03_dd_scaling():
     for kind, n_p in (("XX", 2), ("XY4", 4), ("XY8", 8), ("XY16", 16)):
         nominal = 0.070 * (n_p / 2) ** (2 / 3)
         t_list = nominal * np.array([0.4, 0.55, 0.7, 0.85, 1.0, 1.2, 1.4])
-        rows = efficiency_decay(kind, t_list, bath, seed=1000 + n_p)
+        rows = efficiency_decay(kind, t_list, bath)
         fit = fit_mims([r[0] for r in rows], [r[1] for r in rows])
         t2_fit[n_p], m_fit[n_p] = fit.params[1], fit.params[2]
     pl = fit_power_law(sorted(t2_fit), [t2_fit[n] for n in sorted(t2_fit)])

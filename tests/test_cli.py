@@ -111,6 +111,7 @@ def test_config_error_exit_code(tmp_path):
     {"seed": -1}, {"detector_efficiency": 1.5}, {"t_s_seconds": 3e-5},
     {"mu_in_per_mode": 1e7}, {"transfer_bandwidth_hz": 1e9},
     {"eta_end_to_end_target": 0.5, "afc_eta0": 0.0},
+    {"p_noise_target_per_mode": None},
 ])
 def test_bath_config_error_exit_code(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
@@ -125,7 +126,7 @@ def test_bath_config_error_exit_code(tmp_path, capsys, bad):
 
 @pytest.mark.parametrize("name", [
     "qubit_mu_in", "qubit_eta", "qubit_noise_per_mode", "eta_spin_fixed",
-    "eta_transfer_fixed"])
+    "eta_transfer_fixed", "noise_gain_kappa"])
 def test_deleted_config_key_exit_code(tmp_path, capsys, name):
     path = tmp_path / "old.json"
     path.write_text(json.dumps({name: 0.5}))

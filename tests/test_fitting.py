@@ -45,15 +45,6 @@ def test_afc_noisy_recovery():
     assert 0 <= fit.params[2] <= 1
 
 
-def test_afc_fit_without_modulation():
-    t = np.linspace(5e-6, 220e-6, 20)
-    data = 0.36 * np.exp(-4 * t / 240e-6)
-    fit = fit_afc_decay(t, data, fit_modulation=False)
-    assert fit.names == ("eta0", "t2")
-    assert fit.params[0] == pytest.approx(0.36, rel=1e-6)
-    assert fit.params[1] == pytest.approx(240e-6, rel=1e-6)
-
-
 @pytest.mark.parametrize("case", ["afc", "mims", "power"])
 def test_jacobians_match_finite_differences(case):
     rng = np.random.default_rng(23)

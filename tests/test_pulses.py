@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from afcmem.pulses import (ChshSpec, HshSpec, chirp_rate, chsh_crossing_times,
-                           chsh_waveform, dd_phases, dd_sequence,
-                           half_transfer_rabi, hsh_amplitude, hsh_frequency,
-                           hsh_phase, hsh_time_of_frequency, hsh_waveform,
-                           reference_transfer_pulse)
+from afcmem.pulses import (CHSH_AMPLITUDE_SCALE, ChshSpec, HshSpec, chirp_rate,
+                           chsh_crossing_times, chsh_waveform, dd_phases,
+                           dd_sequence, half_transfer_rabi, hsh_amplitude,
+                           hsh_frequency, hsh_phase, hsh_time_of_frequency,
+                           hsh_waveform, reference_transfer_pulse)
 
 
 def _spec(**kw):
@@ -81,8 +81,7 @@ def test_chsh_crossing_separation_machine_precision():
 def test_chsh_constructive_peak():
     # vanishing separation and zero phase: components add coherently
     base = _spec(peak_rabi_hz=2e5)
-    spec = ChshSpec(base=base, separation_s=1e-9, relative_phase_rad=0.0,
-                    amplitude_scale=0.5)
+    spec = ChshSpec(base=base, separation_s=1e-9, relative_phase_rad=0.0)
     wf = chsh_waveform(spec)
     assert np.abs(wf.samples).max() == pytest.approx(2e5, rel=1e-3)
 
@@ -92,7 +91,7 @@ def test_chsh_destructive_midpoint():
     # same instantaneous frequency sum; a pi relative phase cancels there
     base = _spec(peak_rabi_hz=2e5)
     spec = ChshSpec(base=base, separation_s=1.65e-6,
-                    relative_phase_rad=np.pi, amplitude_scale=0.5)
+                    relative_phase_rad=np.pi)
     wf = chsh_waveform(spec)
     mid = (base.duration_s + spec.separation_s) / 2
     idx = int(round(mid * wf.sample_rate_hz))
@@ -299,7 +298,7 @@ def test_delayed_chsh_copy_end_sampled_when_rounding_overshoots():
     assert total - spec.separation_s > base.duration_s
     for rate in (620e6, 882.88e6):
         wf = chsh_waveform(spec, rate)
-        end = spec.amplitude_scale * (np.exp(1j * spec.relative_phase_rad)
+        end = CHSH_AMPLITUDE_SCALE * (np.exp(1j * spec.relative_phase_rad)
                                       * _envelope_at(base, base.duration_s))
         assert wf.samples[-1] == end != 0
 

@@ -256,11 +256,12 @@ def test_efficiency_decay_short_time_limit():
 
 
 def test_efficiency_decay_pulse_train_at_error_model_rabi():
-    # 16 pi pulses of 50 us need more than 0.5 ms of storage
+    # pi pulses last half a period of the default PulseErrorModel Rabi
+    # frequency, 1/(2 x 120 kHz) = 4.17 us, and dd_sequence needs more than
+    # 2 x 16 x 4.17 us = 133 us for XY16: 50 us is too short, 0.5 ms is not
     bath = SpinBathParams(n_atoms=100, seed=1)
     with pytest.raises(ValueError, match="too short for the pulse train"):
-        efficiency_decay("XY16", [5e-4], bath,
-                         errors=PulseErrorModel(rf_rabi_hz=10e3))
+        efficiency_decay("XY16", [5e-5], bath)
     assert len(efficiency_decay("XY16", [5e-4], bath)) == 1
 
 
