@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .comb import CombParams, afc_decay_model, build_comb, propagate
+from .comb import CombParams, build_comb, propagate
 from .config import ExperimentConfig, _is_finite, provenance
 from .fitting import fit_afc_decay, fit_mims, fit_power_law
-from .harness import (RunReport, json_text, reproduce, run_qubit_tomography,
-                      run_spinwave)
+from .harness import (RunReport, afc_efficiency, json_text, reproduce,
+                      run_qubit_tomography, run_spinwave)
 from .presets import PRESET_NAMES
 from .tomography import (TomoCounts, classical_bound_weak_coherent,
                          reconstruct, white_noise_fidelity)
@@ -56,7 +56,8 @@ def _cmd_simulate(args) -> int:
             comb_period_hz=cfg.comb_period_hz, finesse=cfg.comb_finesse,
             peak_od=cfg.comb_peak_od, background_od=cfg.comb_background_od,
             bandwidth_hz=cfg.comb_bandwidth_hz, tooth_shape=cfg.comb_tooth_shape,
-            passes=cfg.comb_passes)
+            passes=cfg.comb_passes,
+            homogeneous_hwhm_hz=1.0 / (math.pi * cfg.afc_t2_seconds))
         spectrum = build_comb(params)
         pulse = gaussian_pulse(cfg.input_fwhm_seconds, 0.0, 16e6)
         echo = propagate(pulse, spectrum)
@@ -64,9 +65,9 @@ def _cmd_simulate(args) -> int:
         result = {
             "echo_time_s": echo.echo_time_s,
             "echo_efficiency": echo.echo_efficiency,
-            "decay_model_eta": afc_decay_model(
-                1.0 / cfg.comb_period_hz, cfg.afc_eta0, cfg.afc_t2_seconds,
-                cfg.afc_mod_depth, cfg.zeeman_split_hz),
+            # the echo stage's closed form; the comb above leaves out the
+            # Zeeman modulation (afc_mod_depth)
+            "eta_afc": afc_efficiency(cfg),
             "provenance": provenance(cfg.to_dict()),
         }
         (out / "report.json").write_text(json_text(result))

@@ -45,7 +45,9 @@ class CombParams:
 
     finesse is tooth spacing over tooth FWHM; peak_od is the single-pass
     optical depth at a tooth center; passes counts traversals of the
-    crystal (2 for the double-pass input configuration).
+    crystal (2 for the double-pass input configuration);
+    homogeneous_hwhm_hz is the HWHM of each ion's own line, added to the
+    grid's line kernel (1/(pi T2) for an optical coherence time T2).
     """
 
     comb_period_hz: float
@@ -55,6 +57,7 @@ class CombParams:
     bandwidth_hz: float = 3e6
     tooth_shape: str = "square"
     passes: int = 1
+    homogeneous_hwhm_hz: float = 0.0
 
     def validate(self) -> None:
         if self.comb_period_hz <= 0:
@@ -69,6 +72,8 @@ class CombParams:
             raise ValueError(f"tooth_shape must be one of {TOOTH_SHAPES}")
         if self.passes < 1 or int(self.passes) != self.passes:
             raise ValueError("passes must be a positive integer")
+        if not self.homogeneous_hwhm_hz >= 0:
+            raise ValueError("homogeneous_hwhm_hz must be nonnegative")
 
     @property
     def tooth_fwhm_hz(self) -> float:
@@ -163,18 +168,18 @@ def build_comb(params: CombParams, n_points: int = DEFAULT_GRID_POINTS,
 
     The target absorption profile g (teeth plus flat background,
     edge-windowed) is convolved with a normalized complex Lorentzian of
-    HWHM four grid steps, (1/pi) / (gamma + i f), which plays the role of
-    the underlying line response.  That line is the Fourier transform of
-    the causal decay 2 exp(-2 pi gamma t) for t > 0, so the convolution is
-    done in the time domain as a discrete analytic signal (Marple 1999):
-    transform g, weight time 0 by 1, later times by the decay, the
-    Nyquist time by half of it and earlier times by 0, and transform
-    back.  Absorption and dispersion so form the causal pair of AFC filter
-    theory (Bonarota et al. 2010), periodic over the grid span: the images
-    of g one span away add a slow dispersion ramp across the band, a
-    group delay below 0.4 % of 1/Delta for peak depths up to 6.  The field
-    transfer is exp(-(passes/2) * D(f)) with D the resulting complex
-    optical depth.
+    HWHM gamma, (1/pi) / (gamma + i f), the underlying line response:
+    four grid steps plus params.homogeneous_hwhm_hz.  That line is the
+    Fourier transform of the causal decay 2 exp(-2 pi gamma t) for t > 0,
+    so the convolution is done in the time domain as a discrete analytic
+    signal (Marple 1999): transform g, weight time 0 by 1, later times by
+    the decay, the Nyquist time by half of it and earlier times by 0, and
+    transform back.  Absorption and dispersion so form the causal pair of
+    AFC filter theory (Bonarota et al. 2010), periodic over the grid span:
+    the images of g one span away add a slow dispersion ramp across the
+    band, a group delay below 0.4 % of 1/Delta for peak depths up to 6.
+    The field transfer is exp(-(passes/2) * D(f)) with D the resulting
+    complex optical depth.
 
     The grid ascends, so the band is one slice of it, and g is filled there
     in place.  Both transforms and the final exponential run in one complex
@@ -189,7 +194,7 @@ def build_comb(params: CombParams, n_points: int = DEFAULT_GRID_POINTS,
         raise ValueError(
             f"grid resolution {df:.1f} Hz too coarse for tooth FWHM "
             f"{params.tooth_fwhm_hz:.1f} Hz (need at least 8 points per tooth)")
-    gamma = 4 * df
+    gamma = 4 * df + params.homogeneous_hwhm_hz
 
     # The window is nonzero only where |f| < B/2, which is f[i0:i1]; where
     # its ramp rounds to 0, g is 0 as well.
@@ -246,14 +251,11 @@ def propagate(inp: Waveform, spectrum: CombSpectrum) -> EchoResult:
     # in echo order; the FFT window must cover its ringdown or late echoes
     # wrap around into the measurement window.
     ring_periods = max(1.8, 10.0 * params.finesse)
-    work = inp.padded((t_peak_in - inp.t0_s) + ring_periods / delta)
-    n_fft = 1 << int(np.ceil(np.log2(work.n_samples)))
-    work = Waveform(work.sample_rate_hz, work.t0_s,
-                    np.concatenate([work.samples,
-                                    np.zeros(n_fft - work.n_samples, complex)]))
-    n = work.n_samples
-    spec_in = np.fft.fft(work.samples)
-    f_sig = np.fft.fftfreq(n, d=work.dt_s)
+    window_s = (t_peak_in - inp.t0_s) + ring_periods / delta
+    n = max(inp.n_samples, int(np.ceil(window_s * inp.sample_rate_hz)))
+    n = 1 << (n - 1).bit_length()
+    spec_in = np.fft.fft(inp.samples, n)
+    f_sig = np.fft.fftfreq(n, d=inp.dt_s)
 
     # Reject inputs whose spectrum leaks outside the comb band.
     power = np.abs(spec_in) ** 2
@@ -266,7 +268,7 @@ def propagate(inp: Waveform, spectrum: CombSpectrum) -> EchoResult:
     h = np.interp(f_sig, spectrum.freq_grid_hz, spectrum.complex_response,
                   left=1.0, right=1.0)
     out = np.fft.ifft(spec_in * h)
-    out_wf = Waveform(work.sample_rate_hz, work.t0_s, out)
+    out_wf = Waveform(inp.sample_rate_hz, inp.t0_s, out)
 
     t_rel = out_wf.times() - t_peak_in
     mask = (t_rel > 0.5 / delta) & (t_rel < 1.5 / delta)
@@ -291,11 +293,14 @@ def propagate(inp: Waveform, spectrum: CombSpectrum) -> EchoResult:
 def afc_decay_model(one_over_delta_s, eta0: float, t2afc_s: float,
                     mod_depth: float = 0.0,
                     zeeman_split_hz: float = ZEEMAN_SPLIT_HZ):
-    """Phenomenological echo efficiency versus rephasing delay 1/Delta.
+    """Echo efficiency versus rephasing delay 1/Delta.
 
     eta0 * exp(-4 t / T2) * [1 - mod_depth * sin^2(pi * f_z * t)], where the
     sin^2 term models the efficiency modulation tied to the excited-state
-    Zeeman splitting f_z.
+    Zeeman splitting f_z.  exp(-4 t / T2) is exactly the closed forms'
+    kernel factor exp(-4 pi gamma t) at a homogeneous HWHM gamma = 1/(pi T2),
+    so with eta0 a comb's closed form at zero kernel this is that comb's
+    echo; with eta0 free it is the fig1e fit model.
     """
     t = np.asarray(one_over_delta_s, dtype=float)
     if np.any(t < 0):
@@ -313,6 +318,16 @@ def afc_decay_model(one_over_delta_s, eta0: float, t2afc_s: float,
 # coefficients.  For a one-sided (causal) periodic complex depth D(f) the
 # first-echo amplitude is exactly (passes/2) * D1 * exp(-(passes/2) * D0)
 # with D1 = 2 * a1, so eta = (passes * a1)^2 * exp(-passes * (a0 + d0)).
+# A Lorentzian line kernel of HWHM gamma scales a1 by exp(-2 pi gamma/Delta).
+
+def _first_echo(a0, a1, background_od, passes, kernel_hwhm_hz,
+                comb_period_hz) -> float:
+    if kernel_hwhm_hz > 0:
+        a1 *= np.exp(-2 * np.pi * kernel_hwhm_hz / comb_period_hz)
+    # the square of a half-depth product, so a deep comb gives 0, not inf * 0
+    return float((passes * a1 * np.exp(-passes * (a0 + background_od) / 2))
+                 ** 2)
+
 
 def square_tooth_efficiency(peak_od: float, finesse: float,
                             background_od: float = 0.0, passes: int = 1,
@@ -321,9 +336,8 @@ def square_tooth_efficiency(peak_od: float, finesse: float,
     """Exact first-echo efficiency for ideal square teeth."""
     a0 = peak_od / finesse
     a1 = a0 * np.sinc(1.0 / finesse)  # numpy sinc(x) = sin(pi x)/(pi x)
-    if kernel_hwhm_hz > 0:
-        a1 *= np.exp(-2 * np.pi * kernel_hwhm_hz / comb_period_hz)
-    return float((passes * a1) ** 2 * np.exp(-passes * (a0 + background_od)))
+    return _first_echo(a0, a1, background_od, passes, kernel_hwhm_hz,
+                       comb_period_hz)
 
 
 def gaussian_tooth_efficiency(peak_od: float, finesse: float,
@@ -334,9 +348,26 @@ def gaussian_tooth_efficiency(peak_od: float, finesse: float,
     c = np.sqrt(2 * np.pi) / (2 * np.sqrt(2 * np.log(2)))  # area / (peak * FWHM)
     a0 = c * peak_od / finesse
     a1 = a0 * np.exp(-np.pi**2 / (2 * np.log(2)) / (2 * finesse**2))
-    if kernel_hwhm_hz > 0:
-        a1 *= np.exp(-2 * np.pi * kernel_hwhm_hz / comb_period_hz)
-    return float((passes * a1) ** 2 * np.exp(-passes * (a0 + background_od)))
+    return _first_echo(a0, a1, background_od, passes, kernel_hwhm_hz,
+                       comb_period_hz)
+
+
+def lorentzian_tooth_efficiency(peak_od: float, finesse: float,
+                                background_od: float = 0.0, passes: int = 1,
+                                kernel_hwhm_hz: float = 0.0,
+                                comb_period_hz: float = 1.0) -> float:
+    """Exact first-echo efficiency for an infinite comb of Lorentzian teeth
+    (FWHM = spacing/finesse): a tooth's area is pi * peak * HWHM."""
+    a0 = np.pi * peak_od / (2 * finesse)
+    a1 = a0 * np.exp(-np.pi / finesse)
+    return _first_echo(a0, a1, background_od, passes, kernel_hwhm_hz,
+                       comb_period_hz)
+
+
+# The closed form of each tooth shape, keyed like CombParams.tooth_shape.
+TOOTH_EFFICIENCY = {"square": square_tooth_efficiency,
+                    "gaussian": gaussian_tooth_efficiency,
+                    "lorentzian_sum": lorentzian_tooth_efficiency}
 
 
 def comb_efficiency_estimate(peak_od: float, finesse: float,

@@ -48,7 +48,6 @@ _RANGES = {
     "comb_background_od": _NONNEGATIVE,
     "comb_bandwidth_hz": _POSITIVE,
     "comb_passes": _COUNT,
-    "afc_eta0": _UNIT,
     "afc_t2_seconds": _POSITIVE,
     "afc_mod_depth": _UNIT,
     "eta_afc_fixed": _EFFICIENCY,
@@ -121,7 +120,6 @@ class ExperimentConfig:
     comb_tooth_shape: str = "square"
     comb_passes: int = 2
     zeeman_split_hz: float = ZEEMAN_SPLIT_HZ
-    afc_eta0: float = 0.36
     afc_t2_seconds: float = 240e-6
     afc_mod_depth: float = 0.0
     eta_afc_fixed: float | None = None

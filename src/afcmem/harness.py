@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .comb import afc_decay_model
+from .comb import TOOTH_EFFICIENCY, afc_decay_model
 from .config import ExperimentConfig, provenance
 from .detection import (DetectionChain, metrics, mode_sums,
                         noise_floor_model, simulate_counts)
@@ -179,17 +179,26 @@ def _eta_transfer(duration_s: float, bandwidth_hz: float) -> float:
     return float(prof.inversion.mean())
 
 
+def afc_efficiency(cfg: ExperimentConfig) -> float:
+    """Echo efficiency of the config's comb: the closed-form first echo of
+    its teeth, decayed over 1/Delta by the optical T2 (afc_t2_seconds) and
+    modulated by the excited-state Zeeman splitting."""
+    eta0 = TOOTH_EFFICIENCY[cfg.comb_tooth_shape](
+        cfg.comb_peak_od, cfg.comb_finesse,
+        background_od=cfg.comb_background_od, passes=cfg.comb_passes)
+    return afc_decay_model(1.0 / cfg.comb_period_hz, eta0,
+                           cfg.afc_t2_seconds, cfg.afc_mod_depth,
+                           cfg.zeeman_split_hz)
+
+
 def _stage_efficiencies(cfg: ExperimentConfig, rng_spin, rng_noise):
     """Compose the echo, transfer and spin stages; returns the stages dict
     and their product, the end-to-end memory efficiency."""
-    one_over_delta = 1.0 / cfg.comb_period_hz
     if cfg.eta_afc_fixed is not None:
         eta_afc = cfg.eta_afc_fixed
     else:
         with _staged("afc"):
-            eta_afc = afc_decay_model(one_over_delta, cfg.afc_eta0,
-                                      cfg.afc_t2_seconds, cfg.afc_mod_depth,
-                                      cfg.zeeman_split_hz)
+            eta_afc = afc_efficiency(cfg)
 
     with _staged("spin"):
         dd = dd_sequence(cfg.dd_kind, cfg.t_s_seconds,

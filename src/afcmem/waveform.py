@@ -51,15 +51,6 @@ class Waveform:
                 return self.t0_s + i_frac * self.dt_s
         return self.t0_s + i * self.dt_s
 
-    def padded(self, duration_s: float) -> "Waveform":
-        """Zero-pad at the tail up to at least duration_s."""
-        n_total = int(np.ceil(duration_s * self.sample_rate_hz))
-        if n_total <= self.n_samples:
-            return Waveform(self.sample_rate_hz, self.t0_s, self.samples.copy())
-        out = np.zeros(n_total, dtype=np.complex128)
-        out[: self.n_samples] = self.samples
-        return Waveform(self.sample_rate_hz, self.t0_s, out)
-
     def to_csv(self, path) -> None:
         """Write rows of (t, Re, Im)."""
         t = self.times()

@@ -48,6 +48,10 @@ def test_simulate_afc(tmp_path, capsys):
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["echo_time_s"] == pytest.approx(25e-6, rel=0.01)
+    # the comb's echo is the echo stage's: apart from the grid's own line
+    # kernel, the same closed form
+    assert report["echo_efficiency"] == pytest.approx(report["eta_afc"],
+                                                      rel=0.015)
     assert (tmp_path / "echo_waveform.csv").exists()
 
 
@@ -110,7 +114,7 @@ def test_config_error_exit_code(tmp_path):
     {"t_s_seconds": float("nan")}, {"n_trials_noise": True}, {"dd_kind": 4},
     {"seed": -1}, {"detector_efficiency": 1.5}, {"t_s_seconds": 3e-5},
     {"mu_in_per_mode": 1e7}, {"transfer_bandwidth_hz": 1e9},
-    {"eta_end_to_end_target": 0.5, "afc_eta0": 0.0},
+    {"eta_end_to_end_target": 0.5, "comb_peak_od": 0.0},
     {"p_noise_target_per_mode": None},
 ])
 def test_bath_config_error_exit_code(tmp_path, capsys, bad):
@@ -126,7 +130,7 @@ def test_bath_config_error_exit_code(tmp_path, capsys, bad):
 
 @pytest.mark.parametrize("name", [
     "qubit_mu_in", "qubit_eta", "qubit_noise_per_mode", "eta_spin_fixed",
-    "eta_transfer_fixed", "noise_gain_kappa"])
+    "eta_transfer_fixed", "noise_gain_kappa", "afc_eta0"])
 def test_deleted_config_key_exit_code(tmp_path, capsys, name):
     path = tmp_path / "old.json"
     path.write_text(json.dumps({name: 0.5}))
@@ -400,7 +404,7 @@ def test_qubit_run_without_counts_names_stage(tmp_path, capsys):
     # few thousand trials: exit 2, one line naming the stage, the trial
     # count and the composed efficiency
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"afc_eta0": 0}))
+    path.write_text(json.dumps({"comb_peak_od": 0}))
     code = run_cli("simulate", "qubit", "--trials", "2000", "--config",
                    str(path), "--out", str(tmp_path))
     assert code == 2

@@ -8,7 +8,8 @@ from afcmem.comb import (DEFAULT_GRID_POINTS, TOOTH_SHAPES, CombParams,
                          _raised_cosine_window,
                          _tooth_profile, afc_decay_model, build_comb,
                          comb_efficiency_estimate, gaussian_tooth_efficiency,
-                         propagate, square_tooth_efficiency)
+                         lorentzian_tooth_efficiency, propagate,
+                         square_tooth_efficiency)
 from afcmem.waveform import gaussian_pulse
 
 # lighter grid for unit tests; acceptance uses the full default grid
@@ -18,10 +19,11 @@ KERNEL = 4 * SPAN / N_TEST
 
 
 def _comb(shape="square", finesse=4.0, peak_od=3.0, background_od=0.0,
-          passes=1, period=40e3):
+          passes=1, period=40e3, homogeneous_hwhm_hz=0.0):
     params = CombParams(comb_period_hz=period, finesse=finesse,
                         peak_od=peak_od, background_od=background_od,
-                        bandwidth_hz=3e6, tooth_shape=shape, passes=passes)
+                        bandwidth_hz=3e6, tooth_shape=shape, passes=passes,
+                        homogeneous_hwhm_hz=homogeneous_hwhm_hz)
     return build_comb(params, n_points=N_TEST, span_hz=SPAN)
 
 
@@ -201,6 +203,9 @@ def test_validation_errors():
         CombParams(40e3, finesse=1.0, peak_od=3).validate()
     with pytest.raises(ValueError):
         CombParams(40e3, finesse=4, peak_od=3, bandwidth_hz=100e3).validate()
+    with pytest.raises(ValueError, match="homogeneous"):
+        CombParams(40e3, finesse=4, peak_od=3,
+                   homogeneous_hwhm_hz=-1.0).validate()
     params = CombParams(40e3, finesse=10, peak_od=3)
     with pytest.raises(ValueError):
         build_comb(params, n_points=2**10, span_hz=8e6)  # grid too coarse
@@ -250,17 +255,24 @@ def test_broadband_input_rejected():
 @pytest.mark.parametrize("shape,oracle", [
     ("square", square_tooth_efficiency),
     ("gaussian", gaussian_tooth_efficiency),
+    ("lorentzian_sum", lorentzian_tooth_efficiency),
 ])
 def test_efficiency_matches_closed_form(shape, oracle):
-    # first-echo coefficient identity: eta = (p a1)^2 exp(-p (a0 + d0))
+    # first-echo coefficient identity: eta = (p a1)^2 exp(-p (a0 + d0)),
+    # also with a homogeneous line (T2 100 us) widening the line kernel
     inp = _input()
-    for finesse in (2.0, 4.0, 10.0):
-        for depth in (0.5, 6.0):
-            spec = _comb(shape=shape, finesse=finesse, peak_od=depth)
-            got = propagate(inp, spec).echo_efficiency
-            want = oracle(depth, finesse, kernel_hwhm_hz=KERNEL,
-                          comb_period_hz=40e3)
-            assert got == pytest.approx(want, rel=0.05), (shape, finesse, depth)
+    for hwhm in (0.0, 1 / (math.pi * 100e-6)):
+        for finesse in (2.0, 4.0, 10.0):
+            for depth in (0.5, 6.0):
+                spec = _comb(shape=shape, finesse=finesse, peak_od=depth,
+                             homogeneous_hwhm_hz=hwhm)
+                got = propagate(inp, spec).echo_efficiency
+                want = oracle(depth, finesse, kernel_hwhm_hz=KERNEL + hwhm,
+                              comb_period_hz=40e3)
+                assert got == pytest.approx(want, rel=0.05), (
+                    shape, hwhm, finesse, depth)
+    # a comb far too deep to echo gives 0, not inf * 0
+    assert oracle(1e200, 4.0, passes=2) == 0.0
 
 
 def test_standard_estimate_at_high_finesse():

@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from afcmem.comb import square_tooth_efficiency
 from afcmem.config import ExperimentConfig
 from afcmem.harness import reproduce, run_qubit_tomography, run_spinwave
 from afcmem.presets import PRESET_NAMES, preset_config
@@ -66,6 +68,13 @@ def test_stage_composition_identity():
     s = rep.stages
     product = s["eta_afc"] * s["eta_transfer_sq"] * s["eta_spin"]
     assert rep.eta_end_to_end == pytest.approx(product, rel=1e-9)
+    # the echo stage is the closed form of the config's own square-tooth
+    # comb, decayed over 1/Delta by the optical T2
+    want = (square_tooth_efficiency(cfg.comb_peak_od, cfg.comb_finesse,
+                                    passes=cfg.comb_passes)
+            * math.exp(-4 / (cfg.comb_period_hz * cfg.afc_t2_seconds)))
+    assert s["eta_afc"] == pytest.approx(want, rel=0, abs=1e-12)
+    assert s["eta_afc"] == pytest.approx(0.2683, abs=1e-4)
 
 
 def test_forced_spin_and_no_noise_composition():
@@ -154,7 +163,7 @@ def test_one_config_gives_one_memory():
 
 
 def test_qubit_run_in_a_memory_that_stores_nothing():
-    rep = run_qubit_tomography(_fast_cfg(afc_eta0=0.0))
+    rep = run_qubit_tomography(_fast_cfg(comb_peak_od=0.0))
     assert rep.eta_end_to_end == 0.0
     tomo = json.loads(rep.to_json())["tomography"]
     assert tomo["classical_bound_weak_coherent"] is None

@@ -18,14 +18,6 @@ def test_peak_time_subsample():
     assert wf.peak_time() == pytest.approx(1.234e-6, abs=5e-9)
 
 
-def test_energy_and_padding():
-    wf = gaussian_pulse(1e-6, 0.0, 8e6)
-    e = wf.energy()
-    padded = wf.padded(wf.duration_s * 3)
-    assert padded.energy() == pytest.approx(e, rel=1e-12)
-    assert padded.n_samples >= 3 * wf.n_samples - 2
-
-
 def test_csv_export(tmp_path):
     wf = Waveform(1e6, 0.0, np.array([1 + 2j, 3 - 4j]))
     path = tmp_path / "wf.csv"
