@@ -6,8 +6,10 @@ and echoes appear only at positive delays (the filter picture of
 Bonarota et al., Phys. Rev. A 81, 033803 (2010)).  The tooth profile is
 summed only inside the band, over the teeth near each frequency.  The
 causal pair is formed in the time domain as a discrete analytic signal
-(Marple, IEEE Trans. Signal Process. 47, 2600 (1999)): one N-point
-transform of the profile, a one-sided decay, one transform back.
+(Marple, IEEE Trans. Signal Process. 47, 2600 (1999)).  The profile is
+even in frequency, so it is filled at f >= 0 and mirrored, its transform
+is real, and the causal pair obeys D(-f) = conj(D(f)): two real N-point
+transforms give D at f >= 0, and the rest of the grid is its mirror.
 Propagation through the prepared ensemble is a linear filter acting on
 the input spectrum.
 """
@@ -72,8 +74,8 @@ class CombParams:
             raise ValueError(f"tooth_shape must be one of {TOOTH_SHAPES}")
         if self.passes < 1 or int(self.passes) != self.passes:
             raise ValueError("passes must be a positive integer")
-        if not self.homogeneous_hwhm_hz >= 0:
-            raise ValueError("homogeneous_hwhm_hz must be nonnegative")
+        if not 0 <= self.homogeneous_hwhm_hz < np.inf:
+            raise ValueError("homogeneous_hwhm_hz must be finite and nonnegative")
 
     @property
     def tooth_fwhm_hz(self) -> float:
@@ -181,10 +183,14 @@ def build_comb(params: CombParams, n_points: int = DEFAULT_GRID_POINTS,
     The field transfer is exp(-(passes/2) * D(f)) with D the resulting
     complex optical depth.
 
-    The grid ascends, so the band is one slice of it, and g is filled there
-    in place.  Both transforms and the final exponential run in one complex
-    N-point buffer, which is returned as complex_response; at most the
-    grid, g and that buffer (four float64 grid arrays) are alive at once.
+    The band and the teeth are symmetric about f = 0, so g is even: it is
+    filled in place at 0 <= f < B/2 with f = 0 at index 0 (FFT order) and
+    mirrored onto f < 0.  Its transform is then real, and D(-f) =
+    conj(D(f)).  The real part of rfft(g) times the one-sided decay goes
+    through a second real N-point transform, which gives D at f = k df,
+    k = 0 ... N//2; alpha and the exponential are taken there and
+    mirrored onto the ascending grid, alpha(-f) = alpha(f) and
+    response(-f) = conj(response(f)), exactly.
     """
     params.validate()
     if span_hz < 1.25 * params.bandwidth_hz:
@@ -196,26 +202,32 @@ def build_comb(params: CombParams, n_points: int = DEFAULT_GRID_POINTS,
             f"{params.tooth_fwhm_hz:.1f} Hz (need at least 8 points per tooth)")
     gamma = 4 * df + params.homogeneous_hwhm_hz
 
-    # The window is nonzero only where |f| < B/2, which is f[i0:i1]; where
-    # its ramp rounds to 0, g is 0 as well.
-    f = np.arange(-(n_points // 2), n_points - n_points // 2, dtype=float)
+    # f = (k - m) df ascends; f[m:] is f >= 0.  The window is nonzero only
+    # where |f| < B/2, which is f[m:m + j1] and its mirror; where its ramp
+    # rounds to 0, g is 0 as well.
+    m = n_points // 2
+    f = np.arange(-m, n_points - m, dtype=float)
     f *= df
-    half = params.bandwidth_hz / 2
-    i0 = int(np.searchsorted(f, -half, "right"))
-    i1 = int(np.searchsorted(f, half, "left"))
+    f_pos = f[m:]
+    j1 = int(np.searchsorted(f_pos, params.bandwidth_hz / 2, "left"))
     g = np.zeros(n_points)
-    band = g[i0:i1]
-    np.add(_tooth_profile(f[i0:i1], params), params.background_od, out=band)
-    band *= _raised_cosine_window(f[i0:i1], params.bandwidth_hz)
-
-    # g is real, so its time signal at t >= 0 is the conjugate of its rfft.
-    # A circular convolution does not depend on where the grid puts f = 0,
-    # so g needs no shift to or from FFT order.
-    d_complex = np.empty(n_points, complex)
-    g_t = np.fft.rfft(g, out=d_complex[:n_points // 2 + 1])
-    d_complex[g_t.size:] = 0.0
+    band = g[:j1]
+    # g >= 0, so a profile too deep for float64 shows as a non-finite sum
+    # of g, the first transform's DC term, which bounds every coefficient
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add(_tooth_profile(f_pos[:j1], params), params.background_od,
+               out=band)
+        band *= _raised_cosine_window(f_pos[:j1], params.bandwidth_hz)
+        g[n_points - j1 + 1:] = band[:0:-1]
+        g_t = np.fft.rfft(g)
     del g, band
-    np.conjugate(g_t, out=g_t)
+    if not np.isfinite(g_t[0].real):
+        raise ValueError(
+            f"comb_peak_od {params.peak_od:g} is too large: the comb's "
+            f"absorption profile overflows float64")
+
+    # the transform of an even g is real, so its time signal at t >= 0 is
+    # that real part
     decay = np.arange(g_t.size, dtype=float)
     decay *= -2 * np.pi * gamma
     decay /= n_points * df
@@ -224,15 +236,21 @@ def build_comb(params: CombParams, n_points: int = DEFAULT_GRID_POINTS,
     decay[0] = 1.0
     if n_points % 2 == 0:
         decay[-1] /= 2
-    np.multiply(decay, g_t, out=g_t)
+    decay *= g_t.real
+    del g_t
+    d_half = np.fft.rfft(decay, n_points, norm="forward")
     del decay
-    np.fft.fft(d_complex, norm="forward", out=d_complex)
 
-    alpha = np.maximum(d_complex.real, 0.0)
-    np.multiply(-(params.passes / 2.0), d_complex, out=d_complex)
-    np.exp(d_complex, out=d_complex)
+    alpha = np.empty(n_points)
+    np.maximum(d_half.real[:n_points - m], 0.0, out=alpha[m:])
+    np.maximum(d_half.real[m:0:-1], 0.0, out=alpha[:m])
+    np.multiply(-(params.passes / 2.0), d_half, out=d_half)
+    np.exp(d_half, out=d_half)
+    response = np.empty(n_points, complex)
+    response[m:] = d_half[:n_points - m]
+    np.conjugate(d_half[m:0:-1], out=response[:m])
     return CombSpectrum(freq_grid_hz=f, alpha=alpha,
-                        complex_response=d_complex, params=params)
+                        complex_response=response, params=params)
 
 
 def propagate(inp: Waveform, spectrum: CombSpectrum) -> EchoResult:

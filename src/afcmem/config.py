@@ -169,6 +169,10 @@ class ExperimentConfig:
         then the constraints that tie fields together; raise ValueError."""
         for name, kind, optional in _FIELDS:
             _check_field(name, kind, optional, getattr(self, name))
+        if not math.isfinite(1.0 / (math.pi * self.afc_t2_seconds)):
+            raise ValueError(
+                f"afc_t2_seconds {self.afc_t2_seconds:g} is too small: the "
+                f"homogeneous HWHM 1/(pi T2) overflows")
         self.dd_kind = normalize_dd_kind(self.dd_kind)
         if self.comb_tooth_shape not in TOOTH_SHAPES:
             raise ValueError(f"comb_tooth_shape must be one of {TOOTH_SHAPES}")

@@ -115,7 +115,7 @@ def test_config_error_exit_code(tmp_path):
     {"seed": -1}, {"detector_efficiency": 1.5}, {"t_s_seconds": 3e-5},
     {"mu_in_per_mode": 1e7}, {"transfer_bandwidth_hz": 1e9},
     {"eta_end_to_end_target": 0.5, "comb_peak_od": 0.0},
-    {"p_noise_target_per_mode": None},
+    {"p_noise_target_per_mode": None}, {"afc_t2_seconds": 1e-320},
 ])
 def test_bath_config_error_exit_code(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
@@ -126,6 +126,24 @@ def test_bath_config_error_exit_code(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert next(iter(bad)) in err
+
+
+@pytest.mark.parametrize("bad", [
+    {"afc_t2_seconds": 1e-320},
+    {"comb_peak_od": 1.7e308, "comb_finesse": 1.0001},
+])
+def test_simulate_afc_overflow_exit_code(tmp_path, capsys, bad):
+    # a homogeneous width or a comb profile beyond float64 is a config
+    # error, not a run that ends with a non-finite echo
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    code = run_cli("simulate", "afc", "--config", str(path),
+                   "--out", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert next(iter(bad)) in err
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("name", [

@@ -114,7 +114,8 @@ def test_tooth_sums_match_per_tooth_loop():
 
 
 def _build_comb_reference(params, n_points, span_hz):
-    """build_comb's numbers written plainly, with full-grid temporaries."""
+    """The full-spectrum formula: g on the ascending grid, a complex
+    N-point transform back and the exponential at every point."""
     span_hz = max(span_hz, 1.25 * params.bandwidth_hz)
     df = span_hz / n_points
     gamma = 4 * df
@@ -132,6 +133,33 @@ def _build_comb_reference(params, n_points, span_hz):
     return f, np.maximum(d_complex.real, 0.0), np.exp(-(params.passes / 2.0) * d_complex)
 
 
+def _build_comb_half_spectrum(params, n_points, span_hz):
+    """build_comb's numbers written plainly, with full-grid temporaries:
+    the even g in FFT order, two real transforms, D at f >= 0 mirrored."""
+    span_hz = max(span_hz, 1.25 * params.bandwidth_hz)
+    df = span_hz / n_points
+    gamma = 4 * df
+    m = n_points // 2
+    k = np.arange(n_points)
+    f = (k - m) * df
+    f_abs = np.minimum(k, n_points - k) * df  # |f| in FFT order
+    window = _raised_cosine_window(f_abs, params.bandwidth_hz)
+    band = window > 0
+    g = np.zeros(n_points)
+    g[band] = (_tooth_profile(f_abs[band], params) + params.background_od) * window[band]
+    g_t = np.fft.rfft(g).real
+    decay = 2 * np.exp(-2 * np.pi * gamma * np.arange(g_t.size) / (n_points * df))
+    decay[0] = 1.0
+    if n_points % 2 == 0:
+        decay[-1] /= 2
+    d_half = np.fft.rfft(decay * g_t, n_points, norm="forward")
+    j = np.abs(k - m)  # the half-spectrum point of each grid point
+    alpha = np.maximum(d_half.real, 0.0)[j]
+    response = np.exp(-(params.passes / 2.0) * d_half)[j]
+    response[:m] = response[:m].conj()
+    return f, alpha, response
+
+
 @pytest.mark.parametrize("shape", TOOTH_SHAPES)
 @pytest.mark.parametrize("passes", [1, 2])
 @pytest.mark.parametrize("n_points,span_hz,edge_on_grid", [
@@ -139,22 +167,37 @@ def _build_comb_reference(params, n_points, span_hz):
 ])
 def test_build_comb_matches_plain_formula(shape, passes, n_points, span_hz,
                                           edge_on_grid):
-    # build_comb fills the band in place and runs both transforms in one
-    # buffer; it must give the plain formula's numbers to the bit
+    # build_comb fills the band in place and mirrors the half spectrum; it
+    # must give the plain half-spectrum formula's numbers to the bit, and
+    # the full-spectrum formula's to rounding
     params = CombParams(comb_period_hz=40e3, finesse=4.0, peak_od=3.0,
                         background_od=0.3, bandwidth_hz=3e6,
                         tooth_shape=shape, passes=passes)
     spec = build_comb(params, n_points=n_points, span_hz=span_hz)
-    f, alpha, response = _build_comb_reference(params, n_points, span_hz)
+    f, alpha, response = _build_comb_half_spectrum(params, n_points, span_hz)
     assert np.isin([-1.5e6, 1.5e6], f).all() == edge_on_grid
     assert np.array_equal(spec.freq_grid_hz, f)
     assert np.array_equal(spec.alpha, alpha)
     assert np.array_equal(spec.complex_response, response)
 
+    f, alpha, response = _build_comb_reference(params, n_points, span_hz)
+    assert np.array_equal(spec.freq_grid_hz, f)
+    assert np.abs(spec.alpha - alpha).max() <= 1e-13 * alpha.max()
+    assert (np.abs(spec.complex_response - response).max()
+            <= 1e-13 * np.abs(response).max())
+
+    # exactly mirror-symmetric about f = 0 (for even N, -N/2 df has no
+    # partner on the grid)
+    m, r = n_points // 2, (n_points - 1) // 2
+    assert np.array_equal(spec.freq_grid_hz[m - r:m], -spec.freq_grid_hz[m + r:m:-1])
+    assert np.array_equal(spec.alpha[m - r:m], spec.alpha[m + r:m:-1])
+    assert np.array_equal(spec.complex_response[m - r:m],
+                          spec.complex_response[m + r:m:-1].conj())
+
 
 def test_default_grid_build_memory():
-    # the grid, g and one complex buffer: at most six float64 grid arrays
-    # are traced at once (Gaussian teeth hold the most in-band temporaries)
+    # the grid, the half spectrum, alpha and the response: at most six
+    # float64 grid arrays are traced at once
     params = CombParams(comb_period_hz=40e3, finesse=4.0, peak_od=3.0,
                         background_od=0.2, tooth_shape="gaussian", passes=2)
     tracemalloc.start()
@@ -206,9 +249,20 @@ def test_validation_errors():
     with pytest.raises(ValueError, match="homogeneous"):
         CombParams(40e3, finesse=4, peak_od=3,
                    homogeneous_hwhm_hz=-1.0).validate()
+    with pytest.raises(ValueError, match="homogeneous"):
+        CombParams(40e3, finesse=4, peak_od=3,
+                   homogeneous_hwhm_hz=np.inf).validate()
     params = CombParams(40e3, finesse=10, peak_od=3)
     with pytest.raises(ValueError):
         build_comb(params, n_points=2**10, span_hz=8e6)  # grid too coarse
+
+
+@pytest.mark.parametrize("shape", TOOTH_SHAPES)
+def test_overflowing_profile_rejected(shape):
+    # teeth that nearly fill the band at the largest float64 depth: the
+    # profile's sum overflows, which is an error, not a non-finite comb
+    with pytest.raises(ValueError, match="comb_peak_od"):
+        _comb(shape=shape, finesse=1.0001, peak_od=1.7e308)
 
 
 def test_echo_timing_and_output():
