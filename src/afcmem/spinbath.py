@@ -13,7 +13,10 @@ one jointly Gaussian pair per atom (Gillespie, Phys. Rev. E 54, 2084
 rotation is one phasor of its phase in turns, reduced exactly to at most
 half a turn; with the finite-Rabi pulse that ends it, an SU(2) rotation
 [[A, -B*], [B, A*]] (Gullion, Baker & Conradi, J. Magn. Reson. 89, 479
-(1990)), it forms one Cayley-Klein map.
+(1990)), it forms one Cayley-Klein map.  The phasor and the pulse each take
+one tangent of a half angle, from which the rational half-angle forms give
+the cosine and the sine.  The interval loop runs in work arrays that each
+thread holds across calls, sized for the largest ensemble it has run.
 residual_excitation gives the storage-state population that the imperfect
 RF train excites out of the ground state; the harness reports the gain
 that maps it onto the read-out noise.
@@ -21,6 +24,7 @@ that maps it onto the read-out noise.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +32,9 @@ import numpy as np
 from .pulses import DDSequence, dd_sequence
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+
+# per-thread work arrays of _propagate (see _workspace)
+_local = threading.local()
 
 
 @dataclass
@@ -153,42 +160,88 @@ def _ideal_coherence(bounds, bath: SpinBathParams) -> float:
     return float(np.exp(-chi))
 
 
-def _phasor(turns, out):
-    """exp(-2 pi i turns) into the complex array out, overwriting turns:
-    turns - rint(turns) is exact and at most 1/2, so cos and sin take only a
-    quarter angle, in libm's fast range [-pi/4, pi/4], and two squarings give
-    the whole turn (Cody & Waite, Software Manual for the Elementary
-    Functions, 1980)."""
-    turns -= np.rint(turns, out=out.real)
-    turns *= -np.pi / 2
-    np.cos(turns, out=out.real)
-    np.sin(turns, out=out.imag)
-    return np.square(np.square(out, out=out), out=out)
+def _phasor(turns, scratch, out):
+    """exp(-2 pi i turns) into the complex array out, overwriting the real
+    arrays turns and scratch: c = turns - rint(turns) is exact and at most
+    1/2, and with t = tan(-pi c), cos = (1 - t^2)/(1 + t^2) and
+    sin = 2 t/(1 + t^2), one tangent per rotation in place of a cos/sin
+    pair.  Whole turns give t = 0 and an exact 1."""
+    turns -= np.rint(turns, out=scratch)
+    turns *= -np.pi
+    t = np.tan(turns, out=turns)
+    np.square(t, out=scratch)
+    scratch += 1
+    np.divide(2, scratch, out=scratch)  # 2/(1 + t^2) = 1 + cos
+    np.multiply(t, scratch, out=out.imag)
+    np.subtract(scratch, 1, out=out.real)
+    return out
+
+
+def _workspace(n):
+    """The calling thread's work arrays as a (6, n) complex and an (8, n)
+    real array, each C-contiguous.  One flat buffer of each is held per
+    thread and reallocated only for a wider n; a narrower n takes a prefix,
+    so a small ensemble between two large ones keeps the large buffers."""
+    flat = getattr(_local, "flat", None)
+    if flat is None or flat[1].size < 8 * n:
+        flat = _local.flat = (np.empty(6 * n, dtype=np.complex128),
+                              np.empty(8 * n))
+    return flat[0][:6 * n].reshape(6, n), flat[1][:8 * n].reshape(8, n)
+
+
+def _pulse(minus_delta, omega, t_pi, ca, sg, g, q):
+    """Coefficients of the finite-Rabi pi pulse at detunings delta, given as
+    minus_delta: A = C - i S delta/g into the complex ca and S/g into sg
+    (see _propagate); g and q are scratch.  With x = pi/2 - pi g t_pi,
+    small near resonance, and t = tan(x/2), C = sin x = 2 t/(1 + t^2) and
+    S/g = cos x/g = (1 - t^2)/((1 + t^2) g): one tangent in place of a
+    sin/cos pair, and tan is pi-periodic, so a far-detuned atom (x < -pi)
+    needs no range reduction."""
+    np.add(np.square(minus_delta, out=g), omega**2, out=g)
+    np.sqrt(g, out=g)
+    t = np.multiply(g, -np.pi * t_pi / 2, out=sg)
+    t += np.pi / 4  # x/2
+    np.tan(t, out=t)
+    np.square(t, out=q)
+    q += 1
+    np.divide(2, q, out=q)  # 2/(1 + t^2) = 1 + cos x
+    np.multiply(t, q, out=ca.real)
+    np.subtract(q, 1, out=sg)
+    sg /= g
+    np.multiply(sg, minus_delta, out=ca.imag)
 
 
 def _propagate(rng, static, bath, dd, errors, spinor):
-    """Carry every atom's spinor (up, dn) through the free intervals and
-    imperfect pulses of dd: the module's one interval loop.
+    """Carry every atom's spinor (up, dn), starting from the scalars (or
+    arrays) in spinor, through the free intervals and imperfect pulses of
+    dd: the module's one interval loop.
 
     Over an interval h each atom takes one exact OU draw of the integral I
     and a free phase of (static h + I) / 2 turns, whose rotation r comes from
     _phasor.  With the pulse that ends the interval, A = C - i S delta/g and
     B = -i S (omega/g) e^(i phase), the spinor takes one SU(2) map
     [[a, -b*], [b, a*]], a = A r and b = B r, where g = sqrt(omega^2 +
-    delta^2) and (C, S) = (cos, sin)(pi g t_pi) at delta = static + OU.  The
-    pulse is recomputed only where the OU detuning moves.  Returns (up, dn).
+    delta^2) and (C, S) = (cos, sin)(pi g t_pi) at delta = static + OU, from
+    _pulse.  The pulse is recomputed only where the OU detuning moves.
+
+    Returns (up, dn) as rows of the calling thread's workspace: they stay
+    valid until the next call on the same thread.
     """
     n = static.size
+    (up, dn, r, ca, a, b), real = _workspace(n)
+    ou, minus_static, g, sg = real[:4]
+    work = real[4:]
     use_ou = bath.ou_sigma_hz > 0
-    ou = bath.ou_sigma_hz * rng.standard_normal(n) if use_ou else 0.0
-    work = np.empty((4, n))
-    up, dn = np.array(spinor, dtype=np.complex128)  # views of a copy
+    if use_ou:
+        rng.standard_normal(out=ou)
+        ou *= bath.ou_sigma_hz
+    else:
+        ou = 0.0
+    up[...], dn[...] = spinor
     omega = errors.rf_rabi_hz * (1 + errors.area_error)
     t_pi = 1.0 / (2.0 * errors.rf_rabi_hz)  # nominal pi duration
     drive = -1j * omega * np.exp(1j * (dd.phases_rad + errors.phase_error_rad))
-    minus_static = -static
-    r, ca, a, b = np.empty((4, n), dtype=np.complex128)
-    sg, g = np.empty((2, n))
+    np.negative(static, out=minus_static)
     boundaries = np.concatenate([[0.0], dd.centers_s, [dd.total_time_s]])
     for i, h in enumerate(np.diff(boundaries)):
         turns = np.multiply(static, h / 2, out=g)  # g is free until the pulse
@@ -196,21 +249,14 @@ def _propagate(rng, static, bath, dd, errors, spinor):
             ou, integral = _ou_interval(rng, ou, h, bath.ou_sigma_hz,
                                         bath.ou_tau_c_s, work)
             turns += np.multiply(integral, 0.5, out=integral)
-        rot = _phasor(turns, r)
+        rot = _phasor(turns, work[0], r)
         if i == dd.n_pulses:  # no pulse ends the last interval
             up *= rot
             dn *= np.conj(rot, out=rot)
             break
         if use_ou or i == 0:  # ca = A; sg = S/g, so B = sg * drive
             minus_delta = np.subtract(minus_static, ou, out=work[3])
-            np.add(np.square(minus_delta, out=g), omega**2, out=g)
-            np.sqrt(g, out=g)
-            np.multiply(g, -np.pi * t_pi, out=sg)
-            sg += np.pi / 2  # pi/2 - pi g t_pi, small near resonance
-            np.sin(sg, out=ca.real)
-            np.cos(sg, out=sg)
-            sg /= g
-            np.multiply(sg, minus_delta, out=ca.imag)
+            _pulse(minus_delta, omega, t_pi, ca, sg, g, work[0])
         np.multiply(ca, rot, out=a)
         np.multiply(np.multiply(rot, drive[i], out=b), sg, out=b)
         np.multiply(b, up, out=r)  # rot is used up: r is scratch
@@ -250,9 +296,12 @@ def spin_echo_coherence(dd: DDSequence, bath: SpinBathParams,
     errors.validate()
     rng = _rng(seed, bath.seed)
     static = sample_ensemble(bath, rng)
-    up = np.full(bath.n_atoms, 1 / np.sqrt(2), dtype=np.complex128)
-    up, dn = _propagate(rng, static, bath, dd, errors, (up, up))
-    coherence, stderr = _coherence_stats(2 * up * np.conj(dn))
+    up, dn = _propagate(rng, static, bath, dd, errors,
+                        (1 / np.sqrt(2), 1 / np.sqrt(2)))
+    phasors = np.conj(dn, out=dn)  # 2 up dn*, in the workspace
+    phasors *= up
+    phasors *= 2
+    coherence, stderr = _coherence_stats(phasors)
     return SpinStorageResult(coherence=coherence, eta_spin=coherence**2,
                              coherence_stderr=stderr)
 
@@ -265,11 +314,10 @@ def residual_excitation(dd: DDSequence, errors: PulseErrorModel,
     errors.validate()
     rng = _rng(seed, line.seed)
     static = sample_ensemble(line, rng)
-    ground = (np.zeros(line.n_atoms, dtype=np.complex128),
-              np.ones(line.n_atoms, dtype=np.complex128))
-    up, _ = _propagate(rng, static, replace(line, ou_sigma_hz=0.0), dd, errors,
-                       ground)
-    return float(np.mean(np.abs(up) ** 2))
+    up, _ = _propagate(rng, static, replace(line, ou_sigma_hz=0.0), dd,
+                       errors, (0.0, 1.0))
+    population = np.abs(up, out=_workspace(line.n_atoms)[1][0])  # |up|^2
+    return float(np.mean(np.square(population, out=population)))
 
 
 def free_induction(bath: SpinBathParams, t_list) -> np.ndarray:

@@ -146,6 +146,33 @@ def test_simulate_afc_overflow_exit_code(tmp_path, capsys, bad):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("what", ["spinwave", "qubit"])
+@pytest.mark.parametrize("bad, keys", [
+    ({"comb_peak_od": 1.7e308, "comb_finesse": 1.0001,
+      "comb_tooth_shape": "gaussian"}, ["comb_peak_od"]),
+    ({"comb_peak_od": 1.7e308, "comb_finesse": 1.0001,
+      "comb_tooth_shape": "lorentzian_sum"}, ["comb_peak_od"]),
+    ({"comb_period_hz": 1e-300, "afc_t2_seconds": 1e-10},
+     ["comb_period_hz", "afc_t2_seconds"]),
+    ({"comb_period_hz": 1e-300, "afc_t2_seconds": 1e300,
+      "zeeman_split_hz": 1e10}, ["comb_period_hz", "zeeman_split_hz"]),
+])
+def test_echo_stage_overflow_exit_code(tmp_path, capsys, what, bad, keys):
+    # the echo stage's closed form beyond float64 is a config error, named
+    # at the boundary, not numpy warnings and a late or null result
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("simulate", what, "--config", str(path),
+                       "--out", str(tmp_path))
+    assert code == 2 and not caught
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(key in err for key in keys)
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("name", [
     "qubit_mu_in", "qubit_eta", "qubit_noise_per_mode", "eta_spin_fixed",
     "eta_transfer_fixed", "noise_gain_kappa", "afc_eta0"])

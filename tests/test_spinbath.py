@@ -1,11 +1,15 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import integrate
 
+from afcmem import spinbath
 from afcmem.pulses import DDSequence, dd_sequence
 from afcmem.spinbath import (FWHM_TO_SIGMA, PulseErrorModel, SpinBathParams,
                              _ou_interval, _ou_interval_law, _phasor,
-                             _propagate,
+                             _propagate, _pulse,
                              cpmg_ou_chi, efficiency_decay, free_induction,
                              ou_sigma_for_t2,
                              residual_excitation, sample_ensemble,
@@ -386,7 +390,7 @@ def test_kernel_matches_reference_loop(name, n_atoms, ou_sigma_hz):
             assert np.sqrt(got) == pytest.approx(np.sqrt(want), abs=1e-10)
 
 
-# --- the reduced-turn phasor -----------------------------------------------
+# --- the reduced-turn phasor and the pulse, one tangent each ---------------
 
 def test_phasor_against_libm_exponential():
     edges = [0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 7.0, -12.0, 1.5, -2.5,
@@ -394,7 +398,8 @@ def test_phasor_against_libm_exponential():
     rng = np.random.default_rng(0)
     turns = np.concatenate([edges, rng.uniform(-3, 3, 50_000),
                             rng.uniform(-1e6, 1e6, 50_000)])
-    got = _phasor(turns.copy(), np.empty(turns.size, dtype=complex))
+    got = _phasor(turns.copy(), np.empty(turns.size),
+                  np.empty(turns.size, dtype=complex))
     want = np.exp(-2j * np.pi * (turns - np.rint(turns)))
     assert np.abs(got - want).max() <= 2e-15
     assert np.abs(np.abs(got) - 1).max() <= 2e-15
@@ -426,3 +431,78 @@ def test_kernel_matches_reference_loop_at_large_phases(name):
              + 1e-14 * (dd.n_pulses + 1))
     assert np.all(np.abs(up - up_ref) <= bound)
     assert np.all(np.abs(dn - dn_ref) <= bound)
+
+
+def test_pulse_coefficients_against_libm():
+    # x = pi/2 - pi g t_pi from the old form; the kernel's x/2 halves each
+    # rounding exactly, so only the tangent form differs from libm here
+    errors = PulseErrorModel(area_error=0.03)
+    omega = errors.rf_rabi_hz * (1 + errors.area_error)
+    t_pi = 1 / (2 * errors.rf_rabi_hz)
+    delta = np.concatenate([[0.0], np.linspace(-2e6, 2e6, 40_001),
+                            np.random.default_rng(0).uniform(-2e6, 2e6, 10_000)])
+    g = np.sqrt(np.square(delta) + omega**2)
+    x = g * (-np.pi * t_pi) + np.pi / 2
+    assert x.min() < -np.pi and np.abs(x[0]) < 0.1  # far detuned and resonant
+    ca, sg = np.empty(delta.size, dtype=complex), np.empty(delta.size)
+    _pulse(-delta, omega, t_pi, ca, sg, np.empty(delta.size),
+           np.empty(delta.size))
+    assert np.abs(ca.real - np.sin(x)).max() <= 1e-15
+    assert np.abs(ca.imag + np.cos(x) * delta / g).max() <= 1e-15
+    assert np.abs(sg * omega - np.cos(x) * omega / g).max() <= 1e-15
+
+
+# --- the per-thread workspace ----------------------------------------------
+
+def _kernel_call(n_atoms, ou_sigma_hz, kind, spinor):
+    """One _propagate call on a fixed draw; returns copies of (up, dn)."""
+    dd = dd_sequence(kind, 0.05, PI_DURATION)
+    bath = SpinBathParams(ou_sigma_hz=ou_sigma_hz, n_atoms=n_atoms, seed=3)
+    errors = PulseErrorModel(area_error=0.03, phase_error_rad=0.02)
+    rng = np.random.default_rng(n_atoms)
+    up, dn = _propagate(rng, sample_ensemble(bath, rng), bath, dd, errors,
+                        spinor)
+    return up.copy(), dn.copy()
+
+
+def test_workspace_reuse_matches_fresh_workspace(monkeypatch):
+    # a narrow call between two wide ones, the wide ones without and with OU:
+    # stale rows or a short prefix would show as a bitwise difference
+    calls = [(40_000, 30.0, "XY4", (1 / np.sqrt(2), 1 / np.sqrt(2))),
+             (7, 0.0, "XY16", (0.0, 1.0)),
+             (40_000, 0.0, "XY8", (0.0, 1.0))]
+    monkeypatch.setattr(spinbath, "_local", threading.local())
+    reused = [_kernel_call(*call) for call in calls]
+    for call, (up, dn) in zip(calls, reused):
+        monkeypatch.setattr(spinbath, "_local", threading.local())
+        up_fresh, dn_fresh = _kernel_call(*call)
+        assert np.array_equal(up, up_fresh) and np.array_equal(dn, dn_fresh)
+
+
+def test_workspace_is_per_thread():
+    dd = dd_sequence("XY16", 0.1, PI_DURATION)
+    bath = SpinBathParams(ou_sigma_hz=30.0, n_atoms=20_000, seed=4)
+    line = SpinBathParams(n_atoms=10_000, seed=6)
+    errors = PulseErrorModel(area_error=0.03, phase_error_rad=0.02)
+    jobs = [lambda: spin_echo_coherence(dd, bath, errors, seed=8).coherence,
+            lambda: residual_excitation(dd, errors, line, seed=9)]
+    want = [job() for job in jobs]
+    got = [[], []]
+    start = threading.Barrier(2, timeout=30)
+
+    def run(k):
+        start.wait()
+        got[k].extend(jobs[k]() for _ in range(3))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[want[0]] * 3, [want[1]] * 3]
