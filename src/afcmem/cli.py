@@ -97,11 +97,14 @@ def _read_xy_csv(path) -> tuple[np.ndarray, np.ndarray]:
             if not line.strip():
                 continue
             parts = line.strip().split(",")
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: need two columns")
-            x, y = float(parts[0]), float(parts[1])
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"{path}:{lineno}: non-finite value")
+            try:
+                if len(parts) < 2:
+                    raise ValueError("need two columns")
+                x, y = float(parts[0]), float(parts[1])
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError("non-finite value")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             rows.append((x, y))
     if len(rows) < 3:
         raise ValueError(f"not enough data rows in {path}")
@@ -178,8 +181,7 @@ def _cmd_tomo(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    out = _out_dir(args)
-    report, passed = reproduce(args.preset, out, seed=args.seed)
+    report, passed = reproduce(args.preset, args.out, seed=args.seed)
     for check in report.checks or []:
         status = "PASS" if check["pass"] else ("FAIL" if check.get("gated", True)
                                                else "info")

@@ -50,7 +50,6 @@ _RANGES = {
     "comb_passes": _COUNT,
     "afc_t2_seconds": _POSITIVE,
     "afc_mod_depth": _UNIT,
-    "eta_afc_fixed": _EFFICIENCY,
     "transfer_duration_seconds": _POSITIVE,
     "transfer_bandwidth_hz": _POSITIVE,
     "eta_end_to_end_target": _EFFICIENCY,
@@ -122,7 +121,6 @@ class ExperimentConfig:
     zeeman_split_hz: float = ZEEMAN_SPLIT_HZ
     afc_t2_seconds: float = 240e-6
     afc_mod_depth: float = 0.0
-    eta_afc_fixed: float | None = None
 
     # optical transfer pulses
     transfer_duration_seconds: float = 15e-6

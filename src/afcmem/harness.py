@@ -194,11 +194,8 @@ def afc_efficiency(cfg: ExperimentConfig) -> float:
 def _stage_efficiencies(cfg: ExperimentConfig, rng_spin, rng_noise):
     """Compose the echo, transfer and spin stages; returns the stages dict
     and their product, the end-to-end memory efficiency."""
-    if cfg.eta_afc_fixed is not None:
-        eta_afc = cfg.eta_afc_fixed
-    else:
-        with _staged("afc"):
-            eta_afc = afc_efficiency(cfg)
+    with _staged("afc"):
+        eta_afc = afc_efficiency(cfg)
 
     with _staged("spin"):
         dd = dd_sequence(cfg.dd_kind, cfg.t_s_seconds,
@@ -528,6 +525,7 @@ def reproduce(name: str, out_dir, seed: int | None = None):
     cfg, notes = preset_config(name)
     if seed is not None:
         cfg.seed = seed
+    cfg.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if name in TABLE1:

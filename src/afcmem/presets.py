@@ -2,11 +2,13 @@
 
 Each preset bundles an ExperimentConfig, the stored reference values it is
 compared against, and calibration notes recording how the free parameters
-(transfer efficiency, noise conversion gain, interference visibility) were
-pinned to the reference dataset.
+(comb peak OD, which fixes the echo efficiency; transfer efficiency; noise
+conversion gain; interference visibility) were pinned to the reference data.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -17,8 +19,9 @@ PRESET_NAMES = ("fig1e", "fig2", "table1-20ms", "table1-50ms",
                 "table1-100ms", "fig4-tomo")
 
 # Reference echo efficiency at the working delay 1/Delta = 25 us (first
-# modulation maximum of the echo-decay curve).
+# modulation maximum of the echo-decay curve) and the comb peak OD giving it.
 ETA_AFC_REFERENCE = 0.28
+COMB_PEAK_OD_REFERENCE = 3.32  # closed form 0.27998 at the default comb
 
 # Reference single-photon-level storage table: per storage time, the DD
 # sequence used and the measured (mu_in, eta, p_n, snr, mu1) with quoted
@@ -98,14 +101,14 @@ def table_preset(name: str) -> tuple[ExperimentConfig, list[str]]:
         dd_kind=ref["dd_kind"],
         t_s_seconds=ref["t_s_seconds"],
         mu_in_per_mode=ref["mu_in"],
-        eta_afc_fixed=ETA_AFC_REFERENCE,
+        comb_peak_od=COMB_PEAK_OD_REFERENCE,
         eta_end_to_end_target=ref["eta"],
         p_noise_target_per_mode=ref["p_n"],
         seed=6,
     )
     notes = [
-        f"eta_afc pinned to {ETA_AFC_REFERENCE} (first-maximum echo efficiency "
-        f"of the reference decay curve at 1/Delta = 25 us)",
+        f"comb peak OD {COMB_PEAK_OD_REFERENCE} pins eta_afc to the first-"
+        f"maximum echo efficiency {ETA_AFC_REFERENCE} at 1/Delta = 25 us",
         f"per-pulse transfer efficiency backed out of the reference "
         f"end-to-end efficiency {ref['eta']} given eta_afc and the simulated "
         f"spin-stage survival; it absorbs alignment drift of the longer "
@@ -117,29 +120,26 @@ def table_preset(name: str) -> tuple[ExperimentConfig, list[str]]:
 
 
 def tomo_preset() -> tuple[ExperimentConfig, list[str]]:
-    base = TABLE1["table1-20ms"]
-    eta_q = base["eta"]
+    base, _ = table_preset("table1-20ms")
     mu_q = 0.92
     # noise per mode pinned by the reference sigma_z SNR at mu_q/2 per bin
-    p_noise = float((mu_q / 2) * eta_q / FIG4["sigma_z_snr"])
+    p_noise = float((mu_q / 2) * base.eta_end_to_end_target
+                    / FIG4["sigma_z_snr"])
     visibility = float(2 * FIG4["bright_pulse_fidelity"] - 1)
-    cfg = ExperimentConfig(
+    cfg = dataclasses.replace(
+        base,
         mu_in_per_mode=mu_q,
-        eta_afc_fixed=ETA_AFC_REFERENCE,
-        eta_end_to_end_target=eta_q,
         p_noise_target_per_mode=p_noise,
         qubit_visibility=visibility,
         n_trials=50_000,
-        seed=6,
     )
     notes = [
         f"qubit noise per mode {p_noise:.6f} pinned by the reference "
         f"sigma_z SNR {FIG4['sigma_z_snr']} at {mu_q/2} photons per bin",
         f"intrinsic interference visibility {visibility:.2f} pinned by the "
         f"reference bright-pulse fidelity {FIG4['bright_pulse_fidelity']}",
-        "memory efficiency for the qubit run taken from the 20 ms reference "
-        f"row, split over the stages like table1-20ms: eta_afc pinned to "
-        f"{ETA_AFC_REFERENCE}, the transfer backed out",
+        "comb, memory efficiency and seed as table1-20ms: comb peak OD "
+        f"{COMB_PEAK_OD_REFERENCE} pins eta_afc, the transfer is backed out",
     ]
     return cfg, notes
 

@@ -19,6 +19,7 @@ from afcmem import cli
 from afcmem.cli import main
 from afcmem.config import ExperimentConfig
 from afcmem.fitting import mims_curve
+from afcmem.presets import PRESET_NAMES
 from afcmem.tomography import PROJECTION_KEYS
 
 
@@ -32,6 +33,16 @@ def test_reproduce_fig1e(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_reproduce_negative_seed_exit_code(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    code = run_cli("reproduce", name, "--seed", "-1", "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: seed must be an integer in [0, inf)\n"
+    assert not out.exists()
 
 
 def test_simulate_spinwave(tmp_path, capsys):
@@ -175,7 +186,7 @@ def test_echo_stage_overflow_exit_code(tmp_path, capsys, what, bad, keys):
 
 @pytest.mark.parametrize("name", [
     "qubit_mu_in", "qubit_eta", "qubit_noise_per_mode", "eta_spin_fixed",
-    "eta_transfer_fixed", "noise_gain_kappa", "afc_eta0"])
+    "eta_transfer_fixed", "noise_gain_kappa", "afc_eta0", "eta_afc_fixed"])
 def test_deleted_config_key_exit_code(tmp_path, capsys, name):
     path = tmp_path / "old.json"
     path.write_text(json.dumps({name: 0.5}))
@@ -343,7 +354,7 @@ def test_malformed_fit_csv_exits_2(tmp_path, row):
     code, err = _run_quiet("fit", "mims", str(path), "--out", str(tmp_path))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert ":4:" in err or "float" in err
+    assert ":4:" in err
 
 
 def _fit_quiet(tmp_path, model, rows):

@@ -6,8 +6,10 @@ import pytest
 
 from afcmem.comb import square_tooth_efficiency
 from afcmem.config import ExperimentConfig
-from afcmem.harness import reproduce, run_qubit_tomography, run_spinwave
-from afcmem.presets import PRESET_NAMES, preset_config
+from afcmem.harness import (afc_efficiency, reproduce, run_qubit_tomography,
+                            run_spinwave)
+from afcmem.presets import (COMB_PEAK_OD_REFERENCE, ETA_AFC_REFERENCE,
+                            PRESET_NAMES, TABLE1, preset_config)
 
 
 def _fast_cfg(**kw):
@@ -78,20 +80,25 @@ def test_stage_composition_identity():
 
 
 def test_forced_spin_and_no_noise_composition():
-    cfg = _fast_cfg(p_noise_target_per_mode=0.0, eta_afc_fixed=0.28)
+    cfg = _fast_cfg(p_noise_target_per_mode=0.0,
+                    comb_peak_od=COMB_PEAK_OD_REFERENCE)
     rep = run_spinwave(cfg)
     s = rep.stages
-    assert s["eta_afc"] == 0.28
+    assert s["eta_afc"] == afc_efficiency(cfg)
+    assert abs(s["eta_afc"] - ETA_AFC_REFERENCE) < 5e-5
     assert rep.eta_end_to_end == pytest.approx(
-        0.28 * s["eta_transfer_sq"] * s["eta_spin"], rel=1e-12)
+        s["eta_afc"] * s["eta_transfer_sq"] * s["eta_spin"], rel=1e-12)
     assert s["p_noise_per_mode"] == 0.0
     # no-noise run reports the snr as an infinity marker (null in JSON)
     assert json.loads(rep.to_json())["metrics"]["summary"]["snr"] is None
 
 
 def test_end_to_end_target_calibration():
-    cfg = _fast_cfg(eta_afc_fixed=0.28, eta_end_to_end_target=0.0739)
+    cfg = _fast_cfg(comb_peak_od=COMB_PEAK_OD_REFERENCE,
+                    eta_end_to_end_target=0.0739)
     rep = run_spinwave(cfg)
+    assert rep.stages["eta_afc"] == afc_efficiency(cfg)
+    assert abs(rep.stages["eta_afc"] - ETA_AFC_REFERENCE) < 5e-5
     assert rep.eta_end_to_end == pytest.approx(0.0739, rel=1e-9)
     assert 0.4 < rep.stages["eta_transfer"] < 0.6
 
@@ -246,6 +253,25 @@ def test_noise_calibration_example():
 def test_reproduce_output_files(tmp_path, preset, files):
     reproduce(preset, tmp_path)
     assert {p.name for p in tmp_path.iterdir()} == files
+
+
+def test_presets_pin_the_echo_stage_through_the_comb():
+    # table1 and fig4-tomo fix eta_afc by the comb's peak OD alone: the
+    # stage is the config's own closed form, at the reference efficiency
+    for name in TABLE1:
+        cfg = preset_config(name)[0]
+        eta_afc = run_spinwave(cfg).stages["eta_afc"]
+        assert eta_afc == afc_efficiency(cfg)
+        assert abs(eta_afc - ETA_AFC_REFERENCE) < 5e-5
+    tomo = preset_config("fig4-tomo")[0]
+    assert (run_qubit_tomography(tomo).stages["eta_afc"]
+            == afc_efficiency(tomo))
+    # fig4-tomo is the table1-20ms config with the qubit run's fields
+    qubit = {"mu_in_per_mode", "p_noise_target_per_mode", "qubit_visibility",
+             "n_trials"}
+    tab = preset_config("table1-20ms")[0].to_dict()
+    differ = {k for k, v in tomo.to_dict().items() if tab[k] != v}
+    assert differ == qubit
 
 
 def test_tomo_preset_splits_the_20ms_row_like_table1():
