@@ -91,10 +91,14 @@ def _read_xy_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """x and y from the first two columns of a CSV with one header line;
     blank lines are skipped and any other malformed row is an error."""
     rows = []
-    with open(path) as fh:
-        fh.readline()
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
+    # undecodable bytes pass as surrogates, so each line can name its own
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
+            if lineno == 1 or not line.strip():
                 continue
             parts = line.strip().split(",")
             try:

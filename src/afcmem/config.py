@@ -20,7 +20,7 @@ from . import __version__
 from .comb import TOOTH_EFFICIENCY, TOOTH_SHAPES, ZEEMAN_SPLIT_HZ
 from .pulses import (dd_sequence, normalize_dd_kind, recommended_sample_rate,
                      reference_transfer_pulse)
-from .spinbath import ou_sigma_for_t2
+from .spinbath import MAX_LINE_PER_RABI, ou_sigma_for_t2
 from .tomography import MAX_MEAN_PHOTONS
 
 # OU bath calibrated so the two-pulse sequence decays with T2 = 70 ms
@@ -196,6 +196,11 @@ class ExperimentConfig:
                 f"comb_period_hz {self.comb_period_hz:g} and zeeman_split_hz "
                 f"{self.zeeman_split_hz:g}: the echo modulation phase "
                 f"pi f_z/Delta overflows float64")
+        if self.bath_inhom_fwhm_hz > MAX_LINE_PER_RABI * self.rf_rabi_hz:
+            raise ValueError(
+                f"bath_inhom_fwhm_hz {self.bath_inhom_fwhm_hz:g} exceeds "
+                f"{MAX_LINE_PER_RABI:g} x rf_rabi_hz, the widest line the "
+                f"residual-excitation quadrature is held to")
         try:
             dd_sequence(self.dd_kind, self.t_s_seconds,
                         1.0 / (2 * self.rf_rabi_hz))

@@ -9,23 +9,24 @@ form, chi_OU being the filter-function integral of the OU kernel
 Imperfect pulses are sampled by Monte Carlo: between pulses the OU value at
 the interval's end and its integral over the interval are drawn exactly, as
 one jointly Gaussian pair per atom (Gillespie, Phys. Rev. E 54, 2084
-(1996)), so an interval costs the same whatever its length.  Its free
-rotation is one phasor of its phase in turns, reduced exactly to at most
-half a turn; with the finite-Rabi pulse that ends it, an SU(2) rotation
-[[A, -B*], [B, A*]] (Gullion, Baker & Conradi, J. Magn. Reson. 89, 479
-(1990)), it forms one Cayley-Klein map.  The phasor and the pulse each take
-one tangent of a half angle, from which the rational half-angle forms give
-the cosine and the sine.  The interval loop runs in work arrays that each
-thread holds across calls, sized for the largest ensemble it has run.
-residual_excitation gives the storage-state population that the imperfect
-RF train excites out of the ground state; the harness reports the gain
-that maps it onto the read-out noise.
+(1996)) made from one Box-Muller draw of two uniforms, so an interval costs
+the same whatever its length.  Its free rotation is one phasor of its phase
+in turns, reduced exactly to at most half a turn; with the finite-Rabi
+pulse that ends it, an SU(2) rotation [[A, -B*], [B, A*]] (Gullion, Baker &
+Conradi, J. Magn. Reson. 89, 479 (1990)), it forms one Cayley-Klein map.
+The phasor and the pulse each take one tangent of a half angle, from which
+the rational half-angle forms give the cosine and the sine.  The interval
+loop runs in work arrays that each thread holds across calls, sized for the
+largest ensemble it has run.  residual_excitation gives the storage-state
+population that the imperfect RF train excites out of the ground state, as
+an exact quadrature over the static line rather than a sample of it; the
+harness reports the gain that maps it onto the read-out noise.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +36,18 @@ FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
 # per-thread work arrays of _propagate (see _workspace)
 _local = threading.local()
+
+# residual_excitation's rule over the line: trapezoid nodes z = j h in line
+# sigmas out to |z| = LINE_SPAN (beyond lies P < 2e-23), h halving from 1/2
+# to MIN_STEP until two rules agree to RESIDUAL_RTOL
+LINE_SPAN = 10.0
+MIN_STEP = 1 / 128
+RESIDUAL_RTOL = 1e-12
+EPS = np.finfo(float).eps
+# Lines up to this FWHM in units of the RF Rabi frequency converged by
+# h = 2 MIN_STEP for every DD kind, storage time and pulse error tried (the
+# tests hold the extremes); ExperimentConfig rejects wider ones
+MAX_LINE_PER_RABI = 4.0
 
 
 @dataclass
@@ -121,12 +134,22 @@ def _ou_interval_law(h, sigma, tau):
     return e, a, b, c
 
 
-def _ou_interval(rng, x0, h, sigma, tau, work):
+def _ou_interval(rng, x0, h, sigma, tau, work, phasor):
     """One exact joint draw of (x1, I) per atom (see _ou_interval_law) in the
-    (4, n) scratch array work: x0 is overwritten by x1, I is work[2]."""
+    (4, n) real scratch array work and the complex scratch row phasor: x0 is
+    overwritten by x1, I is work[2].  The normal pair is one Box-Muller draw
+    (Box & Muller, Ann. Math. Stat. 29, 610 (1958)) from two uniforms,
+    g1 + i g2 = sqrt(-2 log(1 - u1)) exp(-2 pi i u2), its phasor from
+    _phasor."""
     e, a, b, c = _ou_interval_law(h, sigma, tau)
-    rng.standard_normal(out=work[:2])
-    g1, g2, integral, tmp = work
+    rng.random(out=work[:2])
+    u1, u2, integral, tmp = work
+    _phasor(u2, tmp, phasor)
+    radius = np.log1p(np.negative(u1, out=u1), out=u1)
+    radius *= -2
+    np.sqrt(radius, out=radius)
+    g1 = np.multiply(radius, phasor.real, out=u2)
+    g2 = np.multiply(radius, phasor.imag, out=u1)
     np.multiply(x0, tau * e, out=integral)
     integral += np.multiply(g1, b, out=tmp)
     integral += np.multiply(g2, c, out=g2)
@@ -245,9 +268,9 @@ def _propagate(rng, static, bath, dd, errors, spinor):
     boundaries = np.concatenate([[0.0], dd.centers_s, [dd.total_time_s]])
     for i, h in enumerate(np.diff(boundaries)):
         turns = np.multiply(static, h / 2, out=g)  # g is free until the pulse
-        if use_ou:
+        if use_ou:  # r is free until the rotation below
             ou, integral = _ou_interval(rng, ou, h, bath.ou_sigma_hz,
-                                        bath.ou_tau_c_s, work)
+                                        bath.ou_tau_c_s, work, r)
             turns += np.multiply(integral, 0.5, out=integral)
         rot = _phasor(turns, work[0], r)
         if i == dd.n_pulses:  # no pulse ends the last interval
@@ -307,17 +330,81 @@ def spin_echo_coherence(dd: DDSequence, bath: SpinBathParams,
 
 
 def residual_excitation(dd: DDSequence, errors: PulseErrorModel,
-                        line: SpinBathParams, seed=None) -> float:
+                        line: SpinBathParams) -> float:
     """Mean storage-state population left by the imperfect RF train acting
     on spins of the static line (no spectral diffusion) initialized in the
-    ground state."""
+    ground state: an exact quadrature over the line, with no sampling.
+
+    Under a CPMG train of n pulses at tau = T/(2n) the free rotations enter
+    only through theta = 4 pi delta tau per middle interval (the first and
+    last add a global phase), while each pulse depends on delta slowly, on
+    the Rabi scale.  Written diag(e^(-i theta), 1), a rotation raises each
+    power of e^(-i theta) in the up amplitude by one, so the train carries
+    the amplitude's coefficients a_q(delta), q < n, exactly, and the
+    population is sum_k c_k e^(-i k theta) with c_k = sum_q a_(q+k) a_q*.
+    Over the Gaussian line, delta = sigma z, the trapezoid rule of step h
+    in z averages each harmonic kept, |k| beta <= pi/h with beta = 4 pi
+    sigma tau, to within about e^(-(pi/h)^2/2) of |c_k| (its aliases lie
+    2 pi/h away), and each harmonic dropped averages to below that.  h
+    halves from 1/2 until two rules agree to RESIDUAL_RTOL, or to the
+    n eps sqrt(value) rounding of the amplitudes; a line too wide against
+    the Rabi frequency to agree at MIN_STEP raises ValueError.
+    """
     errors.validate()
-    rng = _rng(seed, line.seed)
-    static = sample_ensemble(line, rng)
-    up, _ = _propagate(rng, static, replace(line, ou_sigma_hz=0.0), dd,
-                       errors, (0.0, 1.0))
-    population = np.abs(up, out=_workspace(line.n_atoms)[1][0])  # |up|^2
-    return float(np.mean(np.square(population, out=population)))
+    line.validate()
+    n = dd.n_pulses
+    if n == 0:
+        return 0.0
+    tau = dd.total_time_s / (2 * n)
+    cpmg = tau * (2 * np.arange(n) + 1)
+    if (np.shape(dd.centers_s) != cpmg.shape or np.abs(
+            dd.centers_s - cpmg).max() > 1e-12 * dd.total_time_s):
+        raise ValueError("residual_excitation needs CPMG pulse centers "
+                         "(2k + 1) T/(2 n_pulses)")
+    step, value = 0.5, None
+    while True:
+        last, value = value, _residual_quadrature(dd, errors, line, tau, step)
+        if last is not None and abs(value - last) <= (
+                RESIDUAL_RTOL * value + n * EPS * np.sqrt(abs(value))):
+            return value
+        if step == MIN_STEP:
+            raise ValueError(
+                f"residual_excitation: the quadrature over the spin line did "
+                f"not converge at step {step:g} sigma (line FWHM "
+                f"{line.inhom_fwhm_hz:g} Hz, Rabi {errors.rf_rabi_hz:g} Hz)")
+        step /= 2
+
+
+def _residual_quadrature(dd, errors, line, tau, step):
+    """residual_excitation's population average on the rule of one step."""
+    n = dd.n_pulses
+    half = round(LINE_SPAN / step)
+    z = step * np.arange(-half, half + 1)
+    sigma = line.inhom_fwhm_hz * FWHM_TO_SIGMA
+    omega = errors.rf_rabi_hz * (1 + errors.area_error)
+    t_pi = 1.0 / (2.0 * errors.rf_rabi_hz)  # nominal pi duration
+    ca = np.empty(z.size, dtype=complex)
+    sg = np.empty(z.size)
+    _pulse(-sigma * z, omega, t_pi, ca, sg, np.empty(z.size), np.empty(z.size))
+    ca, sg = ca[:, None], sg[:, None]
+    drive = -1j * omega * np.exp(1j * (dd.phases_rad + errors.phase_error_rad))
+    up = np.zeros((z.size, n), dtype=complex)  # a_q, q = 0 ... n - 1
+    dn = np.zeros((z.size, n), dtype=complex)
+    dn[:, 0] = 1
+    for i in range(n):  # the rotation, then [[A, -B*], [B, A*]], B = sg drive
+        up[:, 1:] = up[:, :-1]  # the first acts on up = 0: a global phase
+        up[:, 0] = 0
+        b = sg * drive[i]
+        up, dn = ca * up - np.conj(b) * dn, b * up + np.conj(ca) * dn
+    population = np.sum(np.square(np.abs(up)), axis=1)  # c_0
+    beta = 4 * np.pi * sigma * tau
+    k_max = (n - 1 if step * beta * (n - 1) <= np.pi
+             else int(np.pi / (step * beta)))
+    for k in range(1, k_max + 1):
+        c_k = np.sum(up[:, k:] * np.conj(up[:, :n - k]), axis=1)
+        population += 2 * np.real(c_k * np.exp(-1j * k * beta * z))
+    weights = step / np.sqrt(2 * np.pi) * np.exp(-0.5 * np.square(z))
+    return float(weights @ population)
 
 
 def free_induction(bath: SpinBathParams, t_list) -> np.ndarray:

@@ -127,6 +127,7 @@ def test_config_error_exit_code(tmp_path):
     {"mu_in_per_mode": 1e7}, {"transfer_bandwidth_hz": 1e9},
     {"eta_end_to_end_target": 0.5, "comb_peak_od": 0.0},
     {"p_noise_target_per_mode": None}, {"afc_t2_seconds": 1e-320},
+    {"bath_inhom_fwhm_hz": 480_001.0},
 ])
 def test_bath_config_error_exit_code(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
@@ -355,6 +356,18 @@ def test_malformed_fit_csv_exits_2(tmp_path, row):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert ":4:" in err
+
+
+@pytest.mark.parametrize("lineno", [1, 3])
+def test_non_utf8_fit_csv_names_its_line(tmp_path, lineno):
+    lines = [b"t,eta", b"0.02,0.08", b"0.05,0.06", b"0.07,0.05", b"0.1,0.04"]
+    lines[lineno - 1] = b"\xff\xfe,1"
+    path = tmp_path / "decay.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    code, err = _run_quiet("fit", "afc", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert err == f"error: {path}:{lineno}: not UTF-8 text\n"
+    assert not list(tmp_path.glob("fit_*.json"))
 
 
 def _fit_quiet(tmp_path, model, rows):

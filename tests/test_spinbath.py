@@ -1,15 +1,17 @@
+import inspect
 import sys
 import threading
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from afcmem import spinbath
 from afcmem.pulses import DDSequence, dd_sequence
-from afcmem.spinbath import (FWHM_TO_SIGMA, PulseErrorModel, SpinBathParams,
+from afcmem.spinbath import (EPS, FWHM_TO_SIGMA, MAX_LINE_PER_RABI,
+                             RESIDUAL_RTOL, PulseErrorModel, SpinBathParams,
                              _ou_interval, _ou_interval_law, _phasor,
-                             _propagate, _pulse,
+                             _propagate, _pulse, _residual_quadrature,
                              cpmg_ou_chi, efficiency_decay, free_induction,
                              ou_sigma_for_t2,
                              residual_excitation, sample_ensemble,
@@ -68,7 +70,8 @@ def test_ou_interval_sample_moments(h, tau):
     var_i = sigma**2 * tau**2 * (2 * (h / tau - e) - e**2)
     cov = sigma**2 * tau * e**2
     x1, integral = _ou_interval(np.random.default_rng(17), np.full(n, x0),
-                                h, sigma, tau, np.empty((4, n)))
+                                h, sigma, tau, np.empty((4, n)),
+                                np.empty(n, dtype=complex))
     # 4-sigma statistical bounds on each estimate
     assert x1.mean() == pytest.approx(mean[0], abs=4 * np.sqrt(var_x / n))
     assert integral.mean() == pytest.approx(mean[1], abs=4 * np.sqrt(var_i / n))
@@ -77,6 +80,31 @@ def test_ou_interval_sample_moments(h, tau):
     r = cov / np.sqrt(var_x * var_i)
     assert np.corrcoef(x1, integral)[0, 1] == pytest.approx(
         r, abs=4 * (1 - r * r) / np.sqrt(n))
+
+
+def test_ou_interval_box_muller_pair():
+    # the normal pair behind one interval draw, recovered from its outputs
+    # at x0 = 0 (x1 = a g1, I = b g1 + c g2), against N(0, 1) each and
+    # against independence
+    n = 400_000
+    h, sigma, tau = 0.5, 40.0, 1.0
+    _, a, b, c = _ou_interval_law(h, sigma, tau)
+    x1, integral = _ou_interval(np.random.default_rng(23), np.zeros(n), h,
+                                sigma, tau, np.empty((4, n)),
+                                np.empty(n, dtype=complex))
+    g1 = x1 / a
+    g2 = (integral - b * g1) / c
+    ks_1pct = special.kolmogi(0.01) / np.sqrt(n)
+    for g in (g1, g2):
+        cdf = special.ndtr(np.sort(g))
+        steps = np.arange(1, n + 1) / n
+        ks = max(np.max(steps - cdf), np.max(cdf - (steps - 1 / n)))
+        assert ks < ks_1pct
+        for edge in (3.0, 4.0):
+            p = 2 * special.ndtr(-edge)
+            count = np.count_nonzero(np.abs(g) > edge)
+            assert abs(count - n * p) <= 4 * np.sqrt(n * p * (1 - p))
+    assert abs(np.corrcoef(g1, g2)[0, 1]) <= 4 / np.sqrt(n)
 
 
 def ou_filter_chi(bounds, sigma, tau):
@@ -314,7 +342,9 @@ def _propagate_reference(rng, static, bath, dd, errors, spinor):
         if use_ou:
             tau = bath.ou_tau_c_s
             e, a, b, c = _ou_interval_law(h, bath.ou_sigma_hz, tau)
-            g1, g2 = rng.standard_normal((2, static.size))
+            u1, u2 = rng.random((2, static.size))  # Box-Muller, with libm
+            g = np.sqrt(-2 * np.log1p(-u1)) * np.exp(-2j * np.pi * u2)
+            g1, g2 = g.real, g.imag
             ou, integral = (1 - e) * ou + a * g1, tau * e * ou + b * g1 + c * g2
             phi += 2 * np.pi * integral
         rot = np.exp(-0.5j * phi)
@@ -376,8 +406,11 @@ def test_kernel_matches_reference_loop(name, n_atoms, ou_sigma_hz):
     want = abs(np.mean(2 * up_ref * np.conj(dn_ref)))
     assert res.coherence == pytest.approx(want, rel=1e-12, abs=0)
 
-    if ou_sigma_hz == 0:  # residual_excitation runs the static line only
-        got = residual_excitation(dd, errors, bath, seed=13)
+    if ou_sigma_hz == 0:  # the static line from the ground state
+        rng = np.random.default_rng(13)
+        up, _ = _propagate(rng, sample_ensemble(bath, rng), bath, dd, errors,
+                           (0.0, 1.0))
+        got = np.mean(np.abs(up) ** 2)
         up_ref, _ = reference(np.random.default_rng(13), lambda n: (
             np.zeros(n, dtype=complex), np.ones(n, dtype=complex)))
         want = np.mean(np.abs(up_ref) ** 2)
@@ -485,7 +518,7 @@ def test_workspace_is_per_thread():
     line = SpinBathParams(n_atoms=10_000, seed=6)
     errors = PulseErrorModel(area_error=0.03, phase_error_rad=0.02)
     jobs = [lambda: spin_echo_coherence(dd, bath, errors, seed=8).coherence,
-            lambda: residual_excitation(dd, errors, line, seed=9)]
+            lambda: spin_echo_coherence(dd, line, errors, seed=9).coherence]
     want = [job() for job in jobs]
     got = [[], []]
     start = threading.Barrier(2, timeout=30)
@@ -506,3 +539,98 @@ def test_workspace_is_per_thread():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == [[want[0]] * 3, [want[1]] * 3]
+
+
+# --- residual excitation by quadrature over the static line ----------------
+
+RESIDUAL_TRAINS = [("XX", 0.02), ("XY4", 0.02), ("XY8", 0.05), ("XY16", 0.1)]
+
+
+@pytest.mark.parametrize("kind,t_s,want", [
+    ("XX", 0.02, 7.61043e-2), ("XY4", 0.02, 2.96913e-3),
+    ("XY8", 0.05, 5.53472e-3), ("XY16", 0.1, 2.11706e-4)])
+def test_residual_quadrature_values(kind, t_s, want):
+    # the default 60 kHz line under a 1 % area error, to six digits; the
+    # Monte Carlo test below checks the same trains on 400k atoms
+    dd = dd_sequence(kind, t_s, PI_DURATION)
+    got = residual_excitation(dd, PulseErrorModel(area_error=0.01),
+                              SpinBathParams())
+    assert got == pytest.approx(want, rel=1e-5, abs=0)
+    assert list(inspect.signature(residual_excitation).parameters) == [
+        "dd", "errors", "line"]
+
+
+def _residual_monte_carlo(dd, errors, line, n_atoms=400_000, batch=40_000):
+    """Mean ground-state excitation of n_atoms static-line atoms through the
+    interval kernel, in batches, and its standard error."""
+    rng = np.random.default_rng(41)
+    sigma = line.inhom_fwhm_hz * FWHM_TO_SIGMA
+    pops = []
+    for _ in range(n_atoms // batch):
+        up, _ = _propagate(rng, sigma * rng.standard_normal(batch), line, dd,
+                           errors, (0.0, 1.0))
+        pops.append(np.square(np.abs(up)))
+    pops = np.concatenate(pops)
+    return pops.mean(), pops.std(ddof=1) / np.sqrt(n_atoms)
+
+
+@pytest.mark.parametrize("fwhm", [20.0, 200.0, 2e3, 60e3])
+@pytest.mark.parametrize("kind,t_s", RESIDUAL_TRAINS)
+def test_residual_quadrature_against_monte_carlo(kind, t_s, fwhm):
+    # narrow lines keep every harmonic (20 Hz), some (200 Hz), or the
+    # average alone (2 and 60 kHz); the kernel samples the exact detunings
+    dd = dd_sequence(kind, t_s, PI_DURATION)
+    errors = PulseErrorModel(area_error=0.01, phase_error_rad=0.02)
+    line = SpinBathParams(inhom_fwhm_hz=fwhm)
+    mean, stderr = _residual_monte_carlo(dd, errors, line)
+    assert residual_excitation(dd, errors, line) == pytest.approx(
+        mean, abs=4 * stderr)
+
+
+@pytest.mark.parametrize("kind,t_s", RESIDUAL_TRAINS)
+def test_residual_quadrature_zero_width_matrix_oracle(kind, t_s):
+    # every atom at delta = 0, where the free rotations are the identity
+    dd = dd_sequence(kind, t_s, PI_DURATION)
+    errors = PulseErrorModel(area_error=0.01, phase_error_rad=0.02)
+    u = np.eye(2, dtype=complex)
+    for ph in dd.phases_rad:
+        uuu, uud, udu, udd = _pulse_unitary_reference(ph, 0.0, errors)
+        u = np.array([[uuu, uud], [udu, udd]]) @ u
+    got = residual_excitation(dd, errors, SpinBathParams(inhom_fwhm_hz=0.0))
+    want = abs(u[0, 1]) ** 2  # XY16 leaves rounding alone, near 1e-33
+    assert abs(got - want) <= 1e-12 * want + dd.n_pulses * EPS * np.sqrt(want)
+
+
+@pytest.mark.parametrize("fwhm", [0.0, 20.0, 200.0, 2e3, 60e3])
+@pytest.mark.parametrize("kind,t_s", RESIDUAL_TRAINS)
+def test_residual_quadrature_rule_convergence(kind, t_s, fwhm):
+    # the rule the call settles on, against one of step 1/128 (2561
+    # nodes), to 1e-12 relative or, for values that the rounding of the
+    # amplitudes near n eps dominates, to n eps sqrt(value)
+    dd = dd_sequence(kind, t_s, PI_DURATION)
+    errors = PulseErrorModel(area_error=0.01, phase_error_rad=0.02)
+    line = SpinBathParams(inhom_fwhm_hz=fwhm)
+    got = residual_excitation(dd, errors, line)
+    fine = _residual_quadrature(dd, errors, line, t_s / (2 * dd.n_pulses),
+                                1 / 128)
+    assert abs(got - fine) <= (RESIDUAL_RTOL * fine
+                               + dd.n_pulses * EPS * np.sqrt(fine))
+
+
+def test_residual_train_edges():
+    errors = PulseErrorModel(area_error=0.01)
+    line = SpinBathParams()
+    assert residual_excitation(_oracle_sequence("none", 0.02), errors,
+                               line) == 0.0
+    with pytest.raises(ValueError, match="CPMG pulse centers"):
+        residual_excitation(_oracle_sequence("uneven", 0.02), errors, line)
+    # the widest line a config may hold converges under the longest train
+    # and extreme errors; one far wider exhausts the finest rule
+    dd = dd_sequence("XY16", 0.1, PI_DURATION)
+    for area, phase in ((0.49, 0.0), (-0.49, 3.0)):
+        wide = residual_excitation(
+            dd, PulseErrorModel(area_error=area, phase_error_rad=phase),
+            SpinBathParams(inhom_fwhm_hz=MAX_LINE_PER_RABI * 120e3))
+        assert 0 < wide < 1
+    with pytest.raises(ValueError, match="did not converge at step 0.0078125"):
+        residual_excitation(dd, errors, SpinBathParams(inhom_fwhm_hz=1e7))
