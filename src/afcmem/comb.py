@@ -342,9 +342,11 @@ def _first_echo(a0, a1, background_od, passes, kernel_hwhm_hz,
                 comb_period_hz) -> float:
     if kernel_hwhm_hz > 0:
         a1 *= np.exp(-2 * np.pi * kernel_hwhm_hz / comb_period_hz)
-    # the square of a half-depth product, so a deep comb gives 0, not inf * 0
-    return float((passes * a1 * np.exp(-passes * (a0 + background_od) / 2))
-                 ** 2)
+    # the square of a half-depth product, so a deep comb gives 0, not inf * 0;
+    # a half depth beyond float64 is such a comb
+    with np.errstate(over="ignore"):
+        half_depth = passes * (a0 + background_od) / 2
+    return float((passes * a1 * np.exp(-half_depth)) ** 2)
 
 
 def square_tooth_efficiency(peak_od: float, finesse: float,
@@ -386,6 +388,18 @@ def lorentzian_tooth_efficiency(peak_od: float, finesse: float,
 TOOTH_EFFICIENCY = {"square": square_tooth_efficiency,
                     "gaussian": gaussian_tooth_efficiency,
                     "lorentzian_sum": lorentzian_tooth_efficiency}
+
+
+def afc_efficiency(cfg) -> float:
+    """Echo efficiency of an ExperimentConfig's comb: the closed-form first
+    echo of its teeth, decayed over 1/Delta by the optical T2
+    (afc_t2_seconds) and modulated by the excited-state Zeeman splitting."""
+    eta0 = TOOTH_EFFICIENCY[cfg.comb_tooth_shape](
+        cfg.comb_peak_od, cfg.comb_finesse,
+        background_od=cfg.comb_background_od, passes=cfg.comb_passes)
+    return afc_decay_model(1.0 / cfg.comb_period_hz, eta0,
+                           cfg.afc_t2_seconds, cfg.afc_mod_depth,
+                           cfg.zeeman_split_hz)
 
 
 def comb_efficiency_estimate(peak_od: float, finesse: float,

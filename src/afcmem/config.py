@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .comb import TOOTH_EFFICIENCY, TOOTH_SHAPES, ZEEMAN_SPLIT_HZ
+from .comb import TOOTH_SHAPES, ZEEMAN_SPLIT_HZ, afc_efficiency
 from .pulses import (dd_sequence, normalize_dd_kind, recommended_sample_rate,
                      reference_transfer_pulse)
 from .spinbath import MAX_LINE_PER_RABI, ou_sigma_for_t2
@@ -174,28 +174,19 @@ class ExperimentConfig:
         self.dd_kind = normalize_dd_kind(self.dd_kind)
         if self.comb_tooth_shape not in TOOTH_SHAPES:
             raise ValueError(f"comb_tooth_shape must be one of {TOOTH_SHAPES}")
-        # the echo stage's closed form (harness.afc_efficiency) in float64
-        with np.errstate(all="ignore"):
-            eta0 = TOOTH_EFFICIENCY[self.comb_tooth_shape](
-                self.comb_peak_od, self.comb_finesse,
-                background_od=self.comb_background_od, passes=self.comb_passes)
-        if not math.isfinite(eta0):
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                eta_afc = afc_efficiency(self)
+        except (FloatingPointError, OverflowError):
+            eta_afc = math.nan
+        if not math.isfinite(eta_afc):
             raise ValueError(
-                f"comb_peak_od {self.comb_peak_od:g} is too large: the "
-                f"closed-form echo of {self.comb_tooth_shape} teeth overflows "
-                f"float64")
-        if not math.isfinite(4 * (1.0 / self.comb_period_hz)
-                             / self.afc_t2_seconds):
-            raise ValueError(
-                f"comb_period_hz {self.comb_period_hz:g} and afc_t2_seconds "
-                f"{self.afc_t2_seconds:g}: the echo decay exponent "
-                f"4/(Delta T2) overflows float64")
-        if not math.isfinite(math.pi * self.zeeman_split_hz
-                             * (1.0 / self.comb_period_hz)):
-            raise ValueError(
-                f"comb_period_hz {self.comb_period_hz:g} and zeeman_split_hz "
-                f"{self.zeeman_split_hz:g}: the echo modulation phase "
-                f"pi f_z/Delta overflows float64")
+                f"the echo stage's closed form overflows float64 at "
+                f"comb_peak_od {self.comb_peak_od:g}, comb_finesse "
+                f"{self.comb_finesse:g}, comb_period_hz "
+                f"{self.comb_period_hz:g}, afc_t2_seconds "
+                f"{self.afc_t2_seconds:g}, zeeman_split_hz "
+                f"{self.zeeman_split_hz:g}")
         if self.bath_inhom_fwhm_hz > MAX_LINE_PER_RABI * self.rf_rabi_hz:
             raise ValueError(
                 f"bath_inhom_fwhm_hz {self.bath_inhom_fwhm_hz:g} exceeds "

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .waveform import write_csv
+
 # Lifetime of the spontaneous-emission noise floor after read-out.
 NOISE_LIFETIME_S = 1.9e-3
 
@@ -48,10 +50,7 @@ class CountHistogram:
         return np.arange(self.n_bins) * self.bin_width_s
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("bin_start_s,counts\n")
-            for t, c in zip(self.bin_starts(), self.counts):
-                fh.write(f"{float(t)!r},{int(c)}\n")
+        write_csv(path, "bin_start_s,counts", self.bin_starts(), self.counts)
 
 
 def simulate_counts(flux_per_s, sample_rate_hz: float, chain: DetectionChain,
@@ -70,7 +69,7 @@ def simulate_counts(flux_per_s, sample_rate_hz: float, chain: DetectionChain,
     flux = np.asarray(flux_per_s, dtype=float)
     if np.any(flux < 0) or not np.all(np.isfinite(flux)):
         raise ValueError("flux must be finite and nonnegative")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     dt = 1.0 / sample_rate_hz
     per_bin = max(1, int(round(bin_width_s * sample_rate_hz)))
     n_bins = int(np.ceil(flux.size / per_bin))

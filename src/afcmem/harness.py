@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .comb import TOOTH_EFFICIENCY, afc_decay_model
+from .comb import afc_decay_model, afc_efficiency
 from .config import ExperimentConfig, provenance
 from .detection import (DetectionChain, metrics, mode_sums,
                         noise_floor_model, simulate_counts)
@@ -21,11 +21,11 @@ from .pulses import (DD_KINDS, dd_phases, dd_sequence, hsh_waveform,
                      reference_transfer_pulse)
 from .bloch import transfer_profile
 from .spinbath import (PulseErrorModel, SpinBathParams, efficiency_decay,
-                       decay_table_to_csv, residual_excitation,
-                       spin_echo_coherence)
+                       residual_excitation, spin_echo_coherence)
 from .tomography import (PROJECTION_KEYS, TomoCounts,
                          classical_bound_weak_coherent, reconstruct,
                          white_noise_fidelity)
+from .waveform import write_csv
 
 # Analyser phase theta of each interference projection of the qubit run.
 ANALYSER_PHASES_RAD = {"plus": 0.0, "plus_i": np.pi / 2, "minus": np.pi,
@@ -117,7 +117,7 @@ def _bath(cfg: ExperimentConfig) -> SpinBathParams:
     return SpinBathParams(inhom_fwhm_hz=cfg.bath_inhom_fwhm_hz,
                           ou_sigma_hz=cfg.bath_ou_sigma_hz,
                           ou_tau_c_s=cfg.bath_ou_tau_c_seconds,
-                          n_atoms=cfg.n_atoms, seed=cfg.seed)
+                          n_atoms=cfg.n_atoms)
 
 
 def _flux_grid(cfg: ExperimentConfig, n_modes_spanned: int):
@@ -177,18 +177,6 @@ def _eta_transfer(duration_s: float, bandwidth_hz: float) -> float:
     grid = np.linspace(-0.4, 0.4, 41) * bandwidth_hz
     prof = transfer_profile(hsh_waveform(spec), grid)
     return float(prof.inversion.mean())
-
-
-def afc_efficiency(cfg: ExperimentConfig) -> float:
-    """Echo efficiency of the config's comb: the closed-form first echo of
-    its teeth, decayed over 1/Delta by the optical T2 (afc_t2_seconds) and
-    modulated by the excited-state Zeeman splitting."""
-    eta0 = TOOTH_EFFICIENCY[cfg.comb_tooth_shape](
-        cfg.comb_peak_od, cfg.comb_finesse,
-        background_od=cfg.comb_background_od, passes=cfg.comb_passes)
-    return afc_decay_model(1.0 / cfg.comb_period_hz, eta0,
-                           cfg.afc_t2_seconds, cfg.afc_mod_depth,
-                           cfg.zeeman_split_hz)
 
 
 def _stage_efficiencies(cfg: ExperimentConfig, rng_spin):
@@ -429,10 +417,8 @@ def _reproduce_fig1e(out: Path, cfg, notes) -> RunReport:
     eta0_fit, t2_fit = fit.params[0], fit.params[1]
     model = afc_decay_model(t, *fit.params, cfg.zeeman_split_hz)
 
-    with open(out / "afc_decay.csv", "w") as fh:
-        fh.write("one_over_delta_s,eta_data,eta_fit\n")
-        for row in zip(t, data, model):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(out / "afc_decay.csv", "one_over_delta_s,eta_data,eta_fit",
+              t, data, model)
     (out / "fit_afc.json").write_text(json_text(fit.as_dict()))
 
     report = RunReport(
@@ -459,7 +445,8 @@ def _reproduce_fig2(out: Path, cfg, notes) -> RunReport:
         t_list = spin_t2_nominal(kind, xx_t2) * np.array(
             [0.4, 0.55, 0.7, 0.85, 1.0, 1.2, 1.4])
         rows = efficiency_decay(kind, t_list, bath)
-        decay_table_to_csv(out / f"decay_{kind}.csv", rows)
+        write_csv(out / f"decay_{kind}.csv", "t_s_seconds,eta,stderr",
+                  *np.array(rows).T)
         fit = fit_mims([r[0] for r in rows], [r[1] for r in rows])
         fits[f"mims_{kind}"] = fit.as_dict()
         t2_fitted[kind] = float(fit.params[1])

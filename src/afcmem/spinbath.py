@@ -105,12 +105,6 @@ def sample_ensemble(params: SpinBathParams,
     return sigma * rng.standard_normal(params.n_atoms)
 
 
-def _rng(seed, default_seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(default_seed if seed is None else seed)
-
-
 def _ou_interval_law(h, sigma, tau):
     """Law of the OU value x1 at the end of an interval h and of the OU
     integral I over it, given the value x0 at its start:
@@ -317,7 +311,7 @@ def spin_echo_coherence(dd: DDSequence, bath: SpinBathParams,
             np.concatenate([[0.0], dd.centers_s, [dd.total_time_s]]), bath)
         return SpinStorageResult(coherence=coherence, eta_spin=coherence**2)
     errors.validate()
-    rng = _rng(seed, bath.seed)
+    rng = np.random.default_rng(bath.seed if seed is None else seed)
     static = sample_ensemble(bath, rng)
     up, dn = _propagate(rng, static, bath, dd, errors,
                         (1 / np.sqrt(2), 1 / np.sqrt(2)))
@@ -426,13 +420,6 @@ def efficiency_decay(dd_kind: str, t_list, bath: SpinBathParams):
              spin_echo_coherence(dd_sequence(dd_kind, t_s, pulse_s),
                                  bath).eta_spin, 0.0)
             for t_s in t_arr]
-
-
-def decay_table_to_csv(path, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write("t_s_seconds,eta,stderr\n")
-        for t_s, eta, err in rows:
-            fh.write(f"{float(t_s)!r},{float(eta)!r},{float(err)!r}\n")
 
 
 # Slow-bath CPMG relations used for calibration: the phase variance of an

@@ -53,11 +53,17 @@ class Waveform:
 
     def to_csv(self, path) -> None:
         """Write rows of (t, Re, Im)."""
-        t = self.times()
-        with open(path, "w") as fh:
-            fh.write("t_s,re,im\n")
-            for ti, s in zip(t, self.samples):
-                fh.write(f"{float(ti)!r},{float(s.real)!r},{float(s.imag)!r}\n")
+        write_csv(path, "t_s,re,im", self.times(), self.samples.real,
+                  self.samples.imag)
+
+
+def write_csv(path, header: str, *columns: np.ndarray) -> None:
+    """Write the header line, then one line per row of the equal-length
+    columns, each value as its Python repr (a float round-trips exactly)."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in zip(*(c.tolist() for c in columns)):
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def gaussian_pulse(fwhm_s: float, center_s: float,

@@ -128,6 +128,7 @@ def test_config_error_exit_code(tmp_path):
     {"eta_end_to_end_target": 0.5, "comb_peak_od": 0.0},
     {"p_noise_target_per_mode": None}, {"afc_t2_seconds": 1e-320},
     {"bath_inhom_fwhm_hz": 480_001.0},
+    {"comb_finesse": 1e200, "comb_tooth_shape": "gaussian"},
 ])
 def test_bath_config_error_exit_code(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"

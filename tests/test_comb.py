@@ -359,6 +359,17 @@ def test_background_monotonicity():
     assert effs[0] > effs[1] > effs[2]
 
 
+@pytest.mark.parametrize("efficiency, peak_od, finesse, passes", [
+    (square_tooth_efficiency, 1.6e308, 1.01, 2),
+    (gaussian_tooth_efficiency, 1.6e308, 1.01, 2),
+    (lorentzian_tooth_efficiency, 5e307, 1.5, 4)])
+def test_deep_comb_closed_form_is_zero(efficiency, peak_od, finesse, passes):
+    # a total depth beyond float64 absorbs the echo: 0, with no
+    # floating-point flag, so the config check accepts such a comb
+    with np.errstate(all="raise"):
+        assert efficiency(peak_od, finesse, passes=passes) == 0.0
+
+
 def test_decay_model_values():
     assert afc_decay_model(0.0, 0.36, 240e-6) == pytest.approx(0.36)
     assert afc_decay_model(25e-6, 0.36, 240e-6) == pytest.approx(0.2373, abs=2e-4)

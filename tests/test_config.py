@@ -1,15 +1,27 @@
 import ast
 import dataclasses
+import math
+import warnings
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import afcmem
+from afcmem.comb import TOOTH_SHAPES
 from afcmem.config import ExperimentConfig
+from afcmem.harness import afc_efficiency
+
+SOURCES = sorted(Path(afcmem.__file__).parent.glob("*.py"))
+ECHO_KEYS = ("comb_peak_od", "comb_finesse", "comb_period_hz",
+             "afc_t2_seconds", "zeeman_split_hz")
 
 
 def test_every_config_field_is_read_outside_config():
     # a field that no module reads is a knob that changes no output
     read = set()
-    for path in Path(afcmem.__file__).parent.glob("*.py"):
+    for path in SOURCES:
         if path.name == "config.py":
             continue
         read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
@@ -17,3 +29,90 @@ def test_every_config_field_is_read_outside_config():
                  and isinstance(node.ctx, ast.Load)}
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert sorted(fields - read) == []
+
+
+def _called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+class _FileWrites(ast.NodeVisitor):
+    """(function, call) of every open() for writing, and every write_text
+    or write_bytes call whose content is not json_text(...) or to_json()."""
+
+    def __init__(self):
+        self.scope = ["<module>"]
+        self.found = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        name = _called_name(node)
+        if name == "open":
+            # builtin open(file, mode) or Path.open(mode)
+            args = node.args[isinstance(node.func, ast.Name):]
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        args[0] if args else ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant)
+                    and not set("wax+") & set(mode.value)):
+                self.found.append((self.scope[-1], name))
+        elif name in ("write_text", "write_bytes"):
+            content = node.args[0] if node.args else None
+            if not (name == "write_text" and isinstance(content, ast.Call)
+                    and _called_name(content) in ("json_text", "to_json")):
+                self.found.append((self.scope[-1], name))
+        self.generic_visit(node)
+
+
+def test_one_writer_per_file_format():
+    # CSV goes through waveform.write_csv alone, JSON through json_text
+    writes = []
+    for path in SOURCES:
+        visitor = _FileWrites()
+        visitor.visit(ast.parse(path.read_text()))
+        writes += [(path.name, *w) for w in visitor.found]
+    assert writes == [("waveform.py", "write_csv", "open")]
+
+
+def _echo_stage_is_clean(cfg) -> bool:
+    """afc_efficiency(cfg) is finite and raises no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return math.isfinite(afc_efficiency(cfg))
+        except (RuntimeWarning, OverflowError):
+            return False
+
+
+# log-uniform over the positive float64 range, subnormals included
+_POSITIVE = st.floats(-1074, 1024, exclude_max=True).map(lambda e: 2.0**e)
+
+
+@pytest.mark.parametrize("shape", TOOTH_SHAPES)
+@settings(max_examples=150, deadline=None)
+@given(peak_od=_POSITIVE, finesse_excess=_POSITIVE, period=_POSITIVE,
+       t2=_POSITIVE, zeeman=_POSITIVE, zeeman_sign=st.sampled_from([1, -1]))
+def test_echo_stage_probe(shape, peak_od, finesse_excess, period, t2, zeeman,
+                          zeeman_sign):
+    cfg = ExperimentConfig(
+        comb_tooth_shape=shape, comb_peak_od=peak_od,
+        comb_finesse=max(1 + finesse_excess, math.nextafter(1, 2)),
+        comb_period_hz=period, afc_t2_seconds=t2,
+        zeeman_split_hz=zeeman_sign * zeeman)
+    clean = _echo_stage_is_clean(cfg)
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        msg = str(exc)
+        assert msg and "\n" not in msg
+        # the echo probe names every echo key and rejects exactly the
+        # configs whose echo stage is not clean; the homogeneous-width
+        # check before it names afc_t2_seconds alone, and the checks after
+        # it reject configs whose echo stage is clean
+        named = all(f"{key} " in msg for key in ECHO_KEYS)
+        assert named != clean or msg.startswith("afc_t2_seconds ")
+        return
+    assert clean

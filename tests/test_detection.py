@@ -72,7 +72,7 @@ def test_dark_counts_use_realised_bin_width():
     assert abs(mean - expect) < 5 * sigma
 
 
-def test_mode_sums_single_mode():
+def test_mode_sums_single_mode(tmp_path):
     hist = CountHistogram(bin_width_s=165e-9,
                           counts=np.array([10, 20, 30] + [0] * 7),
                           n_trials=1000)
@@ -89,6 +89,13 @@ def test_mode_sums_single_mode():
     assert out.values == pytest.approx([6 / norm, 150 / norm])
     assert out.errors == pytest.approx([np.sqrt(6) / norm,
                                         np.sqrt(150) / norm])
+    # counts beyond 32 bits are written as exact integers
+    counts = np.array([2**31 + 1, 0, 2**40], dtype=np.int64)
+    CountHistogram(bin_width_s=165e-9, counts=counts,
+                   n_trials=1).to_csv(tmp_path / "hist.csv")
+    assert (tmp_path / "hist.csv").read_text() == (
+        "bin_start_s,counts\n0.0,2147483649\n1.65e-07,0\n"
+        "3.3e-07,1099511627776\n")
 
 
 def test_mode_sums_validation():

@@ -19,14 +19,16 @@ def test_peak_time_subsample():
 
 
 def test_csv_export(tmp_path):
-    wf = Waveform(1e6, 0.0, np.array([1 + 2j, 3 - 4j]))
+    wf = Waveform(1e6, 0.0, np.array([1 + 2j, 3 - 4j, complex(-0.0, -1e-310)]))
     path = tmp_path / "wf.csv"
     wf.to_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t_s,re,im"
-    assert len(lines) == 3
+    assert len(lines) == 4
     t0, re0, im0 = (float(x) for x in lines[1].split(","))
     assert (t0, re0, im0) == (0.0, 1.0, 2.0)
+    # each value is its shortest round-trip repr: sign of zero, subnormals
+    assert lines[2:] == ["1e-06,3.0,-4.0", "2e-06,-0.0,-1e-310"]
 
 
 def test_bad_sample_rate():
