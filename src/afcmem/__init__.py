@@ -10,9 +10,8 @@ from .pulses import (ChshSpec, DDSequence, HshSpec, chirp_rate, chsh_waveform,
                      hsh_waveform, reference_transfer_pulse)
 from .bloch import TransferProfile, bloch_propagate, transfer_profile
 from .spinbath import (PulseErrorModel, SpinBathParams, SpinStorageResult,
-                       efficiency_decay, free_induction, ou_sigma_for_t2,
-                       residual_excitation, sample_ensemble,
-                       spin_echo_coherence)
+                       efficiency_decay, ou_sigma_for_t2, residual_excitation,
+                       sample_ensemble, spin_echo_coherence)
 from .detection import (CountHistogram, DetectionChain, ModeMetrics, ModeSums,
                         metrics, mode_sums, noise_floor_model, simulate_counts,
                         table_metrics)

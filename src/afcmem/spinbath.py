@@ -16,16 +16,15 @@ pulse that ends it, an SU(2) rotation [[A, -B*], [B, A*]] (Gullion, Baker &
 Conradi, J. Magn. Reson. 89, 479 (1990)), it forms one Cayley-Klein map.
 The phasor and the pulse each take one tangent of a half angle, from which
 the rational half-angle forms give the cosine and the sine.  The interval
-loop runs in work arrays that each thread holds across calls, sized for the
-largest ensemble it has run.  residual_excitation gives the storage-state
-population that the imperfect RF train excites out of the ground state, as
-an exact quadrature over the static line rather than a sample of it; the
-harness reports the gain that maps it onto the read-out noise.
+loop runs in place in work arrays allocated once per call.
+residual_excitation gives the storage-state population that the imperfect
+RF train excites out of the ground state, as an exact quadrature over the
+static line rather than a sample of it; the harness reports the gain that
+maps it onto the read-out noise.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +32,6 @@ import numpy as np
 from .pulses import DDSequence, dd_sequence
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-
-# per-thread work arrays of _propagate (see _workspace)
-_local = threading.local()
 
 # residual_excitation's rule over the line: trapezoid nodes z = j h in line
 # sigmas out to |z| = LINE_SPAN (beyond lies P < 2e-23), h halving from 1/2
@@ -48,6 +44,9 @@ EPS = np.finfo(float).eps
 # h = 2 MIN_STEP for every DD kind, storage time and pulse error tried (the
 # tests hold the extremes); ExperimentConfig rejects wider ones
 MAX_LINE_PER_RABI = 4.0
+# spin_echo_coherence's standard error: the spread of |mean| over this many
+# equal blocks of the ensemble
+N_BLOCKS = 10
 
 
 @dataclass
@@ -194,18 +193,6 @@ def _phasor(turns, scratch, out):
     return out
 
 
-def _workspace(n):
-    """The calling thread's work arrays as a (6, n) complex and an (8, n)
-    real array, each C-contiguous.  One flat buffer of each is held per
-    thread and reallocated only for a wider n; a narrower n takes a prefix,
-    so a small ensemble between two large ones keeps the large buffers."""
-    flat = getattr(_local, "flat", None)
-    if flat is None or flat[1].size < 8 * n:
-        flat = _local.flat = (np.empty(6 * n, dtype=np.complex128),
-                              np.empty(8 * n))
-    return flat[0][:6 * n].reshape(6, n), flat[1][:8 * n].reshape(8, n)
-
-
 def _pulse(minus_delta, omega, t_pi, ca, sg, g, q):
     """Coefficients of the finite-Rabi pi pulse at detunings delta, given as
     minus_delta: A = C - i S delta/g into the complex ca and S/g into sg
@@ -240,12 +227,10 @@ def _propagate(rng, static, bath, dd, errors, spinor):
     [[a, -b*], [b, a*]], a = A r and b = B r, where g = sqrt(omega^2 +
     delta^2) and (C, S) = (cos, sin)(pi g t_pi) at delta = static + OU, from
     _pulse.  The pulse is recomputed only where the OU detuning moves.
-
-    Returns (up, dn) as rows of the calling thread's workspace: they stay
-    valid until the next call on the same thread.
     """
     n = static.size
-    (up, dn, r, ca, a, b), real = _workspace(n)
+    up, dn, r, ca, a, b = np.empty((6, n), dtype=np.complex128)
+    real = np.empty((8, n))
     ou, minus_static, g, sg = real[:4]
     work = real[4:]
     use_ou = bath.ou_sigma_hz > 0
@@ -284,12 +269,12 @@ def _propagate(rng, static, bath, dd, errors, spinor):
     return up, dn
 
 
-def _coherence_stats(phasors: np.ndarray, n_blocks: int = 10):
+def _coherence_stats(phasors: np.ndarray):
     coherence = float(np.abs(phasors.mean()))
-    if phasors.size >= 2 * n_blocks:
-        blocks = np.array_split(phasors, n_blocks)
+    if phasors.size >= 2 * N_BLOCKS:
+        blocks = np.array_split(phasors, N_BLOCKS)
         vals = np.array([np.abs(b.mean()) for b in blocks])
-        stderr = float(vals.std(ddof=1) / np.sqrt(n_blocks))
+        stderr = float(vals.std(ddof=1) / np.sqrt(N_BLOCKS))
     else:
         stderr = float("nan")  # undefined with fewer than two atoms per block
     return coherence, stderr
@@ -315,7 +300,7 @@ def spin_echo_coherence(dd: DDSequence, bath: SpinBathParams,
     static = sample_ensemble(bath, rng)
     up, dn = _propagate(rng, static, bath, dd, errors,
                         (1 / np.sqrt(2), 1 / np.sqrt(2)))
-    phasors = np.conj(dn, out=dn)  # 2 up dn*, in the workspace
+    phasors = np.conj(dn, out=dn)  # 2 up dn*, in place
     phasors *= up
     phasors *= 2
     coherence, stderr = _coherence_stats(phasors)
@@ -399,12 +384,6 @@ def _residual_quadrature(dd, errors, line, tau, step):
         population += 2 * np.real(c_k * np.exp(-1j * k * beta * z))
     weights = step / np.sqrt(2 * np.pi) * np.exp(-0.5 * np.square(z))
     return float(weights @ population)
-
-
-def free_induction(bath: SpinBathParams, t_list) -> np.ndarray:
-    """Free-dephasing coherence |<exp(i phi)>| at each time (no pulses)."""
-    bath.validate()
-    return np.array([_ideal_coherence([0.0, t], bath) for t in t_list])
 
 
 def efficiency_decay(dd_kind: str, t_list, bath: SpinBathParams):

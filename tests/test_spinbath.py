@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from afcmem import spinbath
 from afcmem.pulses import DDSequence, dd_sequence
 from afcmem.spinbath import (EPS, FWHM_TO_SIGMA, MAX_LINE_PER_RABI,
                              RESIDUAL_RTOL, PulseErrorModel, SpinBathParams,
                              _ou_interval, _ou_interval_law, _phasor,
                              _propagate, _pulse, _residual_quadrature,
-                             cpmg_ou_chi, efficiency_decay, free_induction,
-                             ou_sigma_for_t2,
+                             cpmg_ou_chi, efficiency_decay, ou_sigma_for_t2,
                              residual_excitation, sample_ensemble,
                              spin_echo_coherence)
 
@@ -155,12 +153,11 @@ def test_coherence_against_filter_function(centers, t_s, fwhm):
     if centers:
         dd = DDSequence("XY4", t_s, phases_rad=np.zeros(len(centers)),
                         centers_s=np.array(centers))
-        res = spin_echo_coherence(dd, bath)
-        assert res.coherence == pytest.approx(expected, rel=1e-12, abs=0)
-        assert res.coherence_stderr == 0
     else:
-        assert free_induction(bath, [t_s])[0] == pytest.approx(
-            expected, rel=1e-12, abs=0)
+        dd = _oracle_sequence("none", t_s)
+    res = spin_echo_coherence(dd, bath)
+    assert res.coherence == pytest.approx(expected, rel=1e-12, abs=0)
+    assert res.coherence_stderr == 0
 
 
 @pytest.mark.parametrize("kind,t_s", [("XX", 0.05), ("XY4", 0.08),
@@ -194,7 +191,8 @@ def test_refocusing_identity(kind, t_s):
 def test_free_dephasing_time():
     bath = SpinBathParams(inhom_fwhm_hz=60e3, ou_sigma_hz=0.0)
     t_list = np.linspace(2e-6, 16e-6, 15)
-    c = free_induction(bath, t_list)
+    c = np.array([spin_echo_coherence(_oracle_sequence("none", t),
+                                      bath).coherence for t in t_list])
     t_e = np.interp(np.exp(-1), c[::-1], t_list[::-1])
     # the exact curve, read off by linear interpolation on a 1 us grid
     assert t_e == pytest.approx(1 / (np.sqrt(2) * np.pi * 60e3 * FWHM_TO_SIGMA),
@@ -485,7 +483,7 @@ def test_pulse_coefficients_against_libm():
     assert np.abs(sg * omega - np.cos(x) * omega / g).max() <= 1e-15
 
 
-# --- the per-thread workspace ----------------------------------------------
+# --- the kernel's work arrays ----------------------------------------------
 
 def _kernel_call(n_atoms, ou_sigma_hz, kind, spinor):
     """One _propagate call on a fixed draw; returns copies of (up, dn)."""
@@ -498,18 +496,30 @@ def _kernel_call(n_atoms, ou_sigma_hz, kind, spinor):
     return up.copy(), dn.copy()
 
 
-def test_workspace_reuse_matches_fresh_workspace(monkeypatch):
+def test_workspace_reuse_matches_fresh_workspace():
     # a narrow call between two wide ones, the wide ones without and with OU:
-    # stale rows or a short prefix would show as a bitwise difference
+    # state carried from one call into the next would show as a bitwise
+    # difference from a repeat of the same call
     calls = [(40_000, 30.0, "XY4", (1 / np.sqrt(2), 1 / np.sqrt(2))),
              (7, 0.0, "XY16", (0.0, 1.0)),
              (40_000, 0.0, "XY8", (0.0, 1.0))]
-    monkeypatch.setattr(spinbath, "_local", threading.local())
-    reused = [_kernel_call(*call) for call in calls]
-    for call, (up, dn) in zip(calls, reused):
-        monkeypatch.setattr(spinbath, "_local", threading.local())
-        up_fresh, dn_fresh = _kernel_call(*call)
-        assert np.array_equal(up, up_fresh) and np.array_equal(dn, dn_fresh)
+    first = [_kernel_call(*call) for call in calls]
+    for call, (up, dn) in zip(calls, first):
+        up_again, dn_again = _kernel_call(*call)
+        assert np.array_equal(up, up_again) and np.array_equal(dn, dn_again)
+
+
+def test_propagate_result_owned_by_caller():
+    # the (up, dn) of one call survive a later call at another ensemble size
+    bath = SpinBathParams(ou_sigma_hz=30.0, n_atoms=4000, seed=3)
+    errors = PulseErrorModel(area_error=0.03, phase_error_rad=0.02)
+    rng = np.random.default_rng(1)
+    up, dn = _propagate(rng, sample_ensemble(bath, rng), bath,
+                        dd_sequence("XY4", 0.05, PI_DURATION), errors,
+                        (1 / np.sqrt(2), 1 / np.sqrt(2)))
+    kept = up.copy(), dn.copy()
+    _kernel_call(7, 0.0, "XY16", (0.0, 1.0))
+    assert np.array_equal(up, kept[0]) and np.array_equal(dn, kept[1])
 
 
 def test_workspace_is_per_thread():
