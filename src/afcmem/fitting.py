@@ -226,7 +226,6 @@ def fit_power_law(n_pulses, t2_values) -> FitResult:
     ln_t2 = np.log(t2)
     design = np.column_stack([np.ones_like(ln_n), ln_n])
     (ln_a, gamma), *_ = np.linalg.lstsq(design, ln_t2)
-    x = np.array([np.exp(ln_a), gamma])
     r = design @ [ln_a, gamma] - ln_t2
 
     def jac(x):
@@ -235,4 +234,8 @@ def fit_power_law(n_pulses, t2_values) -> FitResult:
         J[:, 1] = ln_n
         return J
 
-    return _finish(names, x, r, True, 0, jac)
+    # a steep law may put t2_1 = exp(ln_a) or its Jacobian 1/t2_1 beyond
+    # the float range: _finish rejects the non-finite covariance
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = np.array([np.exp(ln_a), gamma])
+        return _finish(names, x, r, True, 0, jac)
