@@ -7,11 +7,11 @@ Bonarota et al., Phys. Rev. A 81, 033803 (2010)).  The tooth profile is
 summed only inside the band, over the teeth near each frequency.  The
 causal pair is formed in the time domain as a discrete analytic signal
 (Marple, IEEE Trans. Signal Process. 47, 2600 (1999)).  The profile is
-even in frequency, so it is filled at f >= 0 and mirrored, its transform
-is real, and the causal pair obeys D(-f) = conj(D(f)): two real N-point
-transforms give D at f >= 0, and the rest of the grid is its mirror.
+even in frequency, so its transform is real and the causal pair obeys
+D(-f) = conj(D(f)): the comb is built, stored and applied at f >= 0 only,
+the profile's half going through two real N-point transforms.
 Propagation through the prepared ensemble is a linear filter acting on
-the input spectrum.
+the input spectrum, by the response at f >= 0 and its conjugate at f < 0.
 """
 
 from __future__ import annotations
@@ -84,7 +84,14 @@ class CombParams:
 
 @dataclass
 class CombSpectrum:
-    """Absorption profile and complex field transfer of the prepared comb."""
+    """Absorption profile and complex field transfer of the prepared comb.
+
+    The arrays hold the non-negative half of the grid: freq_grid_hz is
+    k df for k = 0 ... N//2, Nyquist included, and alpha and
+    complex_response are given there.  Negative frequencies follow from
+    alpha(-f) = alpha(f) and complex_response(-f) =
+    conj(complex_response(f)).
+    """
 
     freq_grid_hz: np.ndarray
     alpha: np.ndarray
@@ -183,14 +190,14 @@ def build_comb(params: CombParams, n_points: int = DEFAULT_GRID_POINTS,
     The field transfer is exp(-(passes/2) * D(f)) with D the resulting
     complex optical depth.
 
-    The band and the teeth are symmetric about f = 0, so g is even: it is
-    filled in place at 0 <= f < B/2 with f = 0 at index 0 (FFT order) and
-    mirrored onto f < 0.  Its transform is then real, and D(-f) =
-    conj(D(f)).  The real part of rfft(g) times the one-sided decay goes
-    through a second real N-point transform, which gives D at f = k df,
-    k = 0 ... N//2; alpha and the exponential are taken there and
-    mirrored onto the ascending grid, alpha(-f) = alpha(f) and
-    response(-f) = conj(response(f)), exactly.
+    The band and the teeth are symmetric about f = 0, so g is even and
+    is given by its half x at f = k df, k = 0 ... N//2, filled in place
+    inside the band.  The transform of an even g is real and even, and
+    irfft(x, N) computes it; its first N//2 + 1 samples are the time
+    signal at t >= 0.  They are weighted by the one-sided decay in place,
+    the rest of the signal is zeroed, and one real N-point transform
+    gives D on the same half grid.  alpha and the response are returned
+    there; see CombSpectrum for f < 0.
     """
     params.validate()
     if span_hz < 1.25 * params.bandwidth_hz:
@@ -202,33 +209,28 @@ def build_comb(params: CombParams, n_points: int = DEFAULT_GRID_POINTS,
             f"{params.tooth_fwhm_hz:.1f} Hz (need at least 8 points per tooth)")
     gamma = 4 * df + params.homogeneous_hwhm_hz
 
-    # f = (k - m) df ascends; f[m:] is f >= 0.  The window is nonzero only
-    # where |f| < B/2, which is f[m:m + j1] and its mirror; where its ramp
-    # rounds to 0, g is 0 as well.
-    m = n_points // 2
-    f = np.arange(-m, n_points - m, dtype=float)
+    # f = k df, k = 0 ... N//2.  The window is nonzero only where f < B/2,
+    # which is f[:j1]; where its ramp rounds to 0, x is 0 as well.
+    h = n_points // 2 + 1
+    f = np.arange(h, dtype=float)
     f *= df
-    f_pos = f[m:]
-    j1 = int(np.searchsorted(f_pos, params.bandwidth_hz / 2, "left"))
-    g = np.zeros(n_points)
-    band = g[:j1]
-    # g >= 0, so a profile too deep for float64 shows as a non-finite sum
-    # of g, the first transform's DC term, which bounds every coefficient
+    j1 = int(np.searchsorted(f, params.bandwidth_hz / 2, "left"))
+    x = np.zeros(h)
+    band = x[:j1]
+    # x >= 0, so a profile too deep for float64 shows as a non-finite DC
+    # sample of the transform, the sum of g, which bounds every sample
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add(_tooth_profile(f_pos[:j1], params), params.background_od,
+        np.add(_tooth_profile(f[:j1], params), params.background_od,
                out=band)
-        band *= _raised_cosine_window(f_pos[:j1], params.bandwidth_hz)
-        g[n_points - j1 + 1:] = band[:0:-1]
-        g_t = np.fft.rfft(g)
-    del g, band
-    if not np.isfinite(g_t[0].real):
+        band *= _raised_cosine_window(f[:j1], params.bandwidth_hz)
+        signal = np.fft.irfft(x, n_points)
+    del x, band
+    if not np.isfinite(signal[0]):
         raise ValueError(
             f"comb_peak_od {params.peak_od:g} is too large: the comb's "
             f"absorption profile overflows float64")
 
-    # the transform of an even g is real, so its time signal at t >= 0 is
-    # that real part
-    decay = np.arange(g_t.size, dtype=float)
+    decay = np.arange(h, dtype=float)
     decay *= -2 * np.pi * gamma
     decay /= n_points * df
     np.exp(decay, out=decay)
@@ -236,19 +238,15 @@ def build_comb(params: CombParams, n_points: int = DEFAULT_GRID_POINTS,
     decay[0] = 1.0
     if n_points % 2 == 0:
         decay[-1] /= 2
-    decay *= g_t.real
-    del g_t
-    d_half = np.fft.rfft(decay, n_points, norm="forward")
+    signal[:h] *= decay
     del decay
+    signal[h:] = 0.0
+    response = np.fft.rfft(signal)
+    del signal
 
-    alpha = np.empty(n_points)
-    np.maximum(d_half.real[:n_points - m], 0.0, out=alpha[m:])
-    np.maximum(d_half.real[m:0:-1], 0.0, out=alpha[:m])
-    np.multiply(-(params.passes / 2.0), d_half, out=d_half)
-    np.exp(d_half, out=d_half)
-    response = np.empty(n_points, complex)
-    response[m:] = d_half[:n_points - m]
-    np.conjugate(d_half[m:0:-1], out=response[:m])
+    alpha = np.maximum(response.real, 0.0)
+    response *= -(params.passes / 2.0)
+    np.exp(response, out=response)
     return CombSpectrum(freq_grid_hz=f, alpha=alpha,
                         complex_response=response, params=params)
 
@@ -259,7 +257,9 @@ def propagate(inp: Waveform, spectrum: CombSpectrum) -> EchoResult:
     The echo is searched in the window (0.5/Delta, 1.5/Delta) after the
     input peak; echo_efficiency is the energy in that window relative to
     the input energy.  Inputs leaking more than MAX_LEAK_FRACTION of their
-    energy outside the comb band are rejected.
+    energy outside the comb band are rejected.  The comb acts on the
+    input's positive frequencies by its response at f and on the negative
+    ones by the conjugate at |f|; beyond its grid it passes the input.
     """
     params = spectrum.params
     delta = params.comb_period_hz
@@ -272,25 +272,37 @@ def propagate(inp: Waveform, spectrum: CombSpectrum) -> EchoResult:
     window_s = (t_peak_in - inp.t0_s) + ring_periods / delta
     n = max(inp.n_samples, int(np.ceil(window_s * inp.sample_rate_hz)))
     n = 1 << (n - 1).bit_length()
-    spec_in = np.fft.fft(inp.samples, n)
-    f_sig = np.fft.fftfreq(n, d=inp.dt_s)
+    spec = np.fft.fft(inp.samples, n)
+    # |f| of bin k is f_abs[min(k, n - k)]; bins 0 ... p - 1 are f >= 0
+    f_abs = np.fft.rfftfreq(n, d=inp.dt_s)
+    p = (n + 1) // 2
 
-    # Reject inputs whose spectrum leaks outside the comb band.
-    power = np.abs(spec_in) ** 2
-    outside = np.abs(f_sig) > spectrum.band_edge_hz
-    leak = float(power[outside].sum() / power.sum())
+    # Reject inputs whose spectrum leaks outside the comb band: the bins
+    # with |f| beyond it are q ... n - q.
+    power = np.abs(spec)
+    np.square(power, out=power)
+    q = int(np.searchsorted(f_abs, spectrum.band_edge_hz, "right"))
+    leak = float(power[q:n - q + 1].sum() / power.sum())
+    del power
     if leak > MAX_LEAK_FRACTION:
         raise ValueError(
             f"input spectrum leaks {leak:.1%} of its energy outside the comb band")
 
-    h = np.interp(f_sig, spectrum.freq_grid_hz, spectrum.complex_response,
-                  left=1.0, right=1.0)
-    out = np.fft.ifft(spec_in * h)
+    h = np.interp(f_abs, spectrum.freq_grid_hz, spectrum.complex_response,
+                  right=1.0)
+    del f_abs
+    spec[:p] *= h[:p]
+    np.conjugate(h, out=h)
+    spec[p:] *= h[n - p:0:-1]
+    del h
+    out = np.fft.ifft(spec, out=spec)
     out_wf = Waveform(inp.sample_rate_hz, inp.t0_s, out)
 
-    t_rel = out_wf.times() - t_peak_in
+    t_rel = out_wf.times()
+    t_rel -= t_peak_in
     mask = (t_rel > 0.5 / delta) & (t_rel < 1.5 / delta)
-    energy_density = np.abs(out) ** 2
+    energy_density = np.abs(out)
+    np.square(energy_density, out=energy_density)
     in_energy = inp.energy()
     echo_energy = float(energy_density[mask].sum() * out_wf.dt_s)
     efficiency = echo_energy / in_energy
@@ -401,14 +413,3 @@ def afc_efficiency(cfg) -> float:
                            cfg.afc_t2_seconds, cfg.afc_mod_depth,
                            cfg.zeeman_split_hz)
 
-
-def comb_efficiency_estimate(peak_od: float, finesse: float,
-                             background_od: float = 0.0) -> float:
-    """Widely used single-pass estimate (d/F)^2 e^(-d/F) e^(-7/F^2) e^(-d0).
-
-    The e^(-7/F^2) dephasing factor corresponds to Gaussian-like teeth; it
-    overestimates the dephasing of true square teeth at low finesse.
-    """
-    d_avg = peak_od / finesse
-    return float(d_avg**2 * np.exp(-d_avg) * np.exp(-7.0 / finesse**2)
-                 * np.exp(-background_od))

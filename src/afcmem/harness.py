@@ -231,6 +231,11 @@ def run_spinwave(cfg: ExperimentConfig, preset: str | None = None) -> RunReport:
     """Full spin-wave storage run: stage efficiencies, photon counting and
     the memory metrics of the summary table."""
     cfg.validate()
+    return _run_spinwave(cfg, preset)
+
+
+def _run_spinwave(cfg: ExperimentConfig, preset: str | None) -> RunReport:
+    """run_spinwave on a config already validated."""
     ss = np.random.SeedSequence(cfg.seed)
     # rngs[1] is spare: the spawn count fixes every other generator's stream
     rngs = [np.random.default_rng(c) for c in ss.spawn(5)]
@@ -293,6 +298,12 @@ def run_qubit_tomography(cfg: ExperimentConfig, input_phase_rad: float = 0.0,
     resulting mode intensities.
     """
     cfg.validate()
+    return _run_qubit_tomography(cfg, input_phase_rad, preset)
+
+
+def _run_qubit_tomography(cfg: ExperimentConfig, input_phase_rad: float,
+                          preset: str | None) -> RunReport:
+    """run_qubit_tomography on a config already validated."""
     t_m = cfg.mode_duration_seconds
     if cfg.input_fwhm_seconds >= t_m / 2:
         raise ValueError("pulse width too large: interference bins would overlap")
@@ -386,7 +397,7 @@ def run_qubit_tomography(cfg: ExperimentConfig, input_phase_rad: float = 0.0,
 
 def _reproduce_table(name: str, cfg, notes) -> RunReport:
     ref = TABLE1[name]
-    report = run_spinwave(cfg, preset=name)
+    report = _run_spinwave(cfg, name)
     report.notes.extend(notes)
     s = report.metrics["summary"]
     mu1_lo, mu1_hi = mu1_tolerance_band(name)
@@ -475,7 +486,7 @@ def _reproduce_fig2(out: Path, cfg, notes) -> RunReport:
 
 
 def _reproduce_tomo(cfg, notes) -> RunReport:
-    report = run_qubit_tomography(cfg, preset="fig4-tomo")
+    report = _run_qubit_tomography(cfg, 0.0, "fig4-tomo")
     report.notes.extend(notes)
     tomo = report.tomography
     f_lo, f_hi = FIG4["fidelity_band"]
@@ -514,6 +525,7 @@ def reproduce(name: str, out_dir, seed: int | None = None):
     cfg, notes = preset_config(name)
     if seed is not None:
         cfg.seed = seed
+    # the one check of this run, made before the output directory exists
     cfg.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

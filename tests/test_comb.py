@@ -1,16 +1,17 @@
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from afcmem.comb import (DEFAULT_GRID_POINTS, TOOTH_SHAPES, CombParams,
-                         _raised_cosine_window,
+                         CombSpectrum, _raised_cosine_window,
                          _tooth_profile, afc_decay_model, build_comb,
-                         comb_efficiency_estimate, gaussian_tooth_efficiency,
+                         gaussian_tooth_efficiency,
                          lorentzian_tooth_efficiency, propagate,
                          square_tooth_efficiency)
-from afcmem.waveform import gaussian_pulse
+from afcmem.waveform import Waveform, gaussian_pulse
 
 # lighter grid for unit tests; acceptance uses the full default grid
 N_TEST = 2**17
@@ -134,30 +135,25 @@ def _build_comb_reference(params, n_points, span_hz):
 
 
 def _build_comb_half_spectrum(params, n_points, span_hz):
-    """build_comb's numbers written plainly, with full-grid temporaries:
-    the even g in FFT order, two real transforms, D at f >= 0 mirrored."""
+    """build_comb's numbers written plainly, without in-place steps: the
+    even g's half at f >= 0, its real-even transform weighted by the
+    one-sided decay and zero-padded, and one real transform back."""
     span_hz = max(span_hz, 1.25 * params.bandwidth_hz)
     df = span_hz / n_points
     gamma = 4 * df
-    m = n_points // 2
-    k = np.arange(n_points)
-    f = (k - m) * df
-    f_abs = np.minimum(k, n_points - k) * df  # |f| in FFT order
-    window = _raised_cosine_window(f_abs, params.bandwidth_hz)
+    h = n_points // 2 + 1
+    f = np.arange(h) * df
+    window = _raised_cosine_window(f, params.bandwidth_hz)
     band = window > 0
-    g = np.zeros(n_points)
-    g[band] = (_tooth_profile(f_abs[band], params) + params.background_od) * window[band]
-    g_t = np.fft.rfft(g).real
-    decay = 2 * np.exp(-2 * np.pi * gamma * np.arange(g_t.size) / (n_points * df))
+    x = np.zeros(h)
+    x[band] = (_tooth_profile(f[band], params) + params.background_od) * window[band]
+    signal = np.fft.irfft(x, n_points)
+    decay = 2 * np.exp(-2 * np.pi * gamma * np.arange(h) / (n_points * df))
     decay[0] = 1.0
     if n_points % 2 == 0:
         decay[-1] /= 2
-    d_half = np.fft.rfft(decay * g_t, n_points, norm="forward")
-    j = np.abs(k - m)  # the half-spectrum point of each grid point
-    alpha = np.maximum(d_half.real, 0.0)[j]
-    response = np.exp(-(params.passes / 2.0) * d_half)[j]
-    response[:m] = response[:m].conj()
-    return f, alpha, response
+    d = np.fft.rfft(np.concatenate([signal[:h] * decay, np.zeros(n_points - h)]))
+    return f, np.maximum(d.real, 0.0), np.exp(-(params.passes / 2.0) * d)
 
 
 @pytest.mark.parametrize("shape", TOOTH_SHAPES)
@@ -167,46 +163,48 @@ def _build_comb_half_spectrum(params, n_points, span_hz):
 ])
 def test_build_comb_matches_plain_formula(shape, passes, n_points, span_hz,
                                           edge_on_grid):
-    # build_comb fills the band in place and mirrors the half spectrum; it
+    # build_comb fills the band in place and keeps the half spectrum; it
     # must give the plain half-spectrum formula's numbers to the bit, and
-    # the full-spectrum formula's to rounding
+    # the full-spectrum formula's at f >= 0 to rounding
     params = CombParams(comb_period_hz=40e3, finesse=4.0, peak_od=3.0,
                         background_od=0.3, bandwidth_hz=3e6,
                         tooth_shape=shape, passes=passes)
     spec = build_comb(params, n_points=n_points, span_hz=span_hz)
     f, alpha, response = _build_comb_half_spectrum(params, n_points, span_hz)
-    assert np.isin([-1.5e6, 1.5e6], f).all() == edge_on_grid
+    assert np.isin(1.5e6, f) == edge_on_grid
     assert np.array_equal(spec.freq_grid_hz, f)
     assert np.array_equal(spec.alpha, alpha)
     assert np.array_equal(spec.complex_response, response)
 
+    # the full grid's f >= 0 part; for even N the half grid also holds
+    # +N/2 df, which the ascending full grid leaves out
     f, alpha, response = _build_comb_reference(params, n_points, span_hz)
-    assert np.array_equal(spec.freq_grid_hz, f)
-    assert np.abs(spec.alpha - alpha).max() <= 1e-13 * alpha.max()
-    assert (np.abs(spec.complex_response - response).max()
+    m = n_points // 2
+    k = n_points - m
+    assert np.array_equal(spec.freq_grid_hz[:k], f[m:])
+    assert np.abs(spec.alpha[:k] - alpha[m:]).max() <= 1e-13 * alpha.max()
+    assert (np.abs(spec.complex_response[:k] - response[m:]).max()
             <= 1e-13 * np.abs(response).max())
-
-    # exactly mirror-symmetric about f = 0 (for even N, -N/2 df has no
-    # partner on the grid)
-    m, r = n_points // 2, (n_points - 1) // 2
-    assert np.array_equal(spec.freq_grid_hz[m - r:m], -spec.freq_grid_hz[m + r:m:-1])
-    assert np.array_equal(spec.alpha[m - r:m], spec.alpha[m + r:m:-1])
-    assert np.array_equal(spec.complex_response[m - r:m],
-                          spec.complex_response[m + r:m:-1].conj())
 
 
 def test_default_grid_build_memory():
-    # the grid, the half spectrum, alpha and the response: at most six
-    # float64 grid arrays are traced at once
+    # the time signal, its half transform and the half grid: at most 3.5
+    # float64 grid arrays are traced at once, and the comb keeps its three
+    # half-grid arrays, two grid arrays in all
     params = CombParams(comb_period_hz=40e3, finesse=4.0, peak_od=3.0,
                         background_od=0.2, tooth_shape="gaussian", passes=2)
     tracemalloc.start()
     try:
-        build_comb(params)
+        spec = build_comb(params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * DEFAULT_GRID_POINTS * 8
+    assert peak <= 3.5 * DEFAULT_GRID_POINTS * 8
+    assert [f.name for f in fields(CombSpectrum)] == [
+        "freq_grid_hz", "alpha", "complex_response", "params"]
+    half = DEFAULT_GRID_POINTS // 2 + 1
+    assert spec.freq_grid_hz.shape == spec.alpha.shape == (half,)
+    assert spec.complex_response.shape == (half,)
 
 
 def _line_convolution_2n(g, df):
@@ -231,14 +229,17 @@ def test_default_grid_passive_and_absorbing(shape, finesse, passes):
                         tooth_shape=shape, passes=passes)
     spec = build_comb(params)
     assert np.abs(spec.complex_response).max() <= 1 + 1e-9
-    f = spec.freq_grid_hz
+    # g on the full ascending grid; alpha holds its f >= 0 part
+    n = DEFAULT_GRID_POINTS
+    df = spec.freq_grid_hz[1]
+    f = (np.arange(n) - n // 2) * df
     window = _raised_cosine_window(f, params.bandwidth_hz)
     band = window > 0
     g = np.zeros_like(f)
     g[band] = (_tooth_profile(f[band], params) + 0.5) * window[band]
-    want = _line_convolution_2n(g, f[1] - f[0]).real
+    want = _line_convolution_2n(g, df).real[n // 2:]
     assert want.min() > 0
-    assert np.abs(spec.alpha - want).max() <= 1e-5 * g.max()
+    assert np.abs(spec.alpha[:want.size] - want).max() <= 1e-5 * g.max()
 
 
 def test_validation_errors():
@@ -263,6 +264,96 @@ def test_overflowing_profile_rejected(shape):
     # profile's sum overflows, which is an error, not a non-finite comb
     with pytest.raises(ValueError, match="comb_peak_od"):
         _comb(shape=shape, finesse=1.0001, peak_od=1.7e308)
+
+
+def _propagate_full_grid(inp, spectrum):
+    """propagate on the comb mirrored onto f < 0: the response interpolated
+    at every signed bin frequency, 1 beyond the grid on either side."""
+    f = spectrum.freq_grid_hz
+    f_full = np.concatenate([-f[:0:-1], f])
+    response = spectrum.complex_response
+    h_full = np.concatenate([response[:0:-1].conj(), response])
+    delta = spectrum.params.comb_period_hz
+    t_peak_in = inp.peak_time()
+    ring_periods = max(1.8, 10.0 * spectrum.params.finesse)
+    window_s = (t_peak_in - inp.t0_s) + ring_periods / delta
+    n = max(inp.n_samples, int(np.ceil(window_s * inp.sample_rate_hz)))
+    n = 1 << (n - 1).bit_length()
+    spec_in = np.fft.fft(inp.samples, n)
+    f_sig = np.fft.fftfreq(n, d=inp.dt_s)
+    power = np.abs(spec_in) ** 2
+    leak = power[np.abs(f_sig) > spectrum.band_edge_hz].sum() / power.sum()
+    h = np.interp(f_sig, f_full, h_full, left=1.0, right=1.0)
+    out = np.fft.ifft(spec_in * h)
+    t_rel = inp.t0_s + np.arange(n) * inp.dt_s - t_peak_in
+    mask = (t_rel > 0.5 / delta) & (t_rel < 1.5 / delta)
+    energy = np.abs(out) ** 2
+    efficiency = energy[mask].sum() * inp.dt_s / inp.energy()
+    return out, efficiency, leak
+
+
+@pytest.mark.parametrize("n_points", [2**14, 2**14 + 1])
+@pytest.mark.parametrize("shift_hz", [0.0, 300e3])
+def test_propagate_matches_full_grid_reference(n_points, shift_hz):
+    # the half spectrum with the conjugate at f < 0 acts as the comb on
+    # the full grid; a shifted input makes the two halves differ
+    params = CombParams(comb_period_hz=40e3, finesse=4.0, peak_od=3.0,
+                        background_od=0.3, bandwidth_hz=3e6,
+                        tooth_shape="gaussian", passes=2)
+    spectrum = build_comb(params, n_points=n_points, span_hz=4e6)
+    pulse = gaussian_pulse(700e-9, 0.0, 16e6)
+    inp = Waveform(pulse.sample_rate_hz, pulse.t0_s, pulse.samples
+                   * np.exp(2j * np.pi * shift_hz * pulse.times()))
+    res = propagate(inp, spectrum)
+    out, efficiency, leak = _propagate_full_grid(inp, spectrum)
+    got = res.output_waveform.samples
+    assert got.shape == out.shape
+    assert np.abs(got - out).max() <= 1e-13 * np.abs(out).max()
+    assert res.echo_efficiency == pytest.approx(efficiency, rel=1e-13)
+    assert res.leak_fraction == pytest.approx(leak, rel=1e-13)
+    assert res.echo_time_s == pytest.approx(25e-6, rel=0.01)
+
+
+def test_propagate_passes_frequencies_beyond_grid(monkeypatch):
+    # the grid spans 1.25 B = 3.75 MHz, the 16 MHz input's bins reach
+    # 8 MHz: every bin with |f| beyond the grid keeps its input value
+    spectrum = build_comb(CombParams(comb_period_hz=40e3, finesse=4.0,
+                                     peak_od=3.0, bandwidth_hz=3e6),
+                          n_points=2**14, span_hz=1e6)
+    inp = _input()
+    filtered = []
+    ifft = np.fft.ifft
+
+    def capture(a, *args, **kwargs):
+        filtered.append(a.copy())
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", capture)
+    res = propagate(inp, spectrum)
+    n = res.output_waveform.n_samples
+    spec_in = np.fft.fft(inp.samples, n)
+    beyond = np.abs(np.fft.fftfreq(n, d=inp.dt_s)) > spectrum.freq_grid_hz[-1]
+    assert beyond.sum() > n // 2
+    assert np.array_equal(filtered[0][beyond], spec_in[beyond])
+    assert not np.allclose(filtered[0][~beyond], spec_in[~beyond])
+
+
+def test_propagate_memory():
+    # beyond the comb it is given, propagate at n = 2^18 holds at most
+    # three complex n-point arrays at once
+    params = CombParams(comb_period_hz=20e3, finesse=9.3, peak_od=3.0,
+                        bandwidth_hz=3e6, passes=2)
+    spectrum = build_comb(params, n_points=N_TEST, span_hz=SPAN)
+    inp = gaussian_pulse(700e-9, 0.0, 32e6)
+    tracemalloc.start()
+    try:
+        res = propagate(inp, spectrum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = res.output_waveform.n_samples
+    assert n == 2**18
+    assert peak <= 3 * 16 * n
 
 
 def test_echo_timing_and_output():
@@ -327,6 +418,18 @@ def test_efficiency_matches_closed_form(shape, oracle):
                     shape, hwhm, finesse, depth)
     # a comb far too deep to echo gives 0, not inf * 0
     assert oracle(1e200, 4.0, passes=2) == 0.0
+
+
+def comb_efficiency_estimate(peak_od: float, finesse: float,
+                             background_od: float = 0.0) -> float:
+    """Widely used single-pass estimate (d/F)^2 e^(-d/F) e^(-7/F^2) e^(-d0).
+
+    The e^(-7/F^2) dephasing factor corresponds to Gaussian-like teeth; it
+    overestimates the dephasing of true square teeth at low finesse.
+    """
+    d_avg = peak_od / finesse
+    return float(d_avg**2 * np.exp(-d_avg) * np.exp(-7.0 / finesse**2)
+                 * np.exp(-background_od))
 
 
 def test_standard_estimate_at_high_finesse():

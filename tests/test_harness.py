@@ -255,6 +255,26 @@ def test_reproduce_output_files(tmp_path, preset, files):
     assert {p.name for p in tmp_path.iterdir()} == files
 
 
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_reproduce_validates_config_once(tmp_path, monkeypatch, preset):
+    calls = []
+    validate = ExperimentConfig.validate
+
+    def counted(cfg):
+        calls.append(cfg)
+        validate(cfg)
+
+    monkeypatch.setattr(ExperimentConfig, "validate", counted)
+    reproduce(preset, tmp_path)
+    assert len(calls) == 1
+
+
+def test_public_runs_validate():
+    for run in (run_spinwave, run_qubit_tomography):
+        with pytest.raises(ValueError, match="seed"):
+            run(_fast_cfg(seed=-1))
+
+
 def test_presets_pin_the_echo_stage_through_the_comb():
     # table1 and fig4-tomo fix eta_afc by the comb's peak OD alone: the
     # stage is the config's own closed form, at the reference efficiency
