@@ -17,7 +17,8 @@ import numpy as np
 
 from . import __version__
 from .comb import CombParams, build_comb, propagate
-from .config import ExperimentConfig, _is_finite, provenance
+from .config import (ExperimentConfig, _is_finite, provenance,
+                     read_config_json)
 from .fitting import fit_afc_decay, fit_mims, fit_power_law
 from .harness import (RunReport, afc_efficiency, json_text, reproduce,
                       run_qubit_tomography, run_spinwave)
@@ -28,13 +29,13 @@ from .waveform import gaussian_pulse
 
 
 def _load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.trials is not None:
-        cfg.n_trials = args.trials
-    cfg.validate()
-    return cfg
+    """The config file's object with --seed and --trials merged in, built
+    (and so checked) once."""
+    data = read_config_json(args.config) if args.config else {}
+    for key, value in (("seed", args.seed), ("n_trials", args.trials)):
+        if value is not None:
+            data[key] = value
+    return ExperimentConfig.from_dict(data)
 
 
 def _out_dir(args) -> Path:
@@ -49,8 +50,8 @@ def _write_report(report: RunReport, out: Path) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    # the output directory is made only once the run has succeeded
     cfg = _load_config(args)
-    out = _out_dir(args)
     if args.what == "afc":
         params = CombParams(
             comb_period_hz=cfg.comb_period_hz, finesse=cfg.comb_finesse,
@@ -61,6 +62,7 @@ def _cmd_simulate(args) -> int:
         spectrum = build_comb(params)
         pulse = gaussian_pulse(cfg.input_fwhm_seconds, 0.0, 16e6)
         echo = propagate(pulse, spectrum)
+        out = _out_dir(args)
         echo.output_waveform.to_csv(out / "echo_waveform.csv")
         result = {
             "echo_time_s": echo.echo_time_s,
@@ -76,12 +78,12 @@ def _cmd_simulate(args) -> int:
         return 0
     if args.what == "spinwave":
         report = run_spinwave(cfg)
-        _write_report(report, out)
+        _write_report(report, _out_dir(args))
         s = report.metrics["summary"]
         print(f"eta = {s['eta']:.4f}  SNR = {s['snr']:.2f}  mu1 = {s['mu1']:.4f}")
         return 0
     report = run_qubit_tomography(cfg)
-    _write_report(report, out)
+    _write_report(report, _out_dir(args))
     t = report.tomography
     print(f"F = {t['fidelity_avg']:.4f}  P = {t['purity_avg']:.4f}")
     return 0

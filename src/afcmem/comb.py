@@ -41,7 +41,7 @@ LORENTZIAN_BLOCK_POINTS = 2**15
 ZEEMAN_SPLIT_HZ = 41.4e3
 
 
-@dataclass
+@dataclass(frozen=True)
 class CombParams:
     """Parameters of the prepared comb.
 
@@ -61,7 +61,7 @@ class CombParams:
     passes: int = 1
     homogeneous_hwhm_hz: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.comb_period_hz <= 0:
             raise ValueError("comb_period_hz must be positive")
         if self.finesse <= 1:
@@ -199,7 +199,6 @@ def build_comb(params: CombParams, n_points: int = DEFAULT_GRID_POINTS,
     gives D on the same half grid.  alpha and the response are returned
     there; see CombSpectrum for f < 0.
     """
-    params.validate()
     if span_hz < 1.25 * params.bandwidth_hz:
         span_hz = 1.25 * params.bandwidth_hz
     df = span_hz / n_points

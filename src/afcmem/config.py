@@ -108,8 +108,10 @@ def _check_field(name: str, kind: type, optional: bool, value) -> None:
         raise ValueError(f"{name} must be {what}{null}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """A run's parameters, frozen and checked when built."""
+
     # comb / echo stage
     comb_period_hz: float = 40e3
     comb_finesse: float = 4.0
@@ -162,7 +164,7 @@ class ExperimentConfig:
     n_trials_noise: int = 400_000
     seed: int = 20220324
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Check every field once against its declared type and range,
         then the constraints that tie fields together; raise ValueError."""
         for name, kind, optional in _FIELDS:
@@ -171,7 +173,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"afc_t2_seconds {self.afc_t2_seconds:g} is too small: the "
                 f"homogeneous HWHM 1/(pi T2) overflows")
-        self.dd_kind = normalize_dd_kind(self.dd_kind)
+        object.__setattr__(self, "dd_kind", normalize_dd_kind(self.dd_kind))
         if self.comb_tooth_shape not in TOOTH_SHAPES:
             raise ValueError(f"comb_tooth_shape must be one of {TOOTH_SHAPES}")
         try:
@@ -207,21 +209,24 @@ class ExperimentConfig:
                 f"{self.transfer_duration_seconds:.3g} s = {budget:.3g} s "
                 f"exceeds 1/Delta = {one_over_delta:.3g} s")
         if self.eta_end_to_end_target is None:
+            where = "transfer_bandwidth_hz/transfer_duration_seconds"
             # numpy scalars, so that extreme inputs overflow to inf quietly
-            with np.errstate(all="ignore"):
-                spec = reference_transfer_pulse(
-                    np.float64(self.transfer_duration_seconds),
-                    np.float64(self.transfer_bandwidth_hz))
-                samples = spec.duration_s * recommended_sample_rate(spec)
+            try:
+                with np.errstate(all="ignore"):
+                    spec = reference_transfer_pulse(
+                        np.float64(self.transfer_duration_seconds),
+                        np.float64(self.transfer_bandwidth_hz))
+                    samples = spec.duration_s * recommended_sample_rate(spec)
+            except ValueError as exc:  # a pulse too weak to have a Rabi rate
+                raise ValueError(f"{where}: {exc}") from None
             if not samples <= MAX_TRANSFER_SAMPLES:
                 raise ValueError(
-                    f"transfer_bandwidth_hz/transfer_duration_seconds: the "
-                    f"transfer pulse needs {samples:.3g} samples, more than "
-                    f"{MAX_TRANSFER_SAMPLES}")
+                    f"{where}: the transfer pulse needs {samples:.3g} "
+                    f"samples, more than {MAX_TRANSFER_SAMPLES}")
         if self.mode_duration_seconds <= self.input_fwhm_seconds:
             raise ValueError("mode duration must exceed the pulse width")
         ratio = self.mode_duration_seconds / self.bin_width_seconds
-        if abs(ratio - round(ratio)) > 1e-9:
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("bin_width_seconds must divide the mode duration")
 
     def to_dict(self) -> dict:
@@ -235,16 +240,17 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("config file must hold a flat JSON object")
-        return cls.from_dict(data)
-
     def config_hash(self) -> str:
         return provenance(self.to_dict())["config_hash"]
+
+
+def read_config_json(path) -> dict:
+    """The flat JSON object of a config file, its values not yet checked."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("config file must hold a flat JSON object")
+    return data
 
 
 def provenance(config: dict) -> dict:

@@ -17,13 +17,13 @@ from .waveform import write_csv
 NOISE_LIFETIME_S = 1.9e-3
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectionChain:
     detector_efficiency: float = 0.57
     path_transmission: float = 0.185
     dark_rate_hz: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 <= self.detector_efficiency <= 1:
             raise ValueError("detector_efficiency must lie in [0, 1]")
         if not 0 <= self.path_transmission <= 1:
@@ -65,7 +65,6 @@ def simulate_counts(flux_per_s, sample_rate_hz: float, chain: DetectionChain,
     that mean (the sum of independent per-trial Poisson draws has exactly
     this law).
     """
-    chain.validate()
     flux = np.asarray(flux_per_s, dtype=float)
     if np.any(flux < 0) or not np.all(np.isfinite(flux)):
         raise ValueError("flux must be finite and nonnegative")

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -155,17 +156,16 @@ class StageError(RuntimeError):
     """A pipeline stage failed; the message carries the stage tag."""
 
 
+@contextlib.contextmanager
 def _staged(stage: str):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, StageError):
-                raise StageError(f"[{stage}] {exc}") from exc
-            return False
-
-    return _Ctx()
+    """Tag an exception raised in the block with the stage; interrupts and
+    exits pass through untouched."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(f"[{stage}] {exc}") from exc
 
 
 @functools.lru_cache(maxsize=64)
@@ -230,12 +230,6 @@ def _stage_efficiencies(cfg: ExperimentConfig, rng_spin):
 def run_spinwave(cfg: ExperimentConfig, preset: str | None = None) -> RunReport:
     """Full spin-wave storage run: stage efficiencies, photon counting and
     the memory metrics of the summary table."""
-    cfg.validate()
-    return _run_spinwave(cfg, preset)
-
-
-def _run_spinwave(cfg: ExperimentConfig, preset: str | None) -> RunReport:
-    """run_spinwave on a config already validated."""
     ss = np.random.SeedSequence(cfg.seed)
     # rngs[1] is spare: the spawn count fixes every other generator's stream
     rngs = [np.random.default_rng(c) for c in ss.spawn(5)]
@@ -297,13 +291,6 @@ def run_qubit_tomography(cfg: ExperimentConfig, input_phase_rad: float = 0.0,
     sigma_z uses a plain read-out.  Counts are Poisson draws from the
     resulting mode intensities.
     """
-    cfg.validate()
-    return _run_qubit_tomography(cfg, input_phase_rad, preset)
-
-
-def _run_qubit_tomography(cfg: ExperimentConfig, input_phase_rad: float,
-                          preset: str | None) -> RunReport:
-    """run_qubit_tomography on a config already validated."""
     t_m = cfg.mode_duration_seconds
     if cfg.input_fwhm_seconds >= t_m / 2:
         raise ValueError("pulse width too large: interference bins would overlap")
@@ -397,7 +384,7 @@ def _run_qubit_tomography(cfg: ExperimentConfig, input_phase_rad: float,
 
 def _reproduce_table(name: str, cfg, notes) -> RunReport:
     ref = TABLE1[name]
-    report = _run_spinwave(cfg, name)
+    report = run_spinwave(cfg, name)
     report.notes.extend(notes)
     s = report.metrics["summary"]
     mu1_lo, mu1_hi = mu1_tolerance_band(name)
@@ -486,7 +473,7 @@ def _reproduce_fig2(out: Path, cfg, notes) -> RunReport:
 
 
 def _reproduce_tomo(cfg, notes) -> RunReport:
-    report = _run_qubit_tomography(cfg, 0.0, "fig4-tomo")
+    report = run_qubit_tomography(cfg, 0.0, "fig4-tomo")
     report.notes.extend(notes)
     tomo = report.tomography
     f_lo, f_hi = FIG4["fidelity_band"]
@@ -524,9 +511,8 @@ def reproduce(name: str, out_dir, seed: int | None = None):
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
     cfg, notes = preset_config(name)
     if seed is not None:
-        cfg.seed = seed
-    # the one check of this run, made before the output directory exists
-    cfg.validate()
+        # checked here, before the output directory exists
+        cfg = replace(cfg, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if name in TABLE1:

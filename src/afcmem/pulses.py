@@ -13,7 +13,7 @@ fall: amplitude W / cosh(c e / te), frequency f0 + k p + a tanh(c e / te).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .waveform import Waveform
 NORM_BUDGET = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class HshSpec:
     """Chirped flat-top adiabatic inversion pulse."""
 
@@ -35,7 +35,7 @@ class HshSpec:
     edge_fraction: float = 0.3
     sech_cutoff: float = 2.6
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if self.bandwidth_hz < 0:
@@ -65,7 +65,7 @@ class HshSpec:
 CHSH_AMPLITUDE_SCALE = 0.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChshSpec:
     """Composite pulse: sum of two identical chirped pulses shifted by
     separation_s, each scaled by CHSH_AMPLITUDE_SCALE."""
@@ -74,8 +74,7 @@ class ChshSpec:
     separation_s: float
     relative_phase_rad: float = 0.0
 
-    def validate(self) -> None:
-        self.base.validate()
+    def __post_init__(self) -> None:
         if self.separation_s <= 0:
             raise ValueError("separation_s must be positive")
         if not 0 <= self.relative_phase_rad < 2 * np.pi:
@@ -188,7 +187,6 @@ def _envelope(spec: HshSpec, t: np.ndarray) -> np.ndarray:
 
 def hsh_waveform(spec: HshSpec, sample_rate_hz: float | None = None) -> Waveform:
     """Sampled complex envelope of the chirped flat-top pulse."""
-    spec.validate()
     if sample_rate_hz is None:
         sample_rate_hz = recommended_sample_rate(spec)
     min_rate = 8 * (spec.bandwidth_hz + spec.rabi_hz)
@@ -203,7 +201,6 @@ def hsh_waveform(spec: HshSpec, sample_rate_hz: float | None = None) -> Waveform
 def chsh_waveform(spec: ChshSpec, sample_rate_hz: float | None = None) -> Waveform:
     """Pointwise sum of the base pulse and its copy delayed by separation_s
     and rotated by the relative phase."""
-    spec.validate()
     if sample_rate_hz is None:
         sample_rate_hz = recommended_sample_rate(spec.base)
     base = spec.base
@@ -243,8 +240,7 @@ def reference_transfer_pulse(duration_s: float = 15e-6,
     """
     spec = HshSpec(duration_s=duration_s, bandwidth_hz=bandwidth_hz,
                    edge_fraction=0.45, sech_cutoff=4.0)
-    spec.peak_rabi_hz = 1.1 * np.sqrt(chirp_rate(spec))
-    return spec
+    return replace(spec, peak_rabi_hz=1.1 * np.sqrt(chirp_rate(spec)))
 
 
 # --- dynamical decoupling -------------------------------------------------

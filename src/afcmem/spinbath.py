@@ -49,7 +49,7 @@ MAX_LINE_PER_RABI = 4.0
 N_BLOCKS = 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpinBathParams:
     """Static inhomogeneous line plus OU spectral-diffusion parameters."""
 
@@ -59,7 +59,7 @@ class SpinBathParams:
     n_atoms: int = 10_000
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.inhom_fwhm_hz < 0 or self.ou_sigma_hz < 0:
             raise ValueError("widths must be nonnegative")
         if self.ou_tau_c_s <= 0:
@@ -68,7 +68,7 @@ class SpinBathParams:
             raise ValueError("n_atoms must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PulseErrorModel:
     """Imperfections of the RF pi pulses.
 
@@ -80,7 +80,7 @@ class PulseErrorModel:
     phase_error_rad: float = 0.0
     rf_rabi_hz: float = 120e3
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if abs(self.area_error) >= 0.5:
             raise ValueError("area_error must satisfy |e| < 0.5")
         if self.rf_rabi_hz <= 0:
@@ -97,7 +97,6 @@ class SpinStorageResult:
 def sample_ensemble(params: SpinBathParams,
                     rng: np.random.Generator | None = None) -> np.ndarray:
     """Static detunings: n_atoms Gaussian draws with the line FWHM."""
-    params.validate()
     if rng is None:
         rng = np.random.default_rng(params.seed)
     sigma = params.inhom_fwhm_hz * FWHM_TO_SIGMA
@@ -290,12 +289,10 @@ def spin_echo_coherence(dd: DDSequence, bath: SpinBathParams,
     error; with an error model each pulse is a full finite-Rabi unitary,
     sampled over bath.n_atoms atoms.
     """
-    bath.validate()
     if errors is None:
         coherence = _ideal_coherence(
             np.concatenate([[0.0], dd.centers_s, [dd.total_time_s]]), bath)
         return SpinStorageResult(coherence=coherence, eta_spin=coherence**2)
-    errors.validate()
     rng = np.random.default_rng(bath.seed if seed is None else seed)
     static = sample_ensemble(bath, rng)
     up, dn = _propagate(rng, static, bath, dd, errors,
@@ -329,8 +326,6 @@ def residual_excitation(dd: DDSequence, errors: PulseErrorModel,
     n eps sqrt(value) rounding of the amplitudes; a line too wide against
     the Rabi frequency to agree at MIN_STEP raises ValueError.
     """
-    errors.validate()
-    line.validate()
     n = dd.n_pulses
     if n == 0:
         return 0.0

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -25,6 +26,15 @@ from afcmem.tomography import PROJECTION_KEYS
 
 def run_cli(*args):
     return main(list(args))
+
+
+def run_python(*args, **kwargs):
+    """A fresh interpreter that imports the afcmem under test."""
+    src = str(Path(afcmem.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          **kwargs)
 
 
 def test_reproduce_fig1e(tmp_path, capsys):
@@ -52,6 +62,26 @@ def test_simulate_spinwave(tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["provenance"]["seed"] == 3
     assert (tmp_path / "hist_signal.csv").exists()
+
+
+def test_seed_option_overrides_invalid_file_seed(tmp_path, capsys):
+    # the file and the options are merged before the config is built
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": -1, "n_atoms": 2000,
+                                "n_trials_noise": 40_000}))
+    out = tmp_path / "out"
+    code = run_cli("simulate", "spinwave", "--config", str(path),
+                   "--trials", "20000", "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: seed must be an integer in [0, inf)\n"
+    assert not out.exists()
+    code = run_cli("simulate", "spinwave", "--config", str(path), "--seed",
+                   "3", "--trials", "20000", "--out", str(out))
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["seed"] == 3
+    assert report["config"]["n_trials"] == 20_000
 
 
 def test_simulate_afc(tmp_path, capsys):
@@ -129,6 +159,10 @@ def test_config_error_exit_code(tmp_path):
     {"p_noise_target_per_mode": None}, {"afc_t2_seconds": 1e-320},
     {"bath_inhom_fwhm_hz": 480_001.0},
     {"comb_finesse": 1e200, "comb_tooth_shape": "gaussian"},
+    # a chirp so slow that the transfer pulse's Rabi rate underflows to 0
+    {"transfer_bandwidth_hz": 5e-324, "transfer_duration_seconds": 10.0,
+     "comb_period_hz": 0.01},
+    {"bin_width_seconds": 5e-324},  # the mode/bin ratio overflows
 ])
 def test_bath_config_error_exit_code(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
@@ -240,9 +274,7 @@ def test_version_is_package_version(tmp_path, capsys):
 
 def test_unknown_preset_usage_error():
     # argparse rejects unknown presets with a usage error (exit code 2)
-    proc = subprocess.run(
-        [sys.executable, "-m", "afcmem.cli", "reproduce", "nosuch"],
-        capture_output=True, text=True)
+    proc = run_python("-m", "afcmem.cli", "reproduce", "nosuch")
     assert proc.returncode == 2
     assert "invalid choice" in proc.stderr
 
@@ -274,8 +306,7 @@ print(json.dumps(seen))
 
 def test_cold_start_loads_scipy_only_for_fits():
     # structural, not a timing: only a fit (scipy.special) may load scipy
-    proc = subprocess.run([sys.executable, "-c", _COLD_START],
-                          capture_output=True, text=True, check=True)
+    proc = run_python("-c", _COLD_START, check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])
     fit_code, fit_modules = seen.pop("fit mims")
     for command, (code, modules) in seen.items():
@@ -470,6 +501,22 @@ def test_any_positive_fit_csv_fits_or_exits_2(model, rows):
         for written in Path(tmp).glob("fit_*.json"):
             text = written.read_text()
             assert "NaN" not in text and "Infinity" not in text
+
+
+@pytest.mark.parametrize("what, bad", [
+    ("afc", {"comb_bandwidth_hz": 3e5}),  # under 10 comb periods
+    ("qubit", {"comb_peak_od": 0}),  # no counts in the analyser bins
+])
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys, what, bad):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(bad))
+    out = tmp_path / "out"
+    code = run_cli("simulate", what, "--trials", "2000", "--config",
+                   str(path), "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_qubit_run_without_counts_names_stage(tmp_path, capsys):

@@ -244,15 +244,13 @@ def test_default_grid_passive_and_absorbing(shape, finesse, passes):
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        CombParams(40e3, finesse=1.0, peak_od=3).validate()
+        CombParams(40e3, finesse=1.0, peak_od=3)
     with pytest.raises(ValueError):
-        CombParams(40e3, finesse=4, peak_od=3, bandwidth_hz=100e3).validate()
+        CombParams(40e3, finesse=4, peak_od=3, bandwidth_hz=100e3)
     with pytest.raises(ValueError, match="homogeneous"):
-        CombParams(40e3, finesse=4, peak_od=3,
-                   homogeneous_hwhm_hz=-1.0).validate()
+        CombParams(40e3, finesse=4, peak_od=3, homogeneous_hwhm_hz=-1.0)
     with pytest.raises(ValueError, match="homogeneous"):
-        CombParams(40e3, finesse=4, peak_od=3,
-                   homogeneous_hwhm_hz=np.inf).validate()
+        CombParams(40e3, finesse=4, peak_od=3, homogeneous_hwhm_hz=np.inf)
     params = CombParams(40e3, finesse=10, peak_od=3)
     with pytest.raises(ValueError):
         build_comb(params, n_points=2**10, span_hz=8e6)  # grid too coarse

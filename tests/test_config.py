@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import math
+import types
 import warnings
 from pathlib import Path
 
@@ -9,11 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import afcmem
-from afcmem.comb import TOOTH_SHAPES
+from afcmem.comb import TOOTH_SHAPES, CombParams
 from afcmem.config import ExperimentConfig
+from afcmem.detection import DetectionChain
 from afcmem.harness import afc_efficiency
+from afcmem.pulses import ChshSpec, HshSpec
+from afcmem.spinbath import PulseErrorModel, SpinBathParams
 
 SOURCES = sorted(Path(afcmem.__file__).parent.glob("*.py"))
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 ECHO_KEYS = ("comb_peak_od", "comb_finesse", "comb_period_hz",
              "afc_t2_seconds", "zeeman_split_hz")
 
@@ -77,6 +82,32 @@ def test_one_writer_per_file_format():
     assert writes == [("waveform.py", "write_csv", "open")]
 
 
+def test_parameter_objects_check_themselves_when_built():
+    # an object that exists is valid: it cannot be changed in place, a
+    # changed copy is checked again, and nothing calls a validate() on it
+    hsh = HshSpec(duration_s=15e-6, bandwidth_hz=1.5e6)
+    for obj, name, bad in [
+            (ExperimentConfig(), "seed", -1),
+            (CombParams(40e3, finesse=4, peak_od=3), "finesse", 1.0),
+            (SpinBathParams(), "n_atoms", 0),
+            (PulseErrorModel(), "area_error", 0.5),
+            (DetectionChain(), "dark_rate_hz", -1.0),
+            (hsh, "edge_fraction", 0.5),
+            (ChshSpec(base=hsh, separation_s=1e-6), "separation_s", 0.0)]:
+        assert not hasattr(obj, "validate")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(obj, **{name: bad})
+        msg = str(info.value)
+        assert msg and "\n" not in msg
+    calls = [(path.name, node.lineno) for path in SOURCES
+             if path.name != "tomography.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and _called_name(node) == "validate"]
+    assert calls == []
+
+
 def _echo_stage_is_clean(cfg) -> bool:
     """afc_efficiency(cfg) is finite and raises no warning."""
     with warnings.catch_warnings():
@@ -97,14 +128,16 @@ _POSITIVE = st.floats(-1074, 1024, exclude_max=True).map(lambda e: 2.0**e)
        t2=_POSITIVE, zeeman=_POSITIVE, zeeman_sign=st.sampled_from([1, -1]))
 def test_echo_stage_probe(shape, peak_od, finesse_excess, period, t2, zeeman,
                           zeeman_sign):
-    cfg = ExperimentConfig(
+    fields = dict(
         comb_tooth_shape=shape, comb_peak_od=peak_od,
         comb_finesse=max(1 + finesse_excess, math.nextafter(1, 2)),
         comb_period_hz=period, afc_t2_seconds=t2,
         zeeman_split_hz=zeeman_sign * zeeman)
-    clean = _echo_stage_is_clean(cfg)
+    # afc_efficiency only reads attributes, so it can probe unchecked fields
+    clean = _echo_stage_is_clean(
+        types.SimpleNamespace(**{**_DEFAULTS, **fields}))
     try:
-        cfg.validate()
+        ExperimentConfig(**fields)
     except ValueError as exc:
         msg = str(exc)
         assert msg and "\n" not in msg

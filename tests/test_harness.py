@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from afcmem.comb import square_tooth_efficiency
-from afcmem.config import ExperimentConfig
+from afcmem.config import ExperimentConfig, read_config_json
 from afcmem.harness import (afc_efficiency, reproduce, run_qubit_tomography,
                             run_spinwave)
 from afcmem.presets import (COMB_PEAK_OD_REFERENCE, ETA_AFC_REFERENCE,
@@ -21,16 +21,16 @@ def _fast_cfg(**kw):
 
 
 def test_config_budget_rejected():
-    cfg = ExperimentConfig(transfer_duration_seconds=20e-6)
     with pytest.raises(ValueError, match="budget"):
-        cfg.validate()  # 6 x 1.65 us + 20 us > 25 us
+        # 6 x 1.65 us + 20 us > 25 us
+        ExperimentConfig(transfer_duration_seconds=20e-6)
 
 
 def test_config_roundtrip_and_hash(tmp_path):
     cfg = ExperimentConfig(dd_kind="XY8", t_s_seconds=0.05)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
-    again = ExperimentConfig.from_json(path)
+    again = ExperimentConfig.from_dict(read_config_json(path))
     assert again == cfg
     assert again.config_hash() == cfg.config_hash()
     other = ExperimentConfig(dd_kind="XY4")
@@ -41,18 +41,17 @@ def test_config_roundtrip_and_hash(tmp_path):
 
 def test_config_misc_validation():
     with pytest.raises(ValueError):
-        ExperimentConfig(bin_width_seconds=200e-9).validate()  # 1.65us/200ns
+        ExperimentConfig(bin_width_seconds=200e-9)  # 1.65us/200ns
     with pytest.raises(ValueError):
-        ExperimentConfig(dd_kind="ZZ").validate()
-    ExperimentConfig().validate()
+        ExperimentConfig(dd_kind="ZZ")
+    ExperimentConfig()
 
 
 def test_transfer_work_bounded_at_config():
     # 4.5e7 samples for the transfer pulse, unless a target backs it out
     with pytest.raises(ValueError, match="transfer_bandwidth_hz"):
-        ExperimentConfig(transfer_bandwidth_hz=1e9).validate()
-    ExperimentConfig(transfer_bandwidth_hz=1e9,
-                     eta_end_to_end_target=0.1).validate()
+        ExperimentConfig(transfer_bandwidth_hz=1e9)
+    ExperimentConfig(transfer_bandwidth_hz=1e9, eta_end_to_end_target=0.1)
 
 
 def test_undefined_value_fails_gated_check():
@@ -201,8 +200,7 @@ def test_reproduce_unknown_preset():
 
 def test_preset_configs_valid():
     for name in PRESET_NAMES:
-        cfg, notes = preset_config(name)
-        cfg.validate()
+        cfg, notes = preset_config(name)  # built, so checked
         assert notes
 
 
@@ -236,6 +234,18 @@ def test_stage_failures_carry_stage_tag(monkeypatch):
         run_spinwave(_fast_cfg())
 
 
+def test_interrupt_in_a_stage_reaches_the_caller(monkeypatch):
+    # only exceptions get a stage tag: Ctrl-C is not a simulation failure
+    from afcmem import harness
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "spin_echo_coherence", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_spinwave(_fast_cfg())
+
+
 def test_noise_calibration_example():
     # the conversion gain is whatever maps the residual excitation onto the
     # reference noise level for this sequence and storage time
@@ -253,26 +263,6 @@ def test_noise_calibration_example():
 def test_reproduce_output_files(tmp_path, preset, files):
     reproduce(preset, tmp_path)
     assert {p.name for p in tmp_path.iterdir()} == files
-
-
-@pytest.mark.parametrize("preset", PRESET_NAMES)
-def test_reproduce_validates_config_once(tmp_path, monkeypatch, preset):
-    calls = []
-    validate = ExperimentConfig.validate
-
-    def counted(cfg):
-        calls.append(cfg)
-        validate(cfg)
-
-    monkeypatch.setattr(ExperimentConfig, "validate", counted)
-    reproduce(preset, tmp_path)
-    assert len(calls) == 1
-
-
-def test_public_runs_validate():
-    for run in (run_spinwave, run_qubit_tomography):
-        with pytest.raises(ValueError, match="seed"):
-            run(_fast_cfg(seed=-1))
 
 
 def test_presets_pin_the_echo_stage_through_the_comb():

@@ -114,7 +114,6 @@ def test_half_transfer_rabi_formula():
 
 def test_reference_pulse_spec():
     spec = reference_transfer_pulse()
-    spec.validate()
     assert spec.duration_s == 15e-6
     assert spec.bandwidth_hz == 1.5e6
     assert spec.peak_rabi_hz == pytest.approx(1.1 * np.sqrt(chirp_rate(spec)))
