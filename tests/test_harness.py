@@ -265,6 +265,34 @@ def test_reproduce_output_files(tmp_path, preset, files):
     assert {p.name for p in tmp_path.iterdir()} == files
 
 
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_reproduce_validates_config_once(tmp_path, monkeypatch, preset):
+    # a config is checked when it is built: the preset's config is checked
+    # once, and the run neither rebuilds nor re-checks it
+    from afcmem import harness
+    calls = []
+    post_init = ExperimentConfig.__post_init__
+
+    def counted(cfg):
+        calls.append(cfg)
+        post_init(cfg)
+
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
+    cfg, notes = preset_config(preset)
+    monkeypatch.setattr(harness, "preset_config", lambda name: (cfg, notes))
+    reproduce(preset, tmp_path)
+    assert sum(c is cfg for c in calls) == 1
+    assert calls[-1] is cfg
+
+
+def test_public_runs_validate():
+    # a run cannot be handed an unchecked config: the invalid one is
+    # refused when it is built, before either run starts
+    for run in (run_spinwave, run_qubit_tomography):
+        with pytest.raises(ValueError, match="seed"):
+            run(_fast_cfg(seed=-1))
+
+
 def test_presets_pin_the_echo_stage_through_the_comb():
     # table1 and fig4-tomo fix eta_afc by the comb's peak OD alone: the
     # stage is the config's own closed form, at the reference efficiency
