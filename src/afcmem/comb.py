@@ -204,8 +204,8 @@ def build_comb(params: CombParams, n_points: int = DEFAULT_GRID_POINTS,
     df = span_hz / n_points
     if df > params.tooth_fwhm_hz / 8:
         raise ValueError(
-            f"grid resolution {df:.1f} Hz too coarse for tooth FWHM "
-            f"{params.tooth_fwhm_hz:.1f} Hz (need at least 8 points per tooth)")
+            f"grid resolution {df:.3g} Hz too coarse for tooth FWHM "
+            f"{params.tooth_fwhm_hz:.3g} Hz (need at least 8 points per tooth)")
     gamma = 4 * df + params.homogeneous_hwhm_hz
 
     # f = k df, k = 0 ... N//2.  The window is nonzero only where f < B/2,

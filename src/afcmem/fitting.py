@@ -5,12 +5,13 @@ The echo and spin decays are fitted by damped least squares; the power law
 is a straight line in log-log space, solved in closed form.  Data with
 fewer distinct x values than parameters, or no degrees of freedom left,
 are rejected before any arithmetic.  The Student-t quantile of the
-intervals comes from ``scipy.special.stdtrit``, imported when a fit runs,
-so importing the package loads no scipy.
+intervals is solved in closed form from the finite Student-t CDF of an
+integer dof, so the fits need numpy alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,9 +100,83 @@ def _check_determined(x, n_params: int) -> None:
                          f"distinct x values")
 
 
-def _finish(names, x, r, converged, n_iter, jac_fn) -> FitResult:
-    from scipy.special import stdtrit  # heavy import, needed only here
+# --- Student-t quantile -----------------------------------------------------
+#
+# For an integer dof the Student-t CDF is a finite sum (Abramowitz & Stegun
+# 26.7.3-4).  With u = t^2/dof, x = 1/(1+u) = cos^2(theta), theta =
+# atan(t/sqrt(dof)), m = dof // 2 and c_k = C(2k, k)/4^k,
+#   P(|T| <= t) = sin(theta) sum_{k<m} c_k x^k                      (dof even)
+#   P(|T| <= t) = (2/pi) [theta + sin(theta) cos(theta)
+#                         sum_{k<m} x^k / ((2k+1) c_k)]              (dof odd)
+# Newton's method solves P = 0.95 from the Cornish-Fisher expansion
+# (A&S 26.7.5; cf. Hill, CACM 13, 619 (1970)).  P is concave in t > 0, so
+# after the first step the iterates rise to the root.  x^k is taken as
+# exp(-k log1p(u)): a product of k rounded x's carries k times the rounding.
 
+_Z975 = 1.959963984540054  # the standard normal 0.975 quantile
+# t = z + g1/dof + g2/dof^2 + g3/dof^3 + g4/dof^4
+_CORNISH_FISHER = (
+    (_Z975**3 + _Z975) / 4,
+    (5 * _Z975**5 + 16 * _Z975**3 + 3 * _Z975) / 96,
+    (3 * _Z975**7 + 19 * _Z975**5 + 17 * _Z975**3 - 15 * _Z975) / 384,
+    (79 * _Z975**9 + 776 * _Z975**7 + 1482 * _Z975**5 - 1920 * _Z975**3
+     - 945 * _Z975) / 92160)
+# the sums' weights for k < _HEAD, each correctly rounded
+_HEAD = 64
+_WEIGHTS_EVEN = np.array([math.comb(2 * k, k) / 4**k for k in range(_HEAD)])
+_WEIGHTS_ODD = np.array([4**k / ((2 * k + 1) * math.comb(2 * k, k))
+                         for k in range(_HEAD)])
+_BLOCK = 8192  # terms per pass: 64 KiB arrays stay in cache
+
+
+def _log_c_stirling(k):
+    """ln(c_k sqrt(pi k)) for k >= _HEAD: the Stirling series -1/(8k)
+    + 1/(192k^3) - 1/(640k^5) + 17/(14336k^7), whose next term is below
+    1e-19."""
+    r = 1.0 / k
+    y = r * r
+    return r * (y * (1 / 192 + y * (17 / 14336 * y - 1 / 640)) - 1 / 8)
+
+
+def _weighted_powers(m: int, odd: bool, log1p_u: float) -> float:
+    """The CDF's sum over k < m of its weights times x^k = exp(-k log1p_u)."""
+    head = (_WEIGHTS_ODD if odd else _WEIGHTS_EVEN)[:m]
+    total = float(head @ np.exp(-log1p_u * np.arange(head.size)))
+    sign = -1.0 if odd else 1.0
+    for start in range(_HEAD, m, _BLOCK):
+        k = np.arange(start, min(start + _BLOCK, m), dtype=float)
+        root = np.sqrt(np.pi * k)
+        weights = root / (2 * k + 1) if odd else 1 / root
+        total += float(weights @ np.exp(sign * _log_c_stirling(k)
+                                        - log1p_u * k))
+    return total
+
+
+def _t975(dof: int) -> float:
+    """The 0.975 quantile of Student's t for an integer dof >= 1; it agrees
+    with scipy.special.stdtrit to 1e-14 relative."""
+    m, odd = divmod(dof, 2)
+    c_m = (float(_WEIGHTS_EVEN[m]) if m < _HEAD
+           else math.exp(_log_c_stirling(m)) / math.sqrt(math.pi * m))
+    # the density of |T| is scale * (1 + u)^(-(dof + 1)/2)
+    scale = (2 / (math.pi * c_m) if odd else 2 * m * c_m) / math.sqrt(dof)
+    t = _Z975 + sum(g / dof**i for i, g in enumerate(_CORNISH_FISHER, 1))
+    step = t
+    while abs(step) > 1e-8 * t:
+        u = t * t / dof
+        log1p_u = math.log1p(u)
+        s = _weighted_powers(m, odd, log1p_u)
+        if odd:
+            p = (math.atan(t / math.sqrt(dof))
+                 + math.sqrt(u) / (1 + u) * s) * (2 / math.pi)
+        else:
+            p = math.sqrt(u / (1 + u)) * s
+        step = (0.95 - p) / (scale * math.exp(-0.5 * (dof + 1) * log1p_u))
+        t += step
+    return t
+
+
+def _finish(names, x, r, converged, n_iter, jac_fn) -> FitResult:
     J = jac_fn(x)
     dof = len(r) - len(x)
     try:
@@ -110,7 +185,7 @@ def _finish(names, x, r, converged, n_iter, jac_fn) -> FitResult:
         cov = None
     if cov is None or not np.all(np.isfinite(cov)):
         raise ValueError("the data do not determine the fit parameters")
-    ci = stdtrit(dof, 0.975) * np.sqrt(np.maximum(np.diag(cov), 0.0))
+    ci = _t975(dof) * np.sqrt(np.maximum(np.diag(cov), 0.0))
     return FitResult(names=tuple(names), params=x, ci95=ci,
                      residual_norm=float(np.linalg.norm(r)),
                      converged=converged, n_iter=n_iter, cov=cov)

@@ -396,16 +396,12 @@ def efficiency_decay(dd_kind: str, t_list, bath: SpinBathParams):
             for t_s in t_arr]
 
 
-# Slow-bath CPMG relations used for calibration: the phase variance of an
-# OU bath under an n-pulse CPMG train with tau << tau_c is
-# chi(T) = (2 pi sigma)^2 T^3 / (12 n^2 tau_c), and eta = exp(-2 chi).
-
-def cpmg_ou_chi(t_s, n_pulses: int, sigma_hz: float, tau_c_s: float):
-    return (2 * np.pi * sigma_hz) ** 2 * np.asarray(t_s, float) ** 3 / (
-        12 * n_pulses**2 * tau_c_s)
-
-
 def ou_sigma_for_t2(n_pulses: int, t2_s: float, tau_c_s: float) -> float:
-    """OU amplitude that puts the coherence 1/e point (chi = 1) at t2_s."""
+    """OU amplitude that puts the coherence 1/e point (chi = 1) at t2_s.
+
+    In a slow bath (pulse spacing << tau_c) the phase variance of an OU bath
+    under an n-pulse CPMG train is chi(T) = (2 pi sigma)^2 T^3 / (12 n^2
+    tau_c), and eta = exp(-2 chi); this solves chi(t2_s) = 1 for sigma.
+    """
     sigma_rad = np.sqrt(12.0 * n_pulses**2 * tau_c_s / t2_s**3)
     return float(sigma_rad / (2 * np.pi))

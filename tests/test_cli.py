@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import afcmem
-from afcmem import cli
+from afcmem import cli, waveform
 from afcmem.cli import main
 from afcmem.config import ExperimentConfig
 from afcmem.fitting import mims_curve
@@ -193,6 +193,21 @@ def test_simulate_afc_overflow_exit_code(tmp_path, capsys, bad):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_narrow_comb_grid_error_names_the_fwhm(tmp_path, capsys):
+    # a 0.0025 Hz tooth on a 7.6 Hz grid: the one-line error gives the
+    # tooth FWHM as it is, not rounded to "0.0 Hz"
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps({"comb_period_hz": 0.01,
+                                "eta_end_to_end_target": 0.01}))
+    code = run_cli("simulate", "afc", "--config", str(path),
+                   "--out", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "too coarse for tooth FWHM 0.0025 Hz" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("what", ["spinwave", "qubit"])
 @pytest.mark.parametrize("bad, keys", [
     ({"comb_peak_od": 1.7e308, "comb_finesse": 1.0001,
@@ -305,16 +320,48 @@ print(json.dumps(seen))
 
 
 def test_cold_start_loads_scipy_only_for_fits():
-    # structural, not a timing: only a fit (scipy.special) may load scipy
+    # structural, not a timing: no command loads scipy, a fit included
     proc = run_python("-c", _COLD_START, check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])
-    fit_code, fit_modules = seen.pop("fit mims")
     for command, (code, modules) in seen.items():
         assert code == 0, command
         assert modules == [], command
-    assert fit_code == 0
-    assert "scipy.special" in fit_modules
-    assert "scipy.stats" not in fit_modules
+
+
+_SCIPY_BLOCKED = r"""
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from afcmem.cli import main
+
+out, csv = sys.argv[1:]
+codes = [main(["reproduce", "fig1e", "--out", out + "/fig1e"]),
+         main(["reproduce", "fig2", "--out", out + "/fig2"]),
+         main(["fit", "mims", csv, "--out", out + "/fit"])]
+print(json.dumps(codes))
+"""
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_runtime_needs_numpy_only(tmp_path, capsys):
+    # the fits' intervals need no scipy: with scipy unimportable each run
+    # exits 0 and writes what an unblocked run writes
+    csv = tmp_path / "decay.csv"
+    t = np.linspace(0.02, 0.3, 12)
+    waveform.write_csv(csv, "t_s_seconds,eta", t,
+                       mims_curve(t, 0.08, 0.106, 1.8))
+    blocked, free = tmp_path / "blocked", tmp_path / "free"
+    proc = run_python("-c", _SCIPY_BLOCKED, str(blocked), str(csv),
+                      check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0]
+    assert run_cli("reproduce", "fig1e", "--out", str(free / "fig1e")) == 0
+    assert run_cli("reproduce", "fig2", "--out", str(free / "fig2")) == 0
+    assert run_cli("fit", "mims", str(csv), "--out", str(free / "fit")) == 0
+    assert _tree(blocked) == _tree(free)
+    assert sorted(p.name for p in free.iterdir()) == ["fig1e", "fig2", "fit"]
 
 
 def _run_quiet(*args):

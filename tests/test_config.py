@@ -108,6 +108,17 @@ def test_parameter_objects_check_themselves_when_built():
     assert calls == []
 
 
+def test_runtime_imports_no_scipy():
+    # the package needs numpy alone; scipy is the tests' reference oracle
+    imports = [(path.name, node.lineno) for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Import)
+               and any(a.name.split(".")[0] == "scipy" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.level == 0
+               and node.module.split(".")[0] == "scipy"]
+    assert imports == []
+
+
 def _echo_stage_is_clean(cfg) -> bool:
     """afc_efficiency(cfg) is finite and raises no warning."""
     with warnings.catch_warnings():

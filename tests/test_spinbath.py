@@ -11,7 +11,7 @@ from afcmem.spinbath import (EPS, FWHM_TO_SIGMA, MAX_LINE_PER_RABI,
                              RESIDUAL_RTOL, PulseErrorModel, SpinBathParams,
                              _ou_interval, _ou_interval_law, _phasor,
                              _propagate, _pulse, _residual_quadrature,
-                             cpmg_ou_chi, efficiency_decay, ou_sigma_for_t2,
+                             efficiency_decay, ou_sigma_for_t2,
                              residual_excitation, sample_ensemble,
                              spin_echo_coherence)
 
@@ -222,8 +222,10 @@ def test_coherence_against_quadrature_oracle():
     res = spin_echo_coherence(dd, bath)
     assert res.coherence == pytest.approx(expected,
                                           abs=4 * res.coherence_stderr + 0.01)
-    # the slow-bath closed form agrees in this regime as well
-    assert cpmg_ou_chi(t_s, 4, sigma, tau_c) == pytest.approx(chi, rel=0.05)
+    # the slow-bath closed form of ou_sigma_for_t2, chi(T) = (2 pi sigma)^2
+    # T^3 / (12 n^2 tau_c) for n = 4 pulses, agrees in this regime as well
+    slow_bath_chi = (2 * np.pi * sigma) ** 2 * t_s**3 / (12 * 4**2 * tau_c)
+    assert slow_bath_chi == pytest.approx(chi, rel=0.05)
 
 
 def test_noise_parity_even_perfect_pulses():
