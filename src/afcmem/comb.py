@@ -48,8 +48,9 @@ class CombParams:
     finesse is tooth spacing over tooth FWHM; peak_od is the single-pass
     optical depth at a tooth center; passes counts traversals of the
     crystal (2 for the double-pass input configuration);
-    homogeneous_hwhm_hz is the HWHM of each ion's own line, added to the
-    grid's line kernel (1/(pi T2) for an optical coherence time T2).
+    homogeneous_hwhm_hz is the HWHM of each ion's own line (1/(pi T2) for
+    an optical coherence time T2), the comb's line kernel where the grid
+    resolves it; see build_comb.
     """
 
     comb_period_hz: float
@@ -171,59 +172,88 @@ def _tooth_profile(f: np.ndarray, params: CombParams) -> np.ndarray:
     return g
 
 
-def build_comb(params: CombParams, n_points: int = DEFAULT_GRID_POINTS,
+def _grid_points(params: CombParams, span_hz: float) -> int:
+    """The coarsest power of two whose step resolves the homogeneous line
+    in four steps and a tooth in eight, at most DEFAULT_GRID_POINTS; with
+    no homogeneous line, DEFAULT_GRID_POINTS."""
+    if params.homogeneous_hwhm_hz == 0:
+        return DEFAULT_GRID_POINTS
+    step = min(params.homogeneous_hwhm_hz / 4, params.tooth_fwhm_hz / 8)
+    n = 1
+    while n < DEFAULT_GRID_POINTS and span_hz / n > step:
+        n *= 2
+    return n
+
+
+def build_comb(params: CombParams, n_points: int | None = None,
                span_hz: float = DEFAULT_GRID_SPAN_HZ) -> CombSpectrum:
     """Build the comb's complex transfer function on a uniform grid.
+
+    The grid spans span_hz, widened to 1.25 bandwidths if narrower, in
+    n_points steps df, which must resolve a tooth in 8 steps.  By default
+    a comb with a homogeneous line (params.homogeneous_hwhm_hz > 0) takes
+    the coarsest power-of-two grid with df <= min(HWHM/4, tooth FWHM/8),
+    at most DEFAULT_GRID_POINTS, and a comb without one takes
+    DEFAULT_GRID_POINTS.  An explicit n_points fixes the grid whatever the
+    line.
 
     The target absorption profile g (teeth plus flat background,
     edge-windowed) is convolved with a normalized complex Lorentzian of
     HWHM gamma, (1/pi) / (gamma + i f), the underlying line response:
-    four grid steps plus params.homogeneous_hwhm_hz.  That line is the
-    Fourier transform of the causal decay 2 exp(-2 pi gamma t) for t > 0,
-    so the convolution is done in the time domain as a discrete analytic
-    signal (Marple 1999): transform g, weight time 0 by 1, later times by
-    the decay, the Nyquist time by half of it and earlier times by 0, and
-    transform back.  Absorption and dispersion so form the causal pair of
-    AFC filter theory (Bonarota et al. 2010), periodic over the grid span:
-    the images of g one span away add a slow dispersion ramp across the
-    band, a group delay below 0.4 % of 1/Delta for peak depths up to 6.
-    The field transfer is exp(-(passes/2) * D(f)) with D the resulting
-    complex optical depth.
+    gamma = max(params.homogeneous_hwhm_hz, 4 df).  Where the grid
+    resolves the homogeneous line, as the default grid does, gamma is that
+    line; below four steps the grid's own 4 df kernel stands in for it, so
+    that the decay below falls to exp(-8 pi) over the grid's time span.
+    That line is the Fourier transform of the causal decay
+    2 exp(-2 pi gamma t) for t > 0, so the convolution is done in the time
+    domain as a discrete analytic signal (Marple 1999): transform g,
+    weight time 0 by 1, later times by the decay, the Nyquist time by half
+    of it and earlier times by 0, and transform back.  Absorption and
+    dispersion so form the causal pair of AFC filter theory (Bonarota et
+    al. 2010), periodic over the grid span: the images of g one span away
+    add a slow dispersion ramp across the band, a group delay below 0.4 %
+    of 1/Delta for peak depths up to 6.  The field transfer is
+    exp(-(passes/2) * D(f)) with D the resulting complex optical depth.
 
     The band and the teeth are symmetric about f = 0, so g is even and
-    is given by its half x at f = k df, k = 0 ... N//2, filled in place
-    inside the band.  The transform of an even g is real and even, and
-    irfft(x, N) computes it; its first N//2 + 1 samples are the time
-    signal at t >= 0.  They are weighted by the one-sided decay in place,
-    the rest of the signal is zeroed, and one real N-point transform
-    gives D on the same half grid.  alpha and the response are returned
-    there; see CombSpectrum for f < 0.
+    is given by its half x at f = k df, k = 0 ... N//2, filled into the
+    real part of a zeroed complex buffer inside the band.  The transform
+    of an even g is real and even, and irfft(x, N) computes it; its first
+    N//2 + 1 samples are the time signal at t >= 0.  They are weighted by
+    the one-sided decay in place, the rest of the signal is zeroed, and
+    one real N-point transform into the same buffer gives D on the half
+    grid.  So each transform holds only that buffer and the time signal
+    (two grid arrays of float64) besides its own scratch.  alpha and the
+    response are returned there; see CombSpectrum for f < 0.
     """
-    if span_hz < 1.25 * params.bandwidth_hz:
-        span_hz = 1.25 * params.bandwidth_hz
+    span_hz = max(span_hz, 1.25 * params.bandwidth_hz)
+    if n_points is None:
+        n_points = _grid_points(params, span_hz)
     df = span_hz / n_points
     if df > params.tooth_fwhm_hz / 8:
         raise ValueError(
             f"grid resolution {df:.3g} Hz too coarse for tooth FWHM "
             f"{params.tooth_fwhm_hz:.3g} Hz (need at least 8 points per tooth)")
-    gamma = 4 * df + params.homogeneous_hwhm_hz
+    gamma = max(params.homogeneous_hwhm_hz, 4 * df)
 
     # f = k df, k = 0 ... N//2.  The window is nonzero only where f < B/2,
-    # which is f[:j1]; where its ramp rounds to 0, x is 0 as well.
+    # which is f[:j1]; where its ramp rounds to 0, x is 0 as well.  The
+    # grid is taken only as far as the first point at or past B/2.
     h = n_points // 2 + 1
-    f = np.arange(h, dtype=float)
+    edge = params.bandwidth_hz / 2
+    f = np.arange(min(h, int(edge / df) + 2), dtype=float)
     f *= df
-    j1 = int(np.searchsorted(f, params.bandwidth_hz / 2, "left"))
-    x = np.zeros(h)
-    band = x[:j1]
+    j1 = int(np.searchsorted(f, edge, "left"))
+    x = np.zeros(h, dtype=complex)
+    band = x.real[:j1]
     # x >= 0, so a profile too deep for float64 shows as a non-finite DC
     # sample of the transform, the sum of g, which bounds every sample
     with np.errstate(over="ignore", invalid="ignore"):
         np.add(_tooth_profile(f[:j1], params), params.background_od,
                out=band)
         band *= _raised_cosine_window(f[:j1], params.bandwidth_hz)
+        del f, band
         signal = np.fft.irfft(x, n_points)
-    del x, band
     if not np.isfinite(signal[0]):
         raise ValueError(
             f"comb_peak_od {params.peak_od:g} is too large: the comb's "
@@ -240,9 +270,11 @@ def build_comb(params: CombParams, n_points: int = DEFAULT_GRID_POINTS,
     signal[:h] *= decay
     del decay
     signal[h:] = 0.0
-    response = np.fft.rfft(signal)
-    del signal
+    response = np.fft.rfft(signal, out=x)
+    del signal, x
 
+    f = np.arange(h, dtype=float)
+    f *= df
     alpha = np.maximum(response.real, 0.0)
     response *= -(params.passes / 2.0)
     np.exp(response, out=response)

@@ -90,12 +90,21 @@ def levenberg_marquardt(residual_fn, jac_fn, x0, max_iter: int = 200,
     return x, r, converged, n_iter
 
 
+def _n_distinct(x) -> int:
+    """np.unique(x).size, without np.unique, which imports numpy.ma: -0.0
+    equals 0.0 and all NaNs count as one value."""
+    s = np.sort(x, axis=None)
+    values = s[~np.isnan(s)]
+    return (int(values.size > 0) + int(values.size < s.size)
+            + int(np.count_nonzero(values[1:] != values[:-1])))
+
+
 def _check_determined(x, n_params: int) -> None:
     """Raise ValueError unless the abscissae x can determine n_params."""
     if x.size <= n_params:
         raise ValueError(f"{n_params} parameters need more than {n_params} "
                          f"data points, got {x.size}")
-    if np.unique(x).size < n_params:
+    if _n_distinct(x) < n_params:
         raise ValueError(f"{n_params} parameters need at least {n_params} "
                          f"distinct x values")
 

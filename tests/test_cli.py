@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import afcmem
 from afcmem import cli, waveform
 from afcmem.cli import main
+from afcmem.comb import build_comb
 from afcmem.config import ExperimentConfig
 from afcmem.fitting import mims_curve
 from afcmem.presets import PRESET_NAMES
@@ -89,11 +90,42 @@ def test_simulate_afc(tmp_path, capsys):
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["echo_time_s"] == pytest.approx(25e-6, rel=0.01)
-    # the comb's echo is the echo stage's: apart from the grid's own line
-    # kernel, the same closed form
+    # the comb's echo is the echo stage's: its grid resolves the line of
+    # afc_t2_seconds, so the same closed form to within the grid's error
     assert report["echo_efficiency"] == pytest.approx(report["eta_afc"],
                                                       rel=0.015)
     assert (tmp_path / "echo_waveform.csv").exists()
+
+
+def test_simulate_afc_grid_is_sized_by_the_line(tmp_path, capsys,
+                                                monkeypatch):
+    # the default comb's homogeneous line, 1/(pi 240 us) = 1.33 kHz, needs
+    # a step of at most 332 Hz over the 8 MHz span: 2^15 points
+    built = []
+
+    def build(params):
+        built.append(build_comb(params))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_comb", build)
+    assert run_cli("simulate", "afc", "--out", str(tmp_path)) == 0
+    [spectrum] = built
+    assert spectrum.freq_grid_hz.size == 2**14 + 1
+    assert spectrum.freq_grid_hz[1] == 8e6 / 2**15
+
+
+@pytest.mark.parametrize("shape", ["square", "gaussian"])
+def test_simulate_afc_echo_matches_closed_form(tmp_path, capsys, shape):
+    # with the line as the comb's kernel, the echo is the echo stage's
+    # closed form to within the grid's error
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"comb_tooth_shape": shape}))
+    code = run_cli("simulate", "afc", "--config", str(path),
+                   "--out", str(tmp_path / "out"))
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["echo_efficiency"] == pytest.approx(report["eta_afc"],
+                                                      rel=1e-3)
 
 
 def test_simulate_qubit(tmp_path, capsys):
@@ -362,6 +394,29 @@ def test_runtime_needs_numpy_only(tmp_path, capsys):
     assert run_cli("fit", "mims", str(csv), "--out", str(free / "fit")) == 0
     assert _tree(blocked) == _tree(free)
     assert sorted(p.name for p in free.iterdir()) == ["fig1e", "fig2", "fit"]
+
+
+_NO_NUMPY_MA = r"""
+import json, sys
+from afcmem.cli import main
+
+out, csv = sys.argv[1:]
+codes = [main(["reproduce", "fig2", "--out", out + "/fig2"]),
+         main(["fit", "mims", csv, "--out", out + "/fit"])]
+print(json.dumps([codes, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_fits_do_not_import_numpy_ma(tmp_path):
+    # counting distinct abscissae must not pull in numpy.ma (np.unique
+    # does), about 1.2 MiB of resident memory in every process that fits
+    csv = tmp_path / "decay.csv"
+    t = np.linspace(0.02, 0.3, 12)
+    waveform.write_csv(csv, "t_s_seconds,eta", t,
+                       mims_curve(t, 0.08, 0.106, 1.8))
+    proc = run_python("-c", _NO_NUMPY_MA, str(tmp_path), str(csv),
+                      check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], False]
 
 
 def _run_quiet(*args):

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import afcmem
 from afcmem.comb import (DEFAULT_GRID_POINTS, TOOTH_SHAPES, CombParams,
                          CombSpectrum, _raised_cosine_window,
                          _tooth_profile, afc_decay_model, build_comb,
@@ -188,9 +192,9 @@ def test_build_comb_matches_plain_formula(shape, passes, n_points, span_hz,
 
 
 def test_default_grid_build_memory():
-    # the time signal, its half transform and the half grid: at most 3.5
-    # float64 grid arrays are traced at once, and the comb keeps its three
-    # half-grid arrays, two grid arrays in all
+    # the time signal, the complex half buffer both transforms use and the
+    # half-grid decay: at most 2.75 float64 grid arrays are traced at once,
+    # and the comb keeps its three half-grid arrays, two grid arrays in all
     params = CombParams(comb_period_hz=40e3, finesse=4.0, peak_od=3.0,
                         background_od=0.2, tooth_shape="gaussian", passes=2)
     tracemalloc.start()
@@ -199,12 +203,74 @@ def test_default_grid_build_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * DEFAULT_GRID_POINTS * 8
+    assert peak <= 2.75 * DEFAULT_GRID_POINTS * 8
     assert [f.name for f in fields(CombSpectrum)] == [
         "freq_grid_hz", "alpha", "complex_response", "params"]
     half = DEFAULT_GRID_POINTS // 2 + 1
     assert spec.freq_grid_hz.shape == spec.alpha.shape == (half,)
     assert spec.complex_response.shape == (half,)
+
+
+_RESIDENT_BUILD = r"""
+from afcmem.comb import CombParams, build_comb
+
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status
+                    if line.startswith("VmHWM:"))
+
+
+params = CombParams(comb_period_hz=40e3, finesse=4.0, peak_od=3.0,
+                    background_od=0.2, tooth_shape="gaussian", passes=2)
+before = peak_kib()
+build_comb(params)
+print(peak_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak resident set from /proc")
+def test_default_grid_build_resident_memory():
+    # what tracemalloc misses: a cast copy of the half profile and the
+    # transforms' own buffers.  The first default-grid build of a fresh
+    # process raises its peak resident set by at most 4.5 grid arrays.
+    # The peak is VmHWM, that of the process's own memory map: ru_maxrss
+    # starts from the spawning process's peak, which exec carries over
+    src = os.path.dirname(os.path.dirname(afcmem.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _RESIDENT_BUILD],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    grown_kib = int(proc.stdout.splitlines()[-1])
+    assert grown_kib * 1024 <= 4.5 * DEFAULT_GRID_POINTS * 8
+
+
+@pytest.mark.parametrize("hwhm_hz, n_points", [
+    (1 / (math.pi * 240e-6), 2**15), (1e5, 2**13)])
+def test_default_grid_sized_by_the_line(hwhm_hz, n_points):
+    # the coarsest power of two whose step df resolves the homogeneous line
+    # in four steps and a tooth in eight: the 1.33 kHz line sets 2^15, the
+    # 10 kHz tooth under a 100 kHz line 2^13
+    params = CombParams(comb_period_hz=40e3, finesse=4.0, peak_od=3.0,
+                        passes=2, homogeneous_hwhm_hz=hwhm_hz)
+    f = build_comb(params).freq_grid_hz
+    step = min(hwhm_hz / 4, params.tooth_fwhm_hz / 8)
+    assert f.size == n_points // 2 + 1 and f[1] == 8e6 / n_points
+    assert f[1] <= step < 2 * f[1]
+
+
+def test_unresolved_line_keeps_the_grid_kernel():
+    # a homogeneous HWHM below four grid steps leaves the kernel at 4 df:
+    # the comb is bit-equal to the one without a homogeneous line, on the
+    # default grid (a 20 Hz line, 30.5 Hz kernel) and on an explicit one
+    base = dict(comb_period_hz=40e3, finesse=4.0, peak_od=3.0, passes=2)
+    narrow = build_comb(CombParams(**base, homogeneous_hwhm_hz=20.0))
+    plain = build_comb(CombParams(**base))
+    assert narrow.freq_grid_hz.size == DEFAULT_GRID_POINTS // 2 + 1
+    assert np.array_equal(narrow.complex_response, plain.complex_response)
+    narrow = _comb(homogeneous_hwhm_hz=KERNEL / 2)
+    assert np.array_equal(narrow.complex_response, _comb().complex_response)
 
 
 def _line_convolution_2n(g, df):
@@ -402,7 +468,8 @@ def test_broadband_input_rejected():
 ])
 def test_efficiency_matches_closed_form(shape, oracle):
     # first-echo coefficient identity: eta = (p a1)^2 exp(-p (a0 + d0)),
-    # also with a homogeneous line (T2 100 us) widening the line kernel
+    # also with a homogeneous line (T2 100 us) wider than the grid's 4 df,
+    # which is then the line kernel
     inp = _input()
     for hwhm in (0.0, 1 / (math.pi * 100e-6)):
         for finesse in (2.0, 4.0, 10.0):
@@ -410,7 +477,7 @@ def test_efficiency_matches_closed_form(shape, oracle):
                 spec = _comb(shape=shape, finesse=finesse, peak_od=depth,
                              homogeneous_hwhm_hz=hwhm)
                 got = propagate(inp, spec).echo_efficiency
-                want = oracle(depth, finesse, kernel_hwhm_hz=KERNEL + hwhm,
+                want = oracle(depth, finesse, kernel_hwhm_hz=max(KERNEL, hwhm),
                               comb_period_hz=40e3)
                 assert got == pytest.approx(want, rel=0.05), (
                     shape, hwhm, finesse, depth)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from afcmem import fitting
@@ -216,3 +218,13 @@ def test_underdetermined_data_raise(fit, t):
     # fewer distinct x values than parameters, or no degrees of freedom left
     with pytest.raises(ValueError, match="parameters need"):
         fit(t, np.ones(len(t)))
+
+
+@given(st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=True, allow_infinity=True)), max_size=12))
+def test_distinct_count_matches_unique(values):
+    # the fits count distinct abscissae as np.unique does: -0.0 equals
+    # 0.0, every NaN is one value, and +-inf are values of their own
+    x = np.array(values, dtype=float)
+    assert fitting._n_distinct(x) == np.unique(x).size
