@@ -122,7 +122,6 @@ def bloch_propagate(waveform: Waveform, detuning_hz,
 
 @dataclass
 class TransferProfile:
-    detuning_hz: np.ndarray
     inversion: np.ndarray
     bandwidth_3db_hz: float
     # largest | |c_e|^2 + |c_g|^2 - 1 | over the grid after the pulse
@@ -141,7 +140,7 @@ def transfer_profile(waveform: Waveform, detuning_grid,
     ce, cg = _propagate_spinors(waveform, d)
     pe, pg = np.abs(ce) ** 2, np.abs(cg) ** 2
     inversion = (pe - pg + 1) / 2
-    return TransferProfile(detuning_hz=d, inversion=inversion,
+    return TransferProfile(inversion=inversion,
                            bandwidth_3db_hz=_half_max_width(d, inversion),
                            norm_drift=float(np.max(np.abs(pe + pg - 1))))
 

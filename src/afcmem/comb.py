@@ -97,7 +97,7 @@ class CombSpectrum:
     freq_grid_hz: np.ndarray
     alpha: np.ndarray
     complex_response: np.ndarray
-    params: CombParams = field(repr=False, default=None)
+    params: CombParams = field(repr=False)
 
     @property
     def band_edge_hz(self) -> float:

@@ -240,9 +240,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
-    def config_hash(self) -> str:
-        return provenance(self.to_dict())["config_hash"]
-
 
 def read_config_json(path) -> dict:
     """The flat JSON object of a config file, its values not yet checked."""

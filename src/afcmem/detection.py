@@ -7,7 +7,7 @@ errors are Poisson-propagated treating the temporal modes as independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +38,9 @@ class DetectionChain:
 
 @dataclass
 class CountHistogram:
-    bin_width_s: float = 200e-9
-    counts: np.ndarray = field(default=None)
-    n_trials: int = 1
+    bin_width_s: float
+    counts: np.ndarray
+    n_trials: int
 
     @property
     def n_bins(self) -> int:
@@ -54,8 +54,7 @@ class CountHistogram:
 
 
 def simulate_counts(flux_per_s, sample_rate_hz: float, chain: DetectionChain,
-                    n_trials: int, seed=None,
-                    bin_width_s: float = 200e-9) -> CountHistogram:
+                    n_trials: int, seed, bin_width_s: float) -> CountHistogram:
     """Histogram of detector counts accumulated over n_trials.
 
     flux_per_s is the mean photon rate at the memory output, an array on a
@@ -110,53 +109,11 @@ def mode_sums(hist: CountHistogram, t_m_s: float, n_modes: int,
                     raw_counts=raw)
 
 
-@dataclass
-class ModeMetrics:
-    """Memory figures of merit per temporal mode and their 6-mode averages."""
-
-    mu_in: float
-    eta: np.ndarray
-    p_n: np.ndarray
-    snr: np.ndarray
-    mu1: np.ndarray
-    eta_err: np.ndarray
-    p_n_err: np.ndarray
-    snr_err: np.ndarray
-    mu1_err: np.ndarray
-
-    def _avg(self, vals, errs):
-        n = len(vals)
-        return float(np.mean(vals)), float(np.sqrt(np.sum(np.square(errs))) / n)
-
-    @property
-    def eta_avg(self):
-        return self._avg(self.eta, self.eta_err)
-
-    @property
-    def p_n_avg(self):
-        return self._avg(self.p_n, self.p_n_err)
-
-    @property
-    def snr_avg(self):
-        return self._avg(self.snr, self.snr_err)
-
-    @property
-    def mu1_avg(self):
-        return self._avg(self.mu1, self.mu1_err)
-
-    def summary(self) -> dict:
-        out = {"mu_in": self.mu_in}
-        for name in ("eta", "p_n", "snr", "mu1"):
-            avg, err = getattr(self, f"{name}_avg")
-            out[name] = avg
-            out[f"{name}_err"] = err
-        return out
-
-
 def metrics(mu_in: float, output_modes: ModeSums,
-            noise_modes: ModeSums) -> ModeMetrics:
+            noise_modes: ModeSums) -> dict:
     """Storage efficiency, SNR and mu1 from signal-run and noise-run mode
-    sums.
+    sums: {"summary": mu_in and the 6-mode average of each figure with its
+    error, "per_mode": each figure and its error per mode}.
 
     eta and snr use the noise-subtracted output, so snr is signal over
     noise; mu1 = p_n / eta is the input photon number giving SNR 1.  mu1
@@ -186,9 +143,14 @@ def metrics(mu_in: float, output_modes: ModeSums,
         mu1_err = np.where(defined, mu1 * np.sqrt(
             (p_err / np.where(p_n > 0, p_n, 1.0)) ** 2 + (eta_err / eta) ** 2),
             np.nan)
-    return ModeMetrics(mu_in=mu_in, eta=eta, p_n=p_n, snr=snr, mu1=mu1,
-                       eta_err=eta_err, p_n_err=p_err, snr_err=snr_err,
-                       mu1_err=mu1_err)
+    per_mode = {"eta": eta, "eta_err": eta_err, "p_n": p_n, "p_n_err": p_err,
+                "snr": snr, "snr_err": snr_err, "mu1": mu1, "mu1_err": mu1_err}
+    summary = {"mu_in": mu_in}
+    for name in ("eta", "p_n", "snr", "mu1"):
+        v, e = per_mode[name], per_mode[f"{name}_err"]
+        summary[name] = float(np.mean(v))
+        summary[f"{name}_err"] = float(np.sqrt(np.sum(np.square(e))) / len(v))
+    return {"summary": summary, "per_mode": per_mode}
 
 
 def table_metrics(mu_in: float, eta: float, p_n: float,
@@ -210,12 +172,11 @@ def table_metrics(mu_in: float, eta: float, p_n: float,
     }
 
 
-def noise_floor_model(t_after_readout_s, p_n_ref: float,
-                      lifetime_s: float = NOISE_LIFETIME_S):
+def noise_floor_model(t_after_readout_s, p_n_ref: float):
     """Noise density versus delay after readout: exponential decay of the
     spontaneous-emission floor, normalized to p_n_ref at zero delay."""
     t = np.asarray(t_after_readout_s, dtype=float)
     if np.any(t < 0):
         raise ValueError("t_after_readout_s must be nonnegative")
-    out = p_n_ref * np.exp(-t / lifetime_s)
+    out = p_n_ref * np.exp(-t / NOISE_LIFETIME_S)
     return out if out.ndim else float(out)

@@ -18,6 +18,11 @@ import numpy as np
 
 from .comb import ZEEMAN_SPLIT_HZ, afc_decay_model
 
+# levenberg_marquardt converges when an accepted step moves every parameter
+# by less than STEP_TOL relative, or when the gradient falls below GRAD_TOL
+STEP_TOL = 1e-9
+GRAD_TOL = 1e-12
+
 
 @dataclass
 class FitResult:
@@ -27,7 +32,6 @@ class FitResult:
     residual_norm: float
     converged: bool
     n_iter: int
-    cov: np.ndarray
 
     def as_dict(self) -> dict:
         out = {}
@@ -41,7 +45,6 @@ class FitResult:
 
 
 def levenberg_marquardt(residual_fn, jac_fn, x0, max_iter: int = 200,
-                        step_tol: float = 1e-9, grad_tol: float = 1e-12,
                         on_accept=None):
     """Minimize ||r(x)||^2 with Marquardt damping.
 
@@ -59,7 +62,7 @@ def levenberg_marquardt(residual_fn, jac_fn, x0, max_iter: int = 200,
     for n_iter in range(1, max_iter + 1):
         J = jac_fn(x)
         g = J.T @ r
-        if np.max(np.abs(g)) < grad_tol:
+        if np.max(np.abs(g)) < GRAD_TOL:
             converged = True
             break
         A = J.T @ J
@@ -81,7 +84,7 @@ def levenberg_marquardt(residual_fn, jac_fn, x0, max_iter: int = 200,
                 accepted = True
                 if on_accept is not None:
                     on_accept(x.copy(), cost)
-                if rel_step < step_tol:
+                if rel_step < STEP_TOL:
                     converged = True
                 break
             lam *= 4
@@ -197,7 +200,7 @@ def _finish(names, x, r, converged, n_iter, jac_fn) -> FitResult:
     ci = _t975(dof) * np.sqrt(np.maximum(np.diag(cov), 0.0))
     return FitResult(names=tuple(names), params=x, ci95=ci,
                      residual_norm=float(np.linalg.norm(r)),
-                     converged=converged, n_iter=n_iter, cov=cov)
+                     converged=converged, n_iter=n_iter)
 
 
 def _damped_fit(names, resid, jac, x0) -> FitResult:

@@ -255,19 +255,14 @@ def run_spinwave(cfg: ExperimentConfig, preset: str | None = None) -> RunReport:
     hist_input, sums_input = _read_out(cfg, input_flux, dt, cfg.n_trials,
                                        rngs[4], n)
     mm = metrics(cfg.mu_in_per_mode, sums_signal, sums_noise)
-    undefined = [m for m, eta in zip(modes, mm.eta) if not eta > 0]
+    undefined = [m for m, eta in zip(modes, mm["per_mode"]["eta"])
+                 if not eta > 0]
 
     report = RunReport(
         kind="spinwave", preset=preset, config=cfg.to_dict(),
         stages=stages, eta_end_to_end=float(eta_total),
         metrics={
-            "summary": mm.summary(),
-            "per_mode": {
-                "eta": mm.eta, "eta_err": mm.eta_err,
-                "p_n": mm.p_n, "p_n_err": mm.p_n_err,
-                "snr": mm.snr, "snr_err": mm.snr_err,
-                "mu1": mm.mu1, "mu1_err": mm.mu1_err,
-            },
+            **mm,
             "mu_in_measured": sums_input.values,
             "mu_in_measured_err": sums_input.errors,
         },
@@ -440,7 +435,7 @@ def _reproduce_fig2(out: Path, cfg, notes) -> RunReport:
     t2_fitted = {}
     checks = []
     for kind in DD_KINDS:
-        t_list = spin_t2_nominal(kind, xx_t2) * np.array(
+        t_list = spin_t2_nominal(kind) * np.array(
             [0.4, 0.55, 0.7, 0.85, 1.0, 1.2, 1.4])
         rows = efficiency_decay(kind, t_list, bath)
         write_csv(out / f"decay_{kind}.csv", "t_s_seconds,eta,stderr",

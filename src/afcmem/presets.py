@@ -86,13 +86,11 @@ FIG4 = {
 }
 
 
-def spin_t2_nominal(dd_kind: str, xx_t2_s: float | None = None) -> float:
+def spin_t2_nominal(dd_kind: str) -> float:
     """Ideal slow-bath scaling from the calibrated two-pulse point:
     T2(n) = T2(2) * (n/2)^(2/3)."""
-    if xx_t2_s is None:
-        xx_t2_s = FIG2["xx_t2_calibration_s"]
     n = len(dd_phases(dd_kind))
-    return xx_t2_s * (n / 2.0) ** (2.0 / 3.0)
+    return FIG2["xx_t2_calibration_s"] * (n / 2.0) ** (2.0 / 3.0)
 
 
 def table_preset(name: str) -> tuple[ExperimentConfig, list[str]]:

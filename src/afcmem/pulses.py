@@ -13,7 +13,7 @@ fall: amplitude W / cosh(c e / te), frequency f0 + k p + a tanh(c e / te).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -280,8 +280,8 @@ class DDSequence:
 
     kind: str
     total_time_s: float
-    phases_rad: np.ndarray = field(default=None)
-    centers_s: np.ndarray = field(default=None)
+    phases_rad: np.ndarray
+    centers_s: np.ndarray
 
     @property
     def n_pulses(self) -> int:

@@ -57,7 +57,6 @@ class SpinBathParams:
     ou_sigma_hz: float = 0.0
     ou_tau_c_s: float = 1.0
     n_atoms: int = 10_000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.inhom_fwhm_hz < 0 or self.ou_sigma_hz < 0:
@@ -95,10 +94,8 @@ class SpinStorageResult:
 
 
 def sample_ensemble(params: SpinBathParams,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
+                    rng: np.random.Generator) -> np.ndarray:
     """Static detunings: n_atoms Gaussian draws with the line FWHM."""
-    if rng is None:
-        rng = np.random.default_rng(params.seed)
     sigma = params.inhom_fwhm_hz * FWHM_TO_SIGMA
     return sigma * rng.standard_normal(params.n_atoms)
 
@@ -287,13 +284,17 @@ def spin_echo_coherence(dd: DDSequence, bath: SpinBathParams,
     With errors=None the pulses are ideal instantaneous pi flips and the
     coherence is the closed form of _ideal_coherence, with zero standard
     error; with an error model each pulse is a full finite-Rabi unitary,
-    sampled over bath.n_atoms atoms.
+    sampled over bath.n_atoms atoms drawn from seed (anything
+    np.random.default_rng takes but None), which the ideal path ignores.
     """
     if errors is None:
         coherence = _ideal_coherence(
             np.concatenate([[0.0], dd.centers_s, [dd.total_time_s]]), bath)
         return SpinStorageResult(coherence=coherence, eta_spin=coherence**2)
-    rng = np.random.default_rng(bath.seed if seed is None else seed)
+    if seed is None:
+        raise ValueError("spin_echo_coherence needs a seed to sample pulse "
+                         "errors")
+    rng = np.random.default_rng(seed)
     static = sample_ensemble(bath, rng)
     up, dn = _propagate(rng, static, bath, dd, errors,
                         (1 / np.sqrt(2), 1 / np.sqrt(2)))

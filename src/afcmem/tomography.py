@@ -164,13 +164,6 @@ def white_noise_fidelity(snr: float) -> float:
     return (snr + 1.0) / (snr + 2.0)
 
 
-def measure_prepare_fidelity(n: int) -> float:
-    """Optimal measure-and-prepare fidelity on n qubit copies: (n+1)/(n+2)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return (n + 1.0) / (n + 2.0)
-
-
 def classical_bound_weak_coherent(mu: float, eta: float) -> float:
     """Best classical (measure-and-prepare) fidelity for a qubit carried by
     a weak coherent state of mean photon number mu through a memory of

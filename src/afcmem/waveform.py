@@ -29,10 +29,6 @@ class Waveform:
     def n_samples(self) -> int:
         return int(self.samples.size)
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples * self.dt_s
-
     def times(self) -> np.ndarray:
         return self.t0_s + np.arange(self.n_samples) * self.dt_s
 

@@ -68,7 +68,7 @@ def test_criterion_03_dd_scaling():
     pi_t = 1 / (2 * 120e3)
     # refocusing identity at machine precision
     static_bath = SpinBathParams(inhom_fwhm_hz=60e3, ou_sigma_hz=0.0,
-                                 n_atoms=10_000, seed=3)
+                                 n_atoms=10_000)
     refocus_ok = True
     for kind, t_s in (("XX", 0.02), ("XY4", 0.02), ("XY8", 0.05),
                       ("XY16", 0.1)):
@@ -78,7 +78,7 @@ def test_criterion_03_dd_scaling():
     tau_c = 3.0
     sigma = ou_sigma_for_t2(2, 0.070, tau_c)
     bath = SpinBathParams(inhom_fwhm_hz=60e3, ou_sigma_hz=sigma,
-                          ou_tau_c_s=tau_c, n_atoms=10_000, seed=42)
+                          ou_tau_c_s=tau_c, n_atoms=10_000)
     t2_fit, m_fit = {}, {}
     for kind, n_p in (("XX", 2), ("XY4", 4), ("XY8", 8), ("XY16", 16)):
         nominal = 0.070 * (n_p / 2) ** (2 / 3)

