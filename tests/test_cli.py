@@ -351,7 +351,7 @@ print(json.dumps(seen))
 """
 
 
-def test_cold_start_loads_scipy_only_for_fits():
+def test_cold_start_loads_no_scipy():
     # structural, not a timing: no command loads scipy, a fit included
     proc = run_python("-c", _COLD_START, check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])

@@ -1,19 +1,22 @@
 import inspect
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 from afcmem.pulses import DDSequence, dd_sequence
-from afcmem.spinbath import (EPS, FWHM_TO_SIGMA, MAX_LINE_PER_RABI,
-                             RESIDUAL_RTOL, PulseErrorModel, SpinBathParams,
-                             _ou_interval, _ou_interval_law, _phasor,
-                             _propagate, _pulse, _residual_quadrature,
-                             efficiency_decay, ou_sigma_for_t2,
-                             residual_excitation, sample_ensemble,
-                             spin_echo_coherence)
+from afcmem.config import DEFAULT_OU_SIGMA_HZ, DEFAULT_OU_TAU_C_S
+from afcmem.spinbath import (ATOM_BLOCK, EPS, FWHM_TO_SIGMA,
+                             MAX_LINE_PER_RABI, RESIDUAL_RTOL,
+                             PulseErrorModel, SpinBathParams,
+                             _coherence_stats, _ou_interval, _ou_interval_law,
+                             _phasor, _propagate, _pulse,
+                             _residual_quadrature, efficiency_decay,
+                             ou_sigma_for_t2, residual_excitation,
+                             sample_ensemble, spin_echo_coherence)
 
 PI_DURATION = 1 / (2 * 120e3)
 
@@ -69,8 +72,7 @@ def test_ou_interval_sample_moments(h, tau):
     var_i = sigma**2 * tau**2 * (2 * (h / tau - e) - e**2)
     cov = sigma**2 * tau * e**2
     x1, integral = _ou_interval(np.random.default_rng(17), np.full(n, x0),
-                                h, sigma, tau, np.empty((4, n)),
-                                np.empty(n, dtype=complex))
+                                h, sigma, tau, np.empty((4, n)))
     # 4-sigma statistical bounds on each estimate
     assert x1.mean() == pytest.approx(mean[0], abs=4 * np.sqrt(var_x / n))
     assert integral.mean() == pytest.approx(mean[1], abs=4 * np.sqrt(var_i / n))
@@ -89,8 +91,7 @@ def test_ou_interval_box_muller_pair():
     h, sigma, tau = 0.5, 40.0, 1.0
     _, a, b, c = _ou_interval_law(h, sigma, tau)
     x1, integral = _ou_interval(np.random.default_rng(23), np.zeros(n), h,
-                                sigma, tau, np.empty((4, n)),
-                                np.empty(n, dtype=complex))
+                                sigma, tau, np.empty((4, n)))
     g1 = x1 / a
     g2 = (integral - b * g1) / c
     ks_1pct = special.kolmogi(0.01) / np.sqrt(n)
@@ -341,10 +342,13 @@ def _pulse_unitary_reference(phase_rad, delta_hz, errors):
             -1j * s * (nx + 1j * ny), c + 1j * s * nz)
 
 
-def _propagate_reference(rng, static, bath, dd, errors, spinor):
+def _propagate_reference(rng, static, bath, dd, errors, spinor,
+                         ou_in_pulse=False):
     """Step-by-step reference for the pulse-error branch of _propagate: per
     interval the full free phase, its exponential, then the pulse unitary,
-    each a fresh array; the same draws in the same order."""
+    each a fresh array; the same draws in the same order.  The pulse acts at
+    the static detuning, as in the kernel, or with ou_in_pulse at the static
+    detuning plus the OU value, the model the kernel leaves out."""
     use_ou = bath.ou_sigma_hz > 0
     ou = bath.ou_sigma_hz * rng.standard_normal(static.size) if use_ou else 0.0
     up, dn = spinor
@@ -362,10 +366,26 @@ def _propagate_reference(rng, static, bath, dd, errors, spinor):
         rot = np.exp(-0.5j * phi)
         up, dn = up * rot, dn * np.conj(rot)
         if i < dd.n_pulses:
+            delta = static + ou if ou_in_pulse else static
             uuu, uud, udu, udd = _pulse_unitary_reference(dd.phases_rad[i],
-                                                          static + ou, errors)
+                                                          delta, errors)
             up, dn = uuu * up + uud * dn, udu * up + udd * dn
     return up, dn
+
+
+def _blocked_reference(rng, bath, dd, errors, ou_in_pulse=False):
+    """The phasors 2 up dn* of spin_echo_coherence's draws through
+    _propagate_reference: the static line at once, then consecutive slices
+    of ATOM_BLOCK atoms, each drawing its OU start values, then its interval
+    draws."""
+    static = sample_ensemble(bath, rng)
+    phasors = []
+    for start in range(0, static.size, ATOM_BLOCK):
+        up, dn = _propagate_reference(
+            rng, static[start:start + ATOM_BLOCK], bath, dd, errors,
+            (1 / np.sqrt(2), 1 / np.sqrt(2)), ou_in_pulse)
+        phasors.append(2 * up * np.conj(dn))
+    return np.concatenate(phasors)
 
 
 def _oracle_sequence(name, t_s):
@@ -412,10 +432,12 @@ def test_kernel_matches_reference_loop(name, n_atoms, ou_sigma_hz):
     assert np.abs(up - up_ref).max() <= 1e-10
     assert np.abs(dn - dn_ref).max() <= 1e-10
 
-    rng = np.random.default_rng(11)  # the same draws through the public call
+    # the public call draws block by block: the reference in the same order
+    rng_ref = np.random.default_rng(11)
+    want = abs(np.mean(_blocked_reference(rng_ref, bath, dd, errors)))
+    rng = np.random.default_rng(11)
     res = spin_echo_coherence(dd, bath, errors, seed=rng)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
-    want = abs(np.mean(2 * up_ref * np.conj(dn_ref)))
     assert res.coherence == pytest.approx(want, rel=1e-12, abs=0)
 
     if ou_sigma_hz == 0:  # the static line from the ground state
@@ -433,6 +455,25 @@ def test_kernel_matches_reference_loop(name, n_atoms, ou_sigma_hz):
             # carry the phase rounding above; with few atoms nothing averages
             # it, so the rms amplitude is held to the spinor bound.
             assert np.sqrt(got) == pytest.approx(np.sqrt(want), abs=1e-10)
+
+
+@pytest.mark.parametrize("kind,t_s", [("XX", 0.02), ("XY4", 0.02),
+                                      ("XY8", 0.05), ("XY16", 0.1)])
+def test_pulse_at_static_detuning_premise(kind, t_s):
+    # The kernel's pulses act at the static detuning.  On the default bath,
+    # about 100 Hz of OU against a 120 kHz Rabi frequency, the same draws
+    # with the OU value in every pulse move the coherence by less than 1e-5
+    # (here 5.3e-7, 2.3e-6, 3.3e-6 and 6.5e-6; 1.2e-6, 8.2e-7, 3.9e-6 and
+    # 7.5e-6 at 200k atoms).  The shift grows with the OU amplitude: 2.3e-5
+    # at 300 Hz under XY8 50 ms, 200k atoms.
+    bath = SpinBathParams(ou_sigma_hz=DEFAULT_OU_SIGMA_HZ,
+                          ou_tau_c_s=DEFAULT_OU_TAU_C_S, n_atoms=40_000)
+    dd = dd_sequence(kind, t_s, PI_DURATION)
+    errors = PulseErrorModel(area_error=0.01)
+    got = spin_echo_coherence(dd, bath, errors, seed=43).coherence
+    shifted = abs(np.mean(_blocked_reference(np.random.default_rng(43), bath,
+                                             dd, errors, ou_in_pulse=True)))
+    assert 0 < abs(got - shifted) <= 1e-5
 
 
 # --- the reduced-turn phasor and the pulse, one tangent each ---------------
@@ -563,6 +604,40 @@ def test_workspace_is_per_thread():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == [[want[0]] * 3, [want[1]] * 3]
+
+
+def test_atom_blocks_match_one_unblocked_pass():
+    # Without OU noise the blocks draw nothing after the static line: the
+    # public call over two full blocks and a partial one equals, bit for
+    # bit, one _propagate over the whole ensemble.  State leaking from one
+    # block into the next, or a mishandled last block, would show.
+    n = 2 * ATOM_BLOCK + 7
+    bath = SpinBathParams(ou_sigma_hz=0.0, n_atoms=n)
+    dd = dd_sequence("XY8", 0.05, PI_DURATION)
+    errors = PulseErrorModel(area_error=0.03, phase_error_rad=0.02)
+    res = spin_echo_coherence(dd, bath, errors, seed=5)
+    rng = np.random.default_rng(5)
+    up, dn = _propagate(rng, sample_ensemble(bath, rng), bath, dd, errors,
+                        (1 / np.sqrt(2), 1 / np.sqrt(2)))
+    phasors = np.conj(dn) * up * 2
+    assert (res.coherence, res.coherence_stderr) == _coherence_stats(phasors)
+
+
+def test_working_set_is_block_sized():
+    # The static line (8 B per atom) and the phasors (16 B) grow with the
+    # ensemble; the work rows, 152 B per atom, only up to ATOM_BLOCK atoms.
+    # One unblocked pass over 200k atoms peaked at 169 B per atom.
+    n = 200_000
+    bath = SpinBathParams(ou_sigma_hz=DEFAULT_OU_SIGMA_HZ,
+                          ou_tau_c_s=DEFAULT_OU_TAU_C_S, n_atoms=n)
+    dd = dd_sequence("XY16", 0.1, PI_DURATION)
+    tracemalloc.start()
+    try:
+        spin_echo_coherence(dd, bath, PulseErrorModel(area_error=0.01), seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * n
 
 
 # --- residual excitation by quadrature over the static line ----------------
