@@ -6,11 +6,13 @@ instantaneous pi pulses the stored phase changes sign at each pulse center
 and is Gaussian, so the coherence is exp(-chi_static - chi_OU) in closed
 form, chi_OU being the filter-function integral of the OU kernel
 (Cywinski, Lutchyn, Nave & Das Sarma, Phys. Rev. B 77, 174509 (2008)).
-Imperfect pulses are sampled by Monte Carlo: between pulses the OU value at
-the interval's end and its integral over the interval are drawn exactly, as
-one jointly Gaussian pair per atom (Gillespie, Phys. Rev. E 54, 2084
-(1996)) made from one Box-Muller draw of two uniforms, so an interval costs
-the same whatever its length.  Its free rotation is one phasor of its phase
+Imperfect pulses are sampled by Monte Carlo: the OU integral over each
+interval between pulses is drawn exactly, from the interval law of the OU
+value and its integral (Gillespie, Phys. Rev. E 54, 2084 (1996)) carried
+as a scalar Kalman filter on the OU value, so that each integral takes one
+standard normal, its innovation, whatever the interval's length; one
+Box-Muller draw of two uniforms gives the normals of two consecutive
+intervals.  Its free rotation is one phasor of its phase
 in turns, reduced exactly to at most half a turn; with the finite-Rabi
 pulse that ends it, an SU(2) rotation [[A, -B*], [B, A*]] (Gullion, Baker &
 Conradi, J. Magn. Reson. 89, 479 (1990)), it forms one Cayley-Klein map.
@@ -19,7 +21,7 @@ the rational half-angle forms give the cosine and the sine.  The pulse acts
 at the atom's static detuning: the OU shift, about 100 Hz against a 120 kHz
 Rabi frequency, moves the coherence by less than 1e-5 on the default bath.
 The atoms run in consecutive blocks of at most ATOM_BLOCK, each drawing its
-OU start values and then its interval draws; the interval loop runs in place
+interval pairs in turn; the interval loop runs in place
 in work arrays allocated once per call at block size, small enough to stay
 in a core's L2 cache.
 residual_excitation gives the storage-state population that the imperfect
@@ -52,10 +54,10 @@ MAX_LINE_PER_RABI = 4.0
 # spin_echo_coherence's standard error: the spread of |mean| over this many
 # equal blocks of the ensemble
 N_BLOCKS = 10
-# _propagate's work rows, six complex and seven real, in floats per atom
-WORK_FLOATS = 19
+# _propagate's work rows, six complex and six real, in floats per atom
+WORK_FLOATS = 18
 # spin_echo_coherence carries at most this many atoms through the interval
-# loop at a time, so that the work rows (152 B per atom, 0.6 MiB) stay in a
+# loop at a time, so that the work rows (144 B per atom, 0.6 MiB) stay in a
 # core's L2 cache
 ATOM_BLOCK = 4096
 
@@ -120,29 +122,59 @@ def _ou_interval_law(h, sigma, tau):
     with g1, g2 independent standard normals and e = 1 - exp(-h/tau).
     Returns (e, a, b, c): Var x1 = a^2 = sigma^2 e (2 - e),
     Cov(x1, I) = a b = sigma^2 tau e^2 and
-    Var I = b^2 + c^2 = sigma^2 tau^2 (2 (h/tau - e) - e^2).
+    Var I = b^2 + c^2 = sigma^2 tau^2 (2 (h/tau - e) - e^2).  h may be an
+    array of interval lengths.
     """
     u = h / tau
     e = -np.expm1(-u)
-    if u < 1e-2:  # 2 (u - e) - e^2 cancels down to 2 u^3 / 3: use its series
-        w = u**3 * (2 / 3 - u / 2 + 7 * u**2 / 30 - u**3 / 12 + 31 * u**4 / 1260)
-    else:
-        w = 2 * (u - e) - e * e
+    # 2 (u - e) - e^2 cancels down to 2 u^3 / 3 at small u: use its series
+    w = np.where(u < 1e-2,
+                 u**3 * (2 / 3 - u / 2 + 7 * u**2 / 30 - u**3 / 12
+                         + 31 * u**4 / 1260),
+                 2 * (u - e) - e * e)
     a = sigma * np.sqrt(e * (2 - e))
     b = sigma * tau * e * np.sqrt(e / (2 - e))
     c = sigma * tau * np.sqrt(w - e**3 / (2 - e))
     return e, a, b, c
 
 
-def _ou_interval(rng, x0, h, sigma, tau, work):
-    """One exact joint draw of (x1, I) per atom (see _ou_interval_law) in the
-    (4, n) real scratch array work: x0 is overwritten by x1, I is work[2].
-    The normal pair is one Box-Muller draw (Box & Muller, Ann. Math. Stat. 29,
-    610 (1958)) from two uniforms, g1 + i g2 = sqrt(-2 log(1 - u1))
-    exp(-2 pi i u2), its cosine and sine from _half_angle as in _phasor."""
+def _ou_innovations(h, sigma, tau):
+    """The integrals I_k of a stationary OU value over consecutive intervals
+    h_k, drawn exactly from one standard normal z_k each through their
+    innovations form (Kalman, J. Basic Eng. 82, 35 (1960)):
+
+        I_k = tau e_k m + sqrt(S_k) z_k,   m <- d_k m + (C_k / sqrt(S_k)) z_k,
+
+    where m, zero at the start, is the mean of the OU value at the start of
+    interval k given the earlier integrals, and d_k = exp(-h_k/tau) =
+    1 - e_k.  A scalar Kalman filter gives the coefficients: with P the
+    variance of the OU value about m, sigma^2 at the start, and (e, a, b,
+    c) from _ou_interval_law, I_k has variance S = (tau e)^2 P + b^2 + c^2
+    about tau e m and covariance C = d tau e P + a b with the value at the
+    interval's end, and P <- d^2 P + a^2 - C^2/S.  h is an array; returns
+    the arrays (tau e, sqrt(S), C/sqrt(S), d) over its intervals.
+    """
     e, a, b, c = _ou_interval_law(h, sigma, tau)
+    decay = np.exp(-h / tau)
+    p, var, cov = sigma * sigma, [], []
+    for e_k, a_k, b_k, c_k, d_k in zip(e.tolist(), a.tolist(), b.tolist(),
+                                       c.tolist(), decay.tolist()):
+        var.append((tau * e_k) ** 2 * p + b_k * b_k + c_k * c_k)
+        cov.append(d_k * tau * e_k * p + a_k * b_k)
+        p = d_k * d_k * p + a_k * a_k - cov[-1] ** 2 / var[-1]
+    root_s = np.sqrt(var)
+    return tau * e, root_s, np.divide(cov, root_s), decay
+
+
+def _box_muller(rng, work):
+    """Two independent standard normals per atom, g1 + i g2 =
+    sqrt(-2 log(1 - u1)) exp(-2 pi i u2), from one Box-Muller draw (Box &
+    Muller, Ann. Math. Stat. 29, 610 (1958)) of two uniforms into the
+    (3, n) real scratch array work, the cosine and sine from _half_angle
+    as in _phasor.  Returns the views g1 = work[2] and g2 = work[1]; work[0]
+    is free again."""
     rng.random(out=work[:2])
-    u1, u2, integral, tmp = work
+    u1, u2, tmp = work
     t, q = _half_angle(u2, tmp)
     g2 = np.multiply(t, q, out=u2)  # the sine, then g2
     g1 = np.subtract(q, 1, out=tmp)  # the cosine, then g1
@@ -151,12 +183,7 @@ def _ou_interval(rng, x0, h, sigma, tau, work):
     np.sqrt(radius, out=radius)
     g1 *= radius
     g2 *= radius
-    np.multiply(x0, tau * e, out=integral)
-    integral += np.multiply(g1, b, out=u1)
-    integral += np.multiply(g2, c, out=g2)
-    x0 *= 1 - e
-    x0 += np.multiply(g1, a, out=g1)
-    return x0, integral
+    return g1, g2
 
 
 def _ideal_coherence(bounds, bath: SpinBathParams) -> float:
@@ -230,34 +257,43 @@ def _pulse(minus_delta, omega, t_pi, ca, sg, g, q):
     np.multiply(sg, minus_delta, out=ca.imag)
 
 
-def _propagate(rng, static, bath, dd, errors, spinor, work=None):
+def _intervals(dd):
+    """Lengths of the free intervals that dd's pulse centers bound."""
+    return np.diff(np.concatenate([[0.0], dd.centers_s, [dd.total_time_s]]))
+
+
+def _propagate(rng, static, bath, dd, errors, spinor, work=None, ou=None):
     """Carry every atom's spinor (up, dn), starting from the scalars (or
     arrays) in spinor, through the free intervals and imperfect pulses of
     dd: the module's one interval loop.  spin_echo_coherence runs it once
-    per block of at most ATOM_BLOCK atoms.  With OU noise it first draws
-    each atom's OU start value, then each interval's draws for every atom.
+    per block of at most ATOM_BLOCK atoms.  With OU noise it draws one
+    Box-Muller pair for every atom at the start of each pair of intervals.
     work is a float array of at least WORK_FLOATS * static.size items to run
-    in (the returned up and dn are views of it); None allocates one.
+    in (the returned up and dn are views of it); None allocates one.  ou is
+    _ou_innovations over dd's intervals, the same for every block; None
+    computes it.
 
-    Over an interval h each atom takes one exact OU draw of the integral I
-    and a free phase of (static h + I) / 2 turns, whose rotation r comes from
-    _phasor.  With the pulse that ends the interval, A = C - i S delta/g and
-    B = -i S (omega/g) e^(i phase), the spinor takes one SU(2) map
-    [[a, -b*], [b, a*]], a = A r and b = B r, where g = sqrt(omega^2 +
-    delta^2) and (C, S) = (cos, sin)(pi g t_pi).  The pulse acts at the
-    static detuning delta, without the OU shift, so _pulse runs once, before
-    the loop.
+    Over an interval h each atom takes its OU integral I from one normal of
+    the pair, through _ou_innovations, and a free phase of (static h + I) / 2
+    turns, whose rotation r comes from _phasor.  With the pulse that ends
+    the interval, A = C - i S delta/g and B = -i S (omega/g) e^(i phase), the
+    spinor takes one SU(2) map [[a, -b*], [b, a*]], a = A r and b = B r,
+    where g = sqrt(omega^2 + delta^2) and (C, S) = (cos, sin)(pi g t_pi).
+    The pulse acts at the static detuning delta, without the OU shift, so
+    _pulse runs once, before the loop.
     """
     n = static.size
     if work is None:
         work = np.empty(WORK_FLOATS * n)
     up, dn, r, ca, a, b = work[:12 * n].view(np.complex128).reshape(6, n)
-    ou, g, sg = work[12 * n:15 * n].reshape(3, n)
-    scratch = work[15 * n:WORK_FLOATS * n].reshape(4, n)
+    m, g, sg = work[12 * n:15 * n].reshape(3, n)
+    scratch = work[15 * n:WORK_FLOATS * n].reshape(3, n)
+    h = _intervals(dd)
     use_ou = bath.ou_sigma_hz > 0
     if use_ou:
-        rng.standard_normal(out=ou)
-        ou *= bath.ou_sigma_hz
+        mean_gain, root_s, gain, decay = ou or _ou_innovations(
+            h, bath.ou_sigma_hz, bath.ou_tau_c_s)
+        m[...] = 0
     up[...], dn[...] = spinor
     omega = errors.rf_rabi_hz * (1 + errors.area_error)
     t_pi = 1.0 / (2.0 * errors.rf_rabi_hz)  # nominal pi duration
@@ -265,13 +301,17 @@ def _propagate(rng, static, bath, dd, errors, spinor, work=None):
     # ca = A; sg = S/g, so B = sg * drive
     _pulse(np.negative(static, out=scratch[1]), omega, t_pi, ca, sg, g,
            scratch[0])
-    boundaries = np.concatenate([[0.0], dd.centers_s, [dd.total_time_s]])
-    for i, h in enumerate(np.diff(boundaries)):
-        turns = np.multiply(static, h / 2, out=g)
-        if use_ou:
-            ou, integral = _ou_interval(rng, ou, h, bath.ou_sigma_hz,
-                                        bath.ou_tau_c_s, scratch)
-            turns += np.multiply(integral, 0.5, out=integral)
+    for i, h_i in enumerate(h):
+        turns = np.multiply(static, h_i / 2, out=g)
+        if use_ou:  # turns += I/2, then m moves to the next interval
+            if i % 2 == 0:
+                z, z_next = _box_muller(rng, scratch)
+            else:
+                z = z_next
+            turns += np.multiply(m, mean_gain[i] / 2, out=scratch[0])
+            m *= decay[i]
+            m += np.multiply(z, gain[i], out=scratch[0])
+            turns += np.multiply(z, root_s[i] / 2, out=z)
         rot = _phasor(turns, scratch[0], r)
         if i == dd.n_pulses:  # no pulse ends the last interval
             up *= rot
@@ -319,13 +359,17 @@ def spin_echo_coherence(dd: DDSequence, bath: SpinBathParams,
         raise ValueError("spin_echo_coherence needs a seed to sample pulse "
                          "errors")
     rng = np.random.default_rng(seed)
+    ou = None
+    if bath.ou_sigma_hz > 0:
+        ou = _ou_innovations(_intervals(dd), bath.ou_sigma_hz,
+                             bath.ou_tau_c_s)
     static = sample_ensemble(bath, rng)
     phasors = np.empty(static.size, dtype=np.complex128)
     work = np.empty(WORK_FLOATS * min(static.size, ATOM_BLOCK))
     for start in range(0, static.size, ATOM_BLOCK):
         block = slice(start, start + ATOM_BLOCK)
         up, dn = _propagate(rng, static[block], bath, dd, errors,
-                            (1 / np.sqrt(2), 1 / np.sqrt(2)), work)
+                            (1 / np.sqrt(2), 1 / np.sqrt(2)), work, ou)
         np.multiply(np.conj(dn, out=dn), up, out=phasors[block])  # 2 up dn*
     phasors *= 2
     coherence, stderr = _coherence_stats(phasors)

@@ -12,8 +12,8 @@ from afcmem.config import DEFAULT_OU_SIGMA_HZ, DEFAULT_OU_TAU_C_S
 from afcmem.spinbath import (ATOM_BLOCK, EPS, FWHM_TO_SIGMA,
                              MAX_LINE_PER_RABI, RESIDUAL_RTOL,
                              PulseErrorModel, SpinBathParams,
-                             _coherence_stats, _ou_interval, _ou_interval_law,
-                             _phasor, _propagate, _pulse,
+                             _box_muller, _coherence_stats, _ou_innovations,
+                             _ou_interval_law, _phasor, _propagate, _pulse,
                              _residual_quadrature, efficiency_decay,
                              ou_sigma_for_t2, residual_excitation,
                              sample_ensemble, spin_echo_coherence)
@@ -62,38 +62,53 @@ def test_ou_interval_law_against_quadrature(u):
     assert b * b + c * c == pytest.approx(sigma**2 * tau**2 * var_i, **close)
 
 
-@pytest.mark.parametrize("h,tau", [(3e-3, 3.0), (0.5, 1.0), (4.0, 1.0)])
-def test_ou_interval_sample_moments(h, tau):
-    # closed-form conditional moments of (end value, integral) given x0
-    sigma, x0, n = 40.0, 25.0, 400_000
-    e = -np.expm1(-h / tau)
-    mean = np.array([(1 - e) * x0, tau * e * x0])
-    var_x = sigma**2 * e * (2 - e)
-    var_i = sigma**2 * tau**2 * (2 * (h / tau - e) - e**2)
-    cov = sigma**2 * tau * e**2
-    x1, integral = _ou_interval(np.random.default_rng(17), np.full(n, x0),
-                                h, sigma, tau, np.empty((4, n)))
-    # 4-sigma statistical bounds on each estimate
-    assert x1.mean() == pytest.approx(mean[0], abs=4 * np.sqrt(var_x / n))
-    assert integral.mean() == pytest.approx(mean[1], abs=4 * np.sqrt(var_i / n))
-    assert x1.var() == pytest.approx(var_x, rel=4 * np.sqrt(2 / n))
-    assert integral.var() == pytest.approx(var_i, rel=4 * np.sqrt(2 / n))
-    r = cov / np.sqrt(var_x * var_i)
-    assert np.corrcoef(x1, integral)[0, 1] == pytest.approx(
-        r, abs=4 * (1 - r * r) / np.sqrt(n))
+def _integral_covariance(h, sigma, tau):
+    """Closed-form covariance of the integrals of a stationary OU value over
+    consecutive intervals h: sigma^2 tau^2 e_j e_k exp(-gap_jk/tau) between
+    two intervals a gap apart and, on the diagonal, b^2 + c^2 + (sigma tau
+    e)^2 from _ou_interval_law, its series form of sigma^2 tau^2 2 (h/tau -
+    e) that keeps its precision at small h/tau."""
+    bounds = np.concatenate([[0.0], np.cumsum(h)])
+    start, end = bounds[:-1], bounds[1:]
+    e, _, b, c = _ou_interval_law(h, sigma, tau)
+    gap = np.maximum(start[:, None] - end[None, :],
+                     start[None, :] - end[:, None])
+    cov = sigma**2 * tau**2 * np.outer(e, e) * np.exp(-gap / tau)
+    np.fill_diagonal(cov, b * b + c * c + (sigma * tau * e) ** 2)
+    return cov
 
 
-def test_ou_interval_box_muller_pair():
-    # the normal pair behind one interval draw, recovered from its outputs
-    # at x0 = 0 (x1 = a g1, I = b g1 + c g2), against N(0, 1) each and
-    # against independence
+@pytest.mark.parametrize("u", [1e-7, 1e-4, 9e-3, 1.1e-2, 0.3, 4.0, 60.0])
+@pytest.mark.parametrize("timing", ["cpmg", "uneven"])
+def test_ou_innovations_match_integral_covariance(timing, u):
+    # I = L z, z standard normal: row k of L holds tau e_k times the weights
+    # of m on the earlier normals, and sqrt(S_k) on the diagonal.  L L^T is
+    # the integrals' closed-form covariance, entry by entry; entries that
+    # underflow below the smallest normal float are held to it absolutely.
+    # Interval lengths u tau under XY16 timing (17 intervals, the outer two
+    # halved) or uneven ones that straddle the law's series cutoff.
+    sigma, tau = 7.0, 0.3
+    if timing == "cpmg":
+        h = u * tau * np.concatenate([[0.5], np.ones(15), [0.5]])
+    else:
+        h = u * tau * np.array([0.3, 1.0, 1.8, 1.3, 0.9, 0.7])
+    mean_gain, root_s, gain, decay = _ou_innovations(h, sigma, tau)
+    lower, weights = np.zeros((h.size, h.size)), np.zeros(h.size)
+    for k in range(h.size):
+        lower[k] = mean_gain[k] * weights
+        lower[k, k] = root_s[k]
+        weights *= decay[k]
+        weights[k] += gain[k]
+    want = _integral_covariance(h, sigma, tau)
+    assert np.all(np.abs(lower @ lower.T - want)
+                  <= 1e-12 * want + np.finfo(float).tiny)
+
+
+def test_box_muller_pair():
+    # the normal pair that the kernel draws per two intervals, against
+    # N(0, 1) each and against independence
     n = 400_000
-    h, sigma, tau = 0.5, 40.0, 1.0
-    _, a, b, c = _ou_interval_law(h, sigma, tau)
-    x1, integral = _ou_interval(np.random.default_rng(23), np.zeros(n), h,
-                                sigma, tau, np.empty((4, n)))
-    g1 = x1 / a
-    g2 = (integral - b * g1) / c
+    g1, g2 = _box_muller(np.random.default_rng(23), np.empty((3, n)))
     ks_1pct = special.kolmogi(0.01) / np.sqrt(n)
     for g in (g1, g2):
         cdf = special.ndtr(np.sort(g))
@@ -162,14 +177,19 @@ def test_coherence_against_filter_function(centers, t_s, fwhm):
     assert res.coherence_stderr == 0
 
 
-@pytest.mark.parametrize("kind,t_s", [("XX", 0.05), ("XY4", 0.08),
-                                      ("XY16", 0.2)])
-def test_error_free_pulses_match_closed_form(kind, t_s):
+@pytest.mark.parametrize("kind,t_s,tau_c,sigma", [
+    ("XX", 0.05, 3.0, ou_sigma_for_t2(2, 0.070, 3.0)),
+    ("XY4", 0.08, 3.0, ou_sigma_for_t2(2, 0.070, 3.0)),
+    ("XY16", 0.2, 3.0, ou_sigma_for_t2(2, 0.070, 3.0)),
+    ("XX", 0.05, 5e-3, 11.5),   # fast baths, where the Kalman gain
+    ("XY4", 0.08, 2e-3, 11.9),  # reweights m most: coherence near 0.5
+], ids=["XX-0.05", "XY4-0.08", "XY16-0.2", "XX-0.05-tau_c-5ms",
+        "XY4-0.08-tau_c-2ms"])
+def test_error_free_pulses_match_closed_form(kind, t_s, tau_c, sigma):
     # the Monte Carlo kernel under OU, with error-free pulses too short to
     # tilt against the line, against the exact ideal-pulse coherence
-    bath = SpinBathParams(inhom_fwhm_hz=60e3,
-                          ou_sigma_hz=ou_sigma_for_t2(2, 0.070, 3.0),
-                          ou_tau_c_s=3.0, n_atoms=40_000)
+    bath = SpinBathParams(inhom_fwhm_hz=60e3, ou_sigma_hz=sigma,
+                          ou_tau_c_s=tau_c, n_atoms=40_000)
     dd = dd_sequence(kind, t_s, PI_DURATION)
     errors = PulseErrorModel(area_error=0.0, phase_error_rad=0.0,
                              rf_rabi_hz=1e9)
@@ -342,48 +362,85 @@ def _pulse_unitary_reference(phase_rad, delta_hz, errors):
             -1j * s * (nx + 1j * ny), c + 1j * s * nz)
 
 
+def _ou_integrals_reference(rng, n, h, sigma, tau):
+    """The OU integrals of n atoms over the intervals h, interval by
+    interval, in the kernel's draw order: a libm Box-Muller pair per two
+    intervals, each normal the innovation of one integral about its mean
+    given the earlier ones, from a scalar Kalman filter on the OU value
+    (mean m, variance p about it)."""
+    p, m = sigma**2, np.zeros(n)
+    integrals = []
+    for k, h_k in enumerate(h):
+        if k % 2 == 0:
+            u1, u2 = rng.random((2, n))
+            pair = np.sqrt(-2 * np.log1p(-u1)) * np.exp(-2j * np.pi * u2)
+        z = pair.imag if k % 2 else pair.real
+        e, a, b, c = _ou_interval_law(h_k, sigma, tau)
+        s = (tau * e) ** 2 * p + b * b + c * c
+        cov = (1 - e) * tau * e * p + a * b
+        integrals.append(tau * e * m + np.sqrt(s) * z)
+        m = (1 - e) * m + cov / np.sqrt(s) * z
+        p = (1 - e) ** 2 * p + a * a - cov * cov / s
+    return np.array(integrals)
+
+
+def _ou_at_pulses_given_integrals(bounds, sigma, tau):
+    """The stationary OU values x at the interior bounds, given the interval
+    integrals I: x = weights @ I + factor @ w with w standard normal, from
+    the dense joint Gaussian law of the values and the integrals."""
+    h = np.diff(bounds)
+    start, end, t = bounds[:-1], bounds[1:], bounds[1:-1]
+    dist = np.maximum(start[None, :] - t[:, None], t[:, None] - end[None, :])
+    cov_xi = sigma**2 * tau * -np.expm1(-h / tau) * np.exp(-dist / tau)
+    cov_xx = sigma**2 * np.exp(-np.abs(t[:, None] - t[None, :]) / tau)
+    weights = np.linalg.solve(_integral_covariance(h, sigma, tau), cov_xi.T).T
+    cond = cov_xx - weights @ cov_xi.T
+    return weights, np.linalg.cholesky((cond + cond.T) / 2)
+
+
 def _propagate_reference(rng, static, bath, dd, errors, spinor,
-                         ou_in_pulse=False):
+                         pulse_rng=None):
     """Step-by-step reference for the pulse-error branch of _propagate: per
     interval the full free phase, its exponential, then the pulse unitary,
     each a fresh array; the same draws in the same order.  The pulse acts at
-    the static detuning, as in the kernel, or with ou_in_pulse at the static
-    detuning plus the OU value, the model the kernel leaves out."""
-    use_ou = bath.ou_sigma_hz > 0
-    ou = bath.ou_sigma_hz * rng.standard_normal(static.size) if use_ou else 0.0
+    the static detuning, as in the kernel, or, given pulse_rng, at the
+    static detuning plus the OU value at the pulse, the model the kernel
+    leaves out: those values are drawn from pulse_rng by their exact law
+    given the same integrals."""
+    bounds = np.concatenate([[0.0], dd.centers_s, [dd.total_time_s]])
+    h = np.diff(bounds)
+    integrals = np.zeros((h.size, static.size))
+    if bath.ou_sigma_hz > 0:
+        integrals = _ou_integrals_reference(rng, static.size, h,
+                                            bath.ou_sigma_hz, bath.ou_tau_c_s)
+    delta = np.broadcast_to(static, (dd.n_pulses, static.size))
+    if pulse_rng is not None:
+        weights, factor = _ou_at_pulses_given_integrals(
+            bounds, bath.ou_sigma_hz, bath.ou_tau_c_s)
+        delta = delta + weights @ integrals + factor @ pulse_rng.standard_normal(
+            (dd.n_pulses, static.size))
     up, dn = spinor
-    boundaries = np.concatenate([[0.0], dd.centers_s, [dd.total_time_s]])
-    for i, h in enumerate(np.diff(boundaries)):
-        phi = 2 * np.pi * static * h
-        if use_ou:
-            tau = bath.ou_tau_c_s
-            e, a, b, c = _ou_interval_law(h, bath.ou_sigma_hz, tau)
-            u1, u2 = rng.random((2, static.size))  # Box-Muller, with libm
-            g = np.sqrt(-2 * np.log1p(-u1)) * np.exp(-2j * np.pi * u2)
-            g1, g2 = g.real, g.imag
-            ou, integral = (1 - e) * ou + a * g1, tau * e * ou + b * g1 + c * g2
-            phi += 2 * np.pi * integral
+    for i, h_i in enumerate(h):
+        phi = 2 * np.pi * static * h_i + 2 * np.pi * integrals[i]
         rot = np.exp(-0.5j * phi)
         up, dn = up * rot, dn * np.conj(rot)
         if i < dd.n_pulses:
-            delta = static + ou if ou_in_pulse else static
             uuu, uud, udu, udd = _pulse_unitary_reference(dd.phases_rad[i],
-                                                          delta, errors)
+                                                          delta[i], errors)
             up, dn = uuu * up + uud * dn, udu * up + udd * dn
     return up, dn
 
 
-def _blocked_reference(rng, bath, dd, errors, ou_in_pulse=False):
+def _blocked_reference(rng, bath, dd, errors, pulse_rng=None):
     """The phasors 2 up dn* of spin_echo_coherence's draws through
     _propagate_reference: the static line at once, then consecutive slices
-    of ATOM_BLOCK atoms, each drawing its OU start values, then its interval
-    draws."""
+    of ATOM_BLOCK atoms, each drawing its interval pairs."""
     static = sample_ensemble(bath, rng)
     phasors = []
     for start in range(0, static.size, ATOM_BLOCK):
         up, dn = _propagate_reference(
             rng, static[start:start + ATOM_BLOCK], bath, dd, errors,
-            (1 / np.sqrt(2), 1 / np.sqrt(2)), ou_in_pulse)
+            (1 / np.sqrt(2), 1 / np.sqrt(2)), pulse_rng)
         phasors.append(2 * up * np.conj(dn))
     return np.concatenate(phasors)
 
@@ -461,18 +518,20 @@ def test_kernel_matches_reference_loop(name, n_atoms, ou_sigma_hz):
                                       ("XY8", 0.05), ("XY16", 0.1)])
 def test_pulse_at_static_detuning_premise(kind, t_s):
     # The kernel's pulses act at the static detuning.  On the default bath,
-    # about 100 Hz of OU against a 120 kHz Rabi frequency, the same draws
-    # with the OU value in every pulse move the coherence by less than 1e-5
-    # (here 5.3e-7, 2.3e-6, 3.3e-6 and 6.5e-6; 1.2e-6, 8.2e-7, 3.9e-6 and
-    # 7.5e-6 at 200k atoms).  The shift grows with the OU amplitude: 2.3e-5
-    # at 300 Hz under XY8 50 ms, 200k atoms.
+    # about 100 Hz of OU against a 120 kHz Rabi frequency, the same integrals
+    # with the OU value in every pulse, drawn from a second generator by its
+    # law given those integrals, move the coherence by less than 1e-5 (here
+    # 5.9e-7, 1.8e-6, 6.0e-6 and 9.8e-6; 5.7e-7, 1.5e-6, 3.4e-6 and 7.6e-6
+    # at 200k atoms).  The shift grows with the OU amplitude: 2.1e-5 at
+    # 300 Hz under XY8 50 ms, 200k atoms.
     bath = SpinBathParams(ou_sigma_hz=DEFAULT_OU_SIGMA_HZ,
                           ou_tau_c_s=DEFAULT_OU_TAU_C_S, n_atoms=40_000)
     dd = dd_sequence(kind, t_s, PI_DURATION)
     errors = PulseErrorModel(area_error=0.01)
     got = spin_echo_coherence(dd, bath, errors, seed=43).coherence
-    shifted = abs(np.mean(_blocked_reference(np.random.default_rng(43), bath,
-                                             dd, errors, ou_in_pulse=True)))
+    shifted = abs(np.mean(_blocked_reference(
+        np.random.default_rng(43), bath, dd, errors,
+        pulse_rng=np.random.default_rng(44))))
     assert 0 < abs(got - shifted) <= 1e-5
 
 
@@ -577,7 +636,7 @@ def test_propagate_result_owned_by_caller():
     assert np.array_equal(up, kept[0]) and np.array_equal(dn, kept[1])
 
 
-def test_workspace_is_per_thread():
+def test_concurrent_calls_match_serial_calls():
     dd = dd_sequence("XY16", 0.1, PI_DURATION)
     bath = SpinBathParams(ou_sigma_hz=30.0, n_atoms=20_000)
     line = SpinBathParams(n_atoms=10_000)
@@ -625,7 +684,7 @@ def test_atom_blocks_match_one_unblocked_pass():
 
 def test_working_set_is_block_sized():
     # The static line (8 B per atom) and the phasors (16 B) grow with the
-    # ensemble; the work rows, 152 B per atom, only up to ATOM_BLOCK atoms.
+    # ensemble; the work rows, 144 B per atom, only up to ATOM_BLOCK atoms.
     # One unblocked pass over 200k atoms peaked at 169 B per atom.
     n = 200_000
     bath = SpinBathParams(ou_sigma_hz=DEFAULT_OU_SIGMA_HZ,
