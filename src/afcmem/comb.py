@@ -9,7 +9,8 @@ causal pair is formed in the time domain as a discrete analytic signal
 (Marple, IEEE Trans. Signal Process. 47, 2600 (1999)).  The profile is
 even in frequency, so its transform is real and the causal pair obeys
 D(-f) = conj(D(f)): the comb is built, stored and applied at f >= 0 only,
-the profile's half going through two real N-point transforms.
+the profile's half going through four real transforms of N/2 points, its
+even and odd samples taken apart (decimation in time).
 Propagation through the prepared ensemble is a linear filter acting on
 the input spectrum, by the response at f >= 0 and its conjugate at f < 0.
 """
@@ -34,7 +35,9 @@ EDGE_TAPER_FRACTION = 0.1
 MAX_LEAK_FRACTION = 0.01
 
 # Points per block of the Lorentzian tooth sum: three float64 arrays of
-# this length (256 KiB each) fit in a core's L2 cache.
+# this length (256 KiB each) fit in a core's L2 cache.  build_comb also
+# runs its tooth pass and its twiddle factors in blocks of this length, so
+# that their temporaries stay small beside the grid arrays.
 LORENTZIAN_BLOCK_POINTS = 2**15
 
 # Excited-state Zeeman splitting that modulates the echo efficiency.
@@ -115,16 +118,15 @@ class EchoResult:
     leak_fraction: float
 
 
-def _raised_cosine_window(f: np.ndarray, bandwidth_hz: float) -> np.ndarray:
-    """Unity inside the band, tapering to zero over the outer edge fraction."""
+def _taper_band_edge(band: np.ndarray, f: np.ndarray,
+                     bandwidth_hz: float) -> None:
+    """Multiply the profile at 0 <= f < B/2 by the raised-cosine window in
+    place: unity up to B/2 - taper, then falling to zero at B/2 over the
+    outer edge fraction.  Only the points past B/2 - taper are touched."""
     half = bandwidth_hz / 2
     taper = EDGE_TAPER_FRACTION * bandwidth_hz
-    a = np.abs(f)
-    w = np.zeros_like(a)
-    w[a <= half - taper] = 1.0
-    ramp = (a > half - taper) & (a < half)
-    w[ramp] = 0.5 * (1 + np.cos(np.pi * (a[ramp] - (half - taper)) / taper))
-    return w
+    j0 = int(np.searchsorted(f, half - taper, "right"))
+    band[j0:] *= 0.5 * (1 + np.cos(np.pi * (f[j0:] - (half - taper)) / taper))
 
 
 def _tooth_profile(f: np.ndarray, params: CombParams) -> np.ndarray:
@@ -185,6 +187,19 @@ def _grid_points(params: CombParams, span_hz: float) -> int:
     return n
 
 
+def _rotate(spectrum: np.ndarray, m: int, sign: int) -> None:
+    """Multiply spectrum[k] by exp(sign i pi k / m) in place, one block of
+    LORENTZIAN_BLOCK_POINTS at a time."""
+    for start in range(0, spectrum.size, LORENTZIAN_BLOCK_POINTS):
+        block = spectrum[start:start + LORENTZIAN_BLOCK_POINTS]
+        theta = np.arange(start, start + block.size, dtype=float)
+        theta *= sign * np.pi / m
+        twiddle = np.empty(block.size, dtype=complex)
+        np.cos(theta, out=twiddle.real)
+        np.sin(theta, out=twiddle.imag)
+        block *= twiddle
+
+
 def build_comb(params: CombParams, n_points: int | None = None,
                span_hz: float = DEFAULT_GRID_SPAN_HZ) -> CombSpectrum:
     """Build the comb's complex transfer function on a uniform grid.
@@ -216,19 +231,27 @@ def build_comb(params: CombParams, n_points: int | None = None,
     exp(-(passes/2) * D(f)) with D the resulting complex optical depth.
 
     The band and the teeth are symmetric about f = 0, so g is even and
-    is given by its half x at f = k df, k = 0 ... N//2, filled into the
-    real part of a zeroed complex buffer inside the band.  The transform
-    of an even g is real and even, and irfft(x, N) computes it; its first
-    N//2 + 1 samples are the time signal at t >= 0.  They are weighted by
-    the one-sided decay in place, the rest of the signal is zeroed, and
-    one real N-point transform into the same buffer gives D on the half
-    grid.  So each transform holds only that buffer and the time signal
-    (two grid arrays of float64) besides its own scratch.  alpha and the
-    response are returned there; see CombSpectrum for f < 0.
+    is given by its half x at f = k df, k = 0 ... m, m = N/2; n_points
+    must be even.  The transform s of an even g is real and even, and
+    only its samples at t >= 0, n = 0 ... m, are weighted by the decay.
+    Splitting them into even and odd samples (decimation in time, Cooley
+    and Tukey, Math. Comp. 19, 297 (1965)) does the work in m-point
+    transforms: s_2u = irfft(F, m)_u / 2 with F_k = x_k + x_(m-k), and
+    s_(2u+1) = irfft(H, m)_u / 2 with H_k = (x_k - x_(m-k)) exp(i pi k/m).
+    With E and O the m-point rffts of the weighted even and odd samples,
+    D_k = E_k + exp(-i pi k/m) O_k and D_(m-k) = conj(E_k - exp(-i pi k/m)
+    O_k) for k = 0 ... m//2.  The profile and then the time samples live
+    in the memory of the returned response, and the transforms' half
+    spectra pass through one (m//2 + 1)-point complex buffer, so a
+    transform holds one and a half grid arrays of float64 besides its own
+    scratch.  alpha and the response are returned on the half grid; see
+    CombSpectrum for f < 0.
     """
     span_hz = max(span_hz, 1.25 * params.bandwidth_hz)
     if n_points is None:
         n_points = _grid_points(params, span_hz)
+    if n_points % 2:
+        raise ValueError(f"n_points must be even, not {n_points}")
     df = span_hz / n_points
     if df > params.tooth_fwhm_hz / 8:
         raise ValueError(
@@ -236,44 +259,76 @@ def build_comb(params: CombParams, n_points: int | None = None,
             f"{params.tooth_fwhm_hz:.3g} Hz (need at least 8 points per tooth)")
     gamma = max(params.homogeneous_hwhm_hz, 4 * df)
 
-    # f = k df, k = 0 ... N//2.  The window is nonzero only where f < B/2,
+    # The response's m + 1 complex values, as 2m + 2 floats, first hold
+    # the profile x (the top m + 1), then the even and odd time samples
+    # (the bottom and the top m); the half spectra of the m-point
+    # transforms, q points each, go through buf.
+    m = n_points // 2
+    q = m // 2 + 1
+    response = np.empty(m + 1, dtype=complex)
+    flat = response.view(float)
+    x = flat[m + 1:]
+    mirror = x[m:m - q:-1]  # x_(m-k), k = 0 ... q - 1
+
+    # f = k df, k = 0 ... m.  The window is nonzero only where f < B/2,
     # which is f[:j1]; where its ramp rounds to 0, x is 0 as well.  The
     # grid is taken only as far as the first point at or past B/2.
-    h = n_points // 2 + 1
     edge = params.bandwidth_hz / 2
-    f = np.arange(min(h, int(edge / df) + 2), dtype=float)
+    f = np.arange(min(m + 1, int(edge / df) + 2), dtype=float)
     f *= df
     j1 = int(np.searchsorted(f, edge, "left"))
-    x = np.zeros(h, dtype=complex)
-    band = x.real[:j1]
+    band = x[:j1]
+    x[j1:] = 0.0
     # x >= 0, so a profile too deep for float64 shows as a non-finite DC
     # sample of the transform, the sum of g, which bounds every sample
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add(_tooth_profile(f[:j1], params), params.background_od,
-               out=band)
-        band *= _raised_cosine_window(f[:j1], params.bandwidth_hz)
-        del f, band
-        signal = np.fft.irfft(x, n_points)
-    if not np.isfinite(signal[0]):
+        for start in range(0, j1, LORENTZIAN_BLOCK_POINTS):
+            stop = min(start + LORENTZIAN_BLOCK_POINTS, j1)
+            np.add(_tooth_profile(f[start:stop], params),
+                   params.background_od, out=band[start:stop])
+        _taper_band_edge(band, f[:j1], params.bandwidth_hz)
+        del f
+        buf = np.empty(q, dtype=complex)
+        np.add(x[:q], mirror, out=buf.real)
+        buf.imag = 0.0
+        even = np.fft.irfft(buf, m, out=flat[:m])
+    if not np.isfinite(even[0]):
         raise ValueError(
             f"comb_peak_od {params.peak_od:g} is too large: the comb's "
             f"absorption profile overflows float64")
+    np.subtract(x[:q], mirror, out=buf.real)  # buf.imag is still 0
+    _rotate(buf, m, 1)
+    odd = np.fft.irfft(buf, m, out=flat[m + 2:])
 
-    decay = np.arange(h, dtype=float)
-    decay *= -2 * np.pi * gamma
-    decay /= n_points * df
-    np.exp(decay, out=decay)
-    decay *= 2
-    decay[0] = 1.0
-    if n_points % 2 == 0:
-        decay[-1] /= 2
-    signal[:h] *= decay
-    del decay
-    signal[h:] = 0.0
-    response = np.fft.rfft(signal, out=x)
-    del signal, x
+    # the samples at t = n / span_hz, n = 0 ... m, weighted by the
+    # one-sided decay times the split's 1/2: 1/2 at n = 0, exp(-2 pi gamma
+    # t) after it and half of that at n = m; the samples past t = m / span_hz
+    # are zeroed
+    for first, samples in ((0, even), (1, odd)):
+        decay = np.arange(first, m + 1, 2, dtype=float)
+        decay *= -2 * np.pi * gamma
+        decay /= n_points * df
+        np.exp(decay, out=decay)
+        if first == 0:
+            decay[0] = 0.5
+        if (m - first) % 2 == 0:
+            decay[-1] /= 2
+        samples[:decay.size] *= decay
+        samples[decay.size:] = 0.0
+        del decay
 
-    f = np.arange(h, dtype=float)
+    # E into buf and O into the response's low end, then D_k there and
+    # D_(m-k) for k < m - m//2 into its high end, which O does not reach
+    np.fft.rfft(even, out=buf)
+    low = np.fft.rfft(odd, out=response[:q])
+    _rotate(low, m, -1)
+    high = response[m:m // 2:-1]
+    np.subtract(buf[:high.size], low[:high.size], out=high)
+    np.conjugate(high, out=high)
+    np.add(buf, low, out=low)
+    del buf
+
+    f = np.arange(m + 1, dtype=float)
     f *= df
     alpha = np.maximum(response.real, 0.0)
     response *= -(params.passes / 2.0)

@@ -74,7 +74,8 @@ class RunReport:
         return all(c["pass"] for c in self.checks if c.get("gated", True))
 
     def to_dict(self) -> dict:
-        return _json_safe({
+        """The fields report.json holds; json_text makes them JSON-safe."""
+        return {
             "kind": self.kind,
             "preset": self.preset,
             "config": self.config,
@@ -86,7 +87,7 @@ class RunReport:
             "fits": self.fits,
             "checks": self.checks,
             "notes": self.notes,
-        })
+        }
 
     def to_json(self) -> str:
         return json_text(self.to_dict())

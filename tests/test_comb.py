@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import afcmem
-from afcmem.comb import (DEFAULT_GRID_POINTS, TOOTH_SHAPES, CombParams,
-                         CombSpectrum, _raised_cosine_window,
-                         _tooth_profile, afc_decay_model, build_comb,
-                         gaussian_tooth_efficiency,
+from afcmem.comb import (DEFAULT_GRID_POINTS, EDGE_TAPER_FRACTION,
+                         TOOTH_SHAPES, CombParams, CombSpectrum,
+                         _taper_band_edge, _tooth_profile, afc_decay_model,
+                         build_comb, gaussian_tooth_efficiency,
                          lorentzian_tooth_efficiency, propagate,
                          square_tooth_efficiency)
 from afcmem.waveform import Waveform, gaussian_pulse
@@ -82,6 +82,19 @@ def test_passivity_random_params():
         assert spec.alpha.min() >= 0
 
 
+def _raised_cosine_window(f, bandwidth_hz):
+    """Unity inside the band, tapering to zero over the outer edge fraction,
+    on any grid: the window build_comb applies in place to the band."""
+    half = bandwidth_hz / 2
+    taper = EDGE_TAPER_FRACTION * bandwidth_hz
+    a = np.abs(f)
+    w = np.zeros_like(a)
+    w[a <= half - taper] = 1.0
+    ramp = (a > half - taper) & (a < half)
+    w[ramp] = 0.5 * (1 + np.cos(np.pi * (a[ramp] - (half - taper)) / taper))
+    return w
+
+
 def _tooth_profile_reference(f, params):
     """Every tooth summed over every frequency, one tooth at a time."""
     delta = params.comb_period_hz
@@ -118,6 +131,20 @@ def test_tooth_sums_match_per_tooth_loop():
                 assert np.array_equal(_tooth_profile(f, params), want)
 
 
+def test_band_edge_taper_is_the_window():
+    # the in-place taper touches only the ramp and gives the window's
+    # product to the bit, also where a grid point falls on B/2 - taper
+    rng = np.random.default_rng(7)
+    for df, bandwidth in ((8e6 / 2**20, 3e6), (4e6 / 2**14, 3e6),
+                          (1e3, 2e6), (977.0, 1.234e6)):
+        f = np.arange(int(bandwidth / 2 / df) + 2) * df
+        f = f[f < bandwidth / 2]
+        band = rng.uniform(0.0, 6.0, f.size)
+        want = band * _raised_cosine_window(f, bandwidth)
+        _taper_band_edge(band, f, bandwidth)
+        assert np.array_equal(band, want)
+
+
 def _build_comb_reference(params, n_points, span_hz):
     """The full-spectrum formula: g on the ascending grid, a complex
     N-point transform back and the exponential at every point."""
@@ -139,37 +166,54 @@ def _build_comb_reference(params, n_points, span_hz):
 
 
 def _build_comb_half_spectrum(params, n_points, span_hz):
-    """build_comb's numbers written plainly, without in-place steps: the
-    even g's half at f >= 0, its real-even transform weighted by the
-    one-sided decay and zero-padded, and one real transform back."""
+    """build_comb's numbers written plainly, without buffers or in-place
+    steps: the even g's half x at f >= 0, its even and odd time samples
+    from two m = N/2-point transforms, weighted by the one-sided decay
+    (times the split's 1/2), and their two transforms joined by the
+    twiddles exp(-i pi k / m)."""
     span_hz = max(span_hz, 1.25 * params.bandwidth_hz)
     df = span_hz / n_points
     gamma = 4 * df
-    h = n_points // 2 + 1
-    f = np.arange(h) * df
+    m = n_points // 2
+    q = m // 2 + 1
+    f = np.arange(m + 1) * df
     window = _raised_cosine_window(f, params.bandwidth_hz)
     band = window > 0
-    x = np.zeros(h)
+    x = np.zeros(m + 1)
     x[band] = (_tooth_profile(f[band], params) + params.background_od) * window[band]
-    signal = np.fft.irfft(x, n_points)
-    decay = 2 * np.exp(-2 * np.pi * gamma * np.arange(h) / (n_points * df))
-    decay[0] = 1.0
-    if n_points % 2 == 0:
-        decay[-1] /= 2
-    d = np.fft.rfft(np.concatenate([signal[:h] * decay, np.zeros(n_points - h)]))
+    k = np.arange(q)
+    up = np.cos(k * (np.pi / m)) + 1j * np.sin(k * (np.pi / m))
+    down = np.cos(k * (-np.pi / m)) + 1j * np.sin(k * (-np.pi / m))
+    even = np.fft.irfft(x[:q] + x[m:m - q:-1], m)
+    odd = np.fft.irfft((x[:q] - x[m:m - q:-1]) * up, m)
+    decay = np.exp(np.arange(m + 1) * (-2 * np.pi * gamma) / (n_points * df))
+    decay[0] = 0.5
+    decay[m] /= 2
+    e = np.zeros(m)
+    e[:m // 2 + 1] = even[:m // 2 + 1] * decay[0::2]
+    o = np.zeros(m)
+    o[:(m + 1) // 2] = odd[:(m + 1) // 2] * decay[1::2]
+    big_e = np.fft.rfft(e)
+    big_o = np.fft.rfft(o) * down
+    d = np.empty(m + 1, dtype=complex)
+    d[:q] = big_e + big_o
+    d[m:m // 2:-1] = np.conj(big_e - big_o)[:m - m // 2]
     return f, np.maximum(d.real, 0.0), np.exp(-(params.passes / 2.0) * d)
 
 
 @pytest.mark.parametrize("shape", TOOTH_SHAPES)
 @pytest.mark.parametrize("passes", [1, 2])
 @pytest.mark.parametrize("n_points,span_hz,edge_on_grid", [
-    (2**14, 4e6, True), (2**14, 4.1e6, False), (2**14 + 1, 4e6, False),
+    (2**14, 4e6, True), (2**14, 4.1e6, False), (2**14 + 2, 4e6, False),
 ])
 def test_build_comb_matches_plain_formula(shape, passes, n_points, span_hz,
                                           edge_on_grid):
-    # build_comb fills the band in place and keeps the half spectrum; it
-    # must give the plain half-spectrum formula's numbers to the bit, and
-    # the full-spectrum formula's at f >= 0 to rounding
+    # build_comb fills the band in place and splits the time signal into
+    # even and odd samples through one buffer; it must give the plain
+    # four-transform formula's numbers to the bit, and the full-spectrum
+    # formula's at f >= 0 to rounding.  A span of 4 MHz < 2B puts band
+    # points in both halves of x (the x_(m-k) terms), and 2^14 + 2 points
+    # make m odd
     params = CombParams(comb_period_hz=40e3, finesse=4.0, peak_od=3.0,
                         background_od=0.3, bandwidth_hz=3e6,
                         tooth_shape=shape, passes=passes)
@@ -180,8 +224,8 @@ def test_build_comb_matches_plain_formula(shape, passes, n_points, span_hz,
     assert np.array_equal(spec.alpha, alpha)
     assert np.array_equal(spec.complex_response, response)
 
-    # the full grid's f >= 0 part; for even N the half grid also holds
-    # +N/2 df, which the ascending full grid leaves out
+    # the full grid's f >= 0 part; the half grid also holds +N/2 df,
+    # which the ascending full grid leaves out
     f, alpha, response = _build_comb_reference(params, n_points, span_hz)
     m = n_points // 2
     k = n_points - m
@@ -192,9 +236,11 @@ def test_build_comb_matches_plain_formula(shape, passes, n_points, span_hz,
 
 
 def test_default_grid_build_memory():
-    # the time signal, the complex half buffer both transforms use and the
-    # half-grid decay: at most 2.75 float64 grid arrays are traced at once,
-    # and the comb keeps its three half-grid arrays, two grid arrays in all
+    # the comb keeps its three half-grid arrays, two float64 grid arrays in
+    # all, and they are the build's traced peak: the profile and the time
+    # samples live in the response, the half spectra in one half-grid
+    # buffer, and the teeth and twiddles run in blocks.  The measured peak,
+    # 2.0 grid arrays, rounded up to the next quarter
     params = CombParams(comb_period_hz=40e3, finesse=4.0, peak_od=3.0,
                         background_od=0.2, tooth_shape="gaussian", passes=2)
     tracemalloc.start()
@@ -203,7 +249,7 @@ def test_default_grid_build_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.75 * DEFAULT_GRID_POINTS * 8
+    assert peak <= 2.25 * DEFAULT_GRID_POINTS * 8
     assert [f.name for f in fields(CombSpectrum)] == [
         "freq_grid_hz", "alpha", "complex_response", "params"]
     half = DEFAULT_GRID_POINTS // 2 + 1
@@ -232,9 +278,9 @@ print(peak_kib() - before)
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads the peak resident set from /proc")
 def test_default_grid_build_resident_memory():
-    # what tracemalloc misses: a cast copy of the half profile and the
-    # transforms' own buffers.  The first default-grid build of a fresh
-    # process raises its peak resident set by at most 4.5 grid arrays.
+    # what tracemalloc misses: the half-length transforms' own plan and
+    # scratch.  The first default-grid build of a fresh process raises its
+    # peak resident set by at most 2.75 grid arrays (2.62-2.72 measured).
     # The peak is VmHWM, that of the process's own memory map: ru_maxrss
     # starts from the spawning process's peak, which exec carries over
     src = os.path.dirname(os.path.dirname(afcmem.__file__))
@@ -243,7 +289,7 @@ def test_default_grid_build_resident_memory():
                           capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": path})
     grown_kib = int(proc.stdout.splitlines()[-1])
-    assert grown_kib * 1024 <= 4.5 * DEFAULT_GRID_POINTS * 8
+    assert grown_kib * 1024 <= 2.75 * DEFAULT_GRID_POINTS * 8
 
 
 @pytest.mark.parametrize("hwhm_hz, n_points", [
@@ -308,6 +354,13 @@ def test_default_grid_passive_and_absorbing(shape, finesse, passes):
     assert np.abs(spec.alpha[:want.size] - want).max() <= 1e-5 * g.max()
 
 
+def test_odd_grid_rejected():
+    # the even and odd samples of the time signal need an even grid
+    params = CombParams(comb_period_hz=40e3, finesse=4.0, peak_od=3.0)
+    with pytest.raises(ValueError, match="n_points must be even"):
+        build_comb(params, n_points=2**14 + 1, span_hz=4e6)
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         CombParams(40e3, finesse=1.0, peak_od=3)
@@ -356,11 +409,12 @@ def _propagate_full_grid(inp, spectrum):
     return out, efficiency, leak
 
 
-@pytest.mark.parametrize("n_points", [2**14, 2**14 + 1])
+@pytest.mark.parametrize("n_points", [2**14, 2**14 + 2])
 @pytest.mark.parametrize("shift_hz", [0.0, 300e3])
 def test_propagate_matches_full_grid_reference(n_points, shift_hz):
     # the half spectrum with the conjugate at f < 0 acts as the comb on
-    # the full grid; a shifted input makes the two halves differ
+    # the full grid, a power of two or not; a shifted input makes the two
+    # halves differ
     params = CombParams(comb_period_hz=40e3, finesse=4.0, peak_od=3.0,
                         background_od=0.3, bandwidth_hz=3e6,
                         tooth_shape="gaussian", passes=2)

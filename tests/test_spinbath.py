@@ -521,11 +521,14 @@ def test_pulse_at_static_detuning_premise(kind, t_s):
     # about 100 Hz of OU against a 120 kHz Rabi frequency, the same integrals
     # with the OU value in every pulse, drawn from a second generator by its
     # law given those integrals, move the coherence by less than 1e-5 (here
-    # 5.9e-7, 1.8e-6, 6.0e-6 and 9.8e-6; 5.7e-7, 1.5e-6, 3.4e-6 and 7.6e-6
-    # at 200k atoms).  The shift grows with the OU amplitude: 2.1e-5 at
-    # 300 Hz under XY8 50 ms, 200k atoms.
+    # 5.9e-7, 1.8e-6 and 6.0e-6 at 40k atoms).  XY16 100 ms shifts it by
+    # 7.7e-6 over 3.2M atoms; its paired noise at 40k atoms, about 2e-6,
+    # would leave the bound to chance, so it runs on 200k atoms (7.6e-6
+    # here, noise about 0.9e-6).  The shift grows with the OU amplitude:
+    # 2.1e-5 at 300 Hz under XY8 50 ms, 200k atoms.
+    n_atoms = 200_000 if kind == "XY16" else 40_000
     bath = SpinBathParams(ou_sigma_hz=DEFAULT_OU_SIGMA_HZ,
-                          ou_tau_c_s=DEFAULT_OU_TAU_C_S, n_atoms=40_000)
+                          ou_tau_c_s=DEFAULT_OU_TAU_C_S, n_atoms=n_atoms)
     dd = dd_sequence(kind, t_s, PI_DURATION)
     errors = PulseErrorModel(area_error=0.01)
     got = spin_echo_coherence(dd, bath, errors, seed=43).coherence
