@@ -189,15 +189,19 @@ def _grid_points(params: CombParams, span_hz: float) -> int:
 
 def _rotate(spectrum: np.ndarray, m: int, sign: int) -> None:
     """Multiply spectrum[k] by exp(sign i pi k / m) in place, one block of
-    LORENTZIAN_BLOCK_POINTS at a time."""
-    for start in range(0, spectrum.size, LORENTZIAN_BLOCK_POINTS):
-        block = spectrum[start:start + LORENTZIAN_BLOCK_POINTS]
-        theta = np.arange(start, start + block.size, dtype=float)
-        theta *= sign * np.pi / m
-        twiddle = np.empty(block.size, dtype=complex)
-        np.cos(theta, out=twiddle.real)
-        np.sin(theta, out=twiddle.imag)
-        block *= twiddle
+    LORENTZIAN_BLOCK_POINTS at a time: by one table of exp(sign i pi j / m),
+    j < LORENTZIAN_BLOCK_POINTS, and by the block's first twiddle."""
+    theta = np.arange(min(spectrum.size, LORENTZIAN_BLOCK_POINTS), dtype=float)
+    theta *= sign * np.pi / m
+    table = np.empty(theta.size, dtype=complex)
+    np.cos(theta, out=table.real)
+    np.sin(theta, out=table.imag)
+    del theta
+    for start in range(0, spectrum.size, table.size):
+        block = spectrum[start:start + table.size]
+        block *= table[:block.size]
+        if start:
+            block *= np.exp(1j * (sign * np.pi * start / m))
 
 
 def build_comb(params: CombParams, n_points: int | None = None,

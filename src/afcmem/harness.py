@@ -281,16 +281,21 @@ def run_qubit_tomography(cfg: ExperimentConfig, input_phase_rad: float = 0.0,
     run_spinwave composes from the same config.
 
     Two qubits of mu_in_per_mode photons occupy temporal modes (2, 3) and
-    (5, 6).  For sigma_x and sigma_y the second transfer pulse is the
-    composite analyser with phase theta, which splits each bin over two
-    emission times so the middle bin interferes early against late;
-    sigma_z uses a plain read-out.  Counts are Poisson draws from the
-    resulting mode intensities.
+    (5, 6), so the config's timing budget must hold at least 6 modes.  For
+    sigma_x and sigma_y the second transfer pulse is the composite analyser
+    with phase theta, which splits each bin over two emission times so the
+    middle bin interferes early against late; sigma_z uses a plain
+    read-out.  Counts are Poisson draws from the resulting mode
+    intensities.
     """
+    qubits = ((2, 3), (5, 6))  # 1-indexed (early, late) temporal modes
+    if cfg.mode_count < qubits[-1][1]:
+        raise ValueError(f"the qubit run stores its qubits in modes 2-3 and "
+                         f"5-6: mode_count must be at least 6, not "
+                         f"{cfg.mode_count}")
     t_m = cfg.mode_duration_seconds
     if cfg.input_fwhm_seconds >= t_m / 2:
         raise ValueError("pulse width too large: interference bins would overlap")
-    qubits = ((2, 3), (5, 6))  # 1-indexed (early, late) temporal modes
     n_span = 9
     t, dt = _flux_grid(cfg, n_span)
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from afcmem.bloch import (_BLOCK_STEPS, _propagate_spinors, bloch_propagate,
+from afcmem.bloch import (_BLOCK_STEPS, _propagate_spinors,
+                          _step_coefficients, bloch_propagate,
                           transfer_profile)
 from afcmem.pulses import (NORM_BUDGET, ChshSpec, HshSpec, chirp_rate,
                            chsh_waveform, half_transfer_rabi, hsh_waveform,
@@ -109,6 +110,46 @@ def test_grid_span_validation():
                          expected_bandwidth_hz=1.5e6)
 
 
+# --- step maps as polynomials in the detuning --------------------------------
+
+def _step_maps_reference(s0, sh, s1, u):
+    """Test oracle: the RK4 step maps (a - 1, b) of shape (steps,
+    detunings), written out with p = u^2 + |sh|^2 for reduced samples
+    s0, sh, s1 (pi h s) and reduced detunings u (pi h d)."""
+    s0, sh, s1 = (x[:, None] for x in (s0, sh, s1))
+    sh2 = sh.real**2 + sh.imag**2
+    p = u * u + sh2
+    delta = s1 - s0
+    am1 = ((-1j * u - u * u / 2)
+           - (np.conj(sh) * s0 + sh2 + np.conj(s1) * sh) / 6
+           + p * ((1j / 6) * u + u * u / 24 + np.conj(s1) * s0 / 24))
+    b = ((-1j / 6) * (s0 + 4 * sh + s1) - u * (delta / 6)
+         + p * ((1j / 12) * (s0 + s1) + u * (delta / 24)))
+    return am1, b
+
+
+@pytest.mark.parametrize("rate_factor", [1.0, 0.25])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_step_coefficients_match_step_maps(rate_factor, seed):
+    # random envelope samples up to the reference pulse's peak Rabi
+    # frequency and detunings up to 1.5 bandwidths, at its recommended
+    # sample rate and a quarter of it; the error is held against the map's
+    # first-order size |u| + |s|
+    spec = reference_transfer_pulse()
+    h = 2 / (rate_factor * recommended_sample_rate(spec))
+    rng = np.random.default_rng(seed)
+    s = (np.pi * h * spec.peak_rabi_hz) * (rng.uniform(-1, 1, (3, 400))
+                                           + 1j * rng.uniform(-1, 1, (3, 400)))
+    u = (np.pi * h * 1.5 * spec.bandwidth_hz) * rng.uniform(-1, 1, 150)
+    coef = _step_coefficients(*s)
+    assert coef.shape == (2, 400, 5)
+    am1, b = coef @ (u ** np.arange(4, -1, -1)[:, None])
+    want_am1, want_b = _step_maps_reference(*s, u)
+    scale = np.abs(u) + np.abs(s).max(axis=0)[:, None]
+    assert np.all(np.abs(am1 - want_am1) <= 1e-15 * scale)
+    assert np.all(np.abs(b - want_b) <= 1e-15 * scale)
+
+
 # --- block step maps against a step-by-step RK4 reference -----------------
 
 def _rk4_reference(waveform, detunings, initial_bloch=(0.0, 0.0, -1.0)):
@@ -163,13 +204,15 @@ def test_block_maps_match_reference_chsh():
     _assert_spinors_agree(wf, np.linspace(-0.6, 0.6, 13) * 1.5e6)
 
 
-@pytest.mark.parametrize("steps", [1, _BLOCK_STEPS - 1, _BLOCK_STEPS,
-                                   _BLOCK_STEPS + 1, 2 * _BLOCK_STEPS,
-                                   2 * _BLOCK_STEPS + 1])
+@pytest.mark.parametrize("steps", [
+    1, _BLOCK_STEPS // 2 - 1, _BLOCK_STEPS // 2, _BLOCK_STEPS // 2 + 1,
+    _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, 2 * _BLOCK_STEPS,
+    2 * _BLOCK_STEPS + 1])
 @pytest.mark.parametrize("even", [False, True])
 def test_block_maps_match_reference_step_counts(steps, even):
     # odd sample counts take (n - 1) / 2 steps; even counts are padded by
-    # one zero sample and take n / 2 steps
+    # one zero sample and take n / 2 steps.  A last block shorter than
+    # _BLOCK_STEPS is filled up with identity maps
     n = 2 * steps if even else 2 * steps + 1
     rng = np.random.default_rng(steps + 1000 * even)
     samples = 0.8e6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))

@@ -635,3 +635,19 @@ def test_qubit_run_without_counts_names_stage(tmp_path, capsys):
     assert err.count("\n") == 1
     assert "2000 trials" in err and "eta_end_to_end is 0 " in err
     assert "eta_afc 0 " in err
+
+
+@pytest.mark.parametrize("modes", [2, 5])
+def test_qubit_run_needs_six_modes(tmp_path, capsys, modes):
+    # the two qubits sit in modes 2-3 and 5-6: with fewer modes the timing
+    # budget the config checked does not hold them
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"mode_count": modes}))
+    out = tmp_path / "out"
+    code = run_cli("simulate", "qubit", "--config", str(path), "--out",
+                   str(out))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: the qubit run stores its qubits in modes 2-3 and 5-6: "
+        f"mode_count must be at least 6, not {modes}\n")
+    assert not out.exists()

@@ -10,8 +10,9 @@ import pytest
 
 import afcmem
 from afcmem.comb import (DEFAULT_GRID_POINTS, EDGE_TAPER_FRACTION,
-                         TOOTH_SHAPES, CombParams, CombSpectrum,
-                         _taper_band_edge, _tooth_profile, afc_decay_model,
+                         LORENTZIAN_BLOCK_POINTS, TOOTH_SHAPES, CombParams,
+                         CombSpectrum, _rotate, _taper_band_edge,
+                         _tooth_profile, afc_decay_model,
                          build_comb, gaussian_tooth_efficiency,
                          lorentzian_tooth_efficiency, propagate,
                          square_tooth_efficiency)
@@ -143,6 +144,23 @@ def test_band_edge_taper_is_the_window():
         want = band * _raised_cosine_window(f, bandwidth)
         _taper_band_edge(band, f, bandwidth)
         assert np.array_equal(band, want)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("m, size", [
+    (2**19, 2**18 + 1),  # the default grid's half spectrum, 8 blocks + 1
+    (8193, 4097),  # the 2^14 + 2 grid, m odd
+    (2**19, LORENTZIAN_BLOCK_POINTS - 1),  # shorter than one block
+])
+def test_rotate_matches_direct_twiddles(sign, m, size):
+    # the table of one block's twiddles times each block's first twiddle
+    # gives exp(sign i pi k / m) to rounding
+    rng = np.random.default_rng(size)
+    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    got = x.copy()
+    _rotate(got, m, sign)
+    want = x * np.exp(sign * 1j * np.pi * np.arange(size) / m)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(x))
 
 
 def _build_comb_reference(params, n_points, span_hz):
