@@ -32,6 +32,11 @@ DEFAULT_OU_SIGMA_HZ = ou_sigma_for_t2(2, 0.070, DEFAULT_OU_TAU_C_S)
 # about 9.5e3; the work of the transfer stage grows with the sample count.
 MAX_TRANSFER_SAMPLES = 2**20
 
+# Samples of the photon flux per detector bin.  A sampled Gaussian pulse
+# keeps its photon number (to 5e-9) only while its sigma is at least one
+# sample step, so the input pulse may be no narrower than that.
+FLUX_SAMPLES_PER_BIN = 8
+
 
 # Allowed interval of a numeric field: (low, high, low is open, high is open).
 _POSITIVE = (0, math.inf, True, True)
@@ -65,8 +70,8 @@ _RANGES = {
     "mode_duration_seconds": _POSITIVE,
     "input_fwhm_seconds": _POSITIVE,
     "mu_in_per_mode": (0, MAX_MEAN_PHOTONS, True, False),
-    "detector_efficiency": _UNIT,
-    "path_transmission": _UNIT,
+    "detector_efficiency": _EFFICIENCY,
+    "path_transmission": _EFFICIENCY,
     "dark_rate_hz": _NONNEGATIVE,
     "bin_width_seconds": _POSITIVE,
     "qubit_visibility": _UNIT,
@@ -225,6 +230,14 @@ class ExperimentConfig:
                     f"samples, more than {MAX_TRANSFER_SAMPLES}")
         if self.mode_duration_seconds <= self.input_fwhm_seconds:
             raise ValueError("mode duration must exceed the pulse width")
+        step = self.bin_width_seconds / FLUX_SAMPLES_PER_BIN
+        sigma = self.input_fwhm_seconds / (2 * math.sqrt(2 * math.log(2)))
+        if sigma < step:
+            raise ValueError(
+                f"input_fwhm_seconds {self.input_fwhm_seconds:g} is too "
+                f"short: its sigma {sigma:.3g} s is under the flux sample "
+                f"step bin_width_seconds/{FLUX_SAMPLES_PER_BIN} = "
+                f"{step:.3g} s, which would lose its photon number")
         ratio = self.mode_duration_seconds / self.bin_width_seconds
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("bin_width_seconds must divide the mode duration")

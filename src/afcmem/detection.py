@@ -24,10 +24,10 @@ class DetectionChain:
     dark_rate_hz: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.detector_efficiency <= 1:
-            raise ValueError("detector_efficiency must lie in [0, 1]")
-        if not 0 <= self.path_transmission <= 1:
-            raise ValueError("path_transmission must lie in [0, 1]")
+        if not 0 < self.detector_efficiency <= 1:
+            raise ValueError("detector_efficiency must lie in (0, 1]")
+        if not 0 < self.path_transmission <= 1:
+            raise ValueError("path_transmission must lie in (0, 1]")
         if self.dark_rate_hz < 0:
             raise ValueError("dark_rate_hz must be nonnegative")
 

@@ -12,12 +12,11 @@ from pathlib import Path
 import numpy as np
 
 from .comb import afc_decay_model, afc_efficiency
-from .config import ExperimentConfig, provenance
+from .config import FLUX_SAMPLES_PER_BIN, ExperimentConfig, provenance
 from .detection import (DetectionChain, metrics, mode_sums,
                         noise_floor_model, simulate_counts)
 from .fitting import fit_afc_decay, fit_mims, fit_power_law
-from .presets import (FIG1E, FIG2, FIG4, PRESET_NAMES, TABLE1,
-                      mu1_tolerance_band, preset_config, spin_t2_nominal)
+from .presets import FIG1E, PRESETS, preset_config, spin_t2_nominal
 from .pulses import (DD_KINDS, dd_phases, dd_sequence, hsh_waveform,
                      reference_transfer_pulse)
 from .bloch import transfer_profile
@@ -69,9 +68,8 @@ class RunReport:
 
     @property
     def passed(self) -> bool:
-        if not self.checks:
-            return True
-        return all(c["pass"] for c in self.checks if c.get("gated", True))
+        return all(c["pass"] for c in self.checks or ()
+                   if c.get("gated", True))
 
     def to_dict(self) -> dict:
         """The fields report.json holds; json_text makes them JSON-safe."""
@@ -100,21 +98,6 @@ class RunReport:
             hist.to_csv(out / f"{name}.csv")
 
 
-def _check(name, value, lo, hi, gated=True, note=None) -> dict:
-    entry = {"name": name, "value": float(value), "lo": float(lo),
-             "hi": float(hi), "pass": bool(lo <= value <= hi), "gated": gated}
-    if note:
-        entry["note"] = note
-    return entry
-
-
-def _gaussian_flux(t: np.ndarray, center: float, fwhm: float,
-                   photons: float) -> np.ndarray:
-    sigma = fwhm / (2 * np.sqrt(2 * np.log(2)))
-    return photons * np.exp(-((t - center) ** 2) / (2 * sigma**2)) \
-        / (sigma * np.sqrt(2 * np.pi))
-
-
 def _bath(cfg: ExperimentConfig) -> SpinBathParams:
     return SpinBathParams(inhom_fwhm_hz=cfg.bath_inhom_fwhm_hz,
                           ou_sigma_hz=cfg.bath_ou_sigma_hz,
@@ -123,7 +106,7 @@ def _bath(cfg: ExperimentConfig) -> SpinBathParams:
 
 
 def _flux_grid(cfg: ExperimentConfig, n_modes_spanned: int):
-    dt = cfg.bin_width_seconds / 8
+    dt = cfg.bin_width_seconds / FLUX_SAMPLES_PER_BIN
     window = n_modes_spanned * cfg.mode_duration_seconds
     n = int(round(window / dt))
     return np.arange(n) * dt, dt
@@ -135,9 +118,11 @@ def _pulse_train(cfg: ExperimentConfig, t: np.ndarray, base: np.ndarray,
     photon number at the centre of each 1-indexed temporal mode, for
     every (mode, photons) in pulses."""
     flux = base.copy()
+    sigma = cfg.input_fwhm_seconds / (2 * np.sqrt(2 * np.log(2)))
     for mode, photons in pulses:
-        flux += _gaussian_flux(t, (mode - 0.5) * cfg.mode_duration_seconds,
-                               cfg.input_fwhm_seconds, photons)
+        center = (mode - 0.5) * cfg.mode_duration_seconds
+        flux += photons * np.exp(-((t - center) ** 2) / (2 * sigma**2)) \
+            / (sigma * np.sqrt(2 * np.pi))
     return flux
 
 
@@ -383,123 +368,37 @@ def run_qubit_tomography(cfg: ExperimentConfig, input_phase_rad: float = 0.0,
 
 # --- reproduction presets ---------------------------------------------------
 
-def _reproduce_table(name: str, cfg, notes) -> RunReport:
-    ref = TABLE1[name]
-    report = run_spinwave(cfg, name)
-    report.notes.extend(notes)
-    s = report.metrics["summary"]
-    mu1_lo, mu1_hi = mu1_tolerance_band(name)
-    checks = [
-        _check("snr_avg", s["snr"], ref["snr"] - ref["snr_err"],
-               ref["snr"] + ref["snr_err"]),
-        _check("mu1_avg", s["mu1"], mu1_lo, mu1_hi,
-               note="band widened by uncertainty propagated from the "
-                    "rounded published inputs"),
-        _check("eta_avg", s["eta"],
-               ref["eta"] - ref["eta_err"] - 3 * s["eta_err"],
-               ref["eta"] + ref["eta_err"] + 3 * s["eta_err"]),
-        _check("mu_in_measured", float(np.mean(report.metrics["mu_in_measured"])),
-               ref["mu_in"] - 4 * float(np.mean(report.metrics["mu_in_measured_err"])),
-               ref["mu_in"] + 4 * float(np.mean(report.metrics["mu_in_measured_err"]))),
-    ]
-    report.checks = checks
-    return report
-
-
-def _reproduce_fig1e(out: Path, cfg, notes) -> RunReport:
+def _run_fig1e(cfg, out: Path) -> RunReport:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     t = np.linspace(FIG1E["t_min_s"], FIG1E["t_max_s"], FIG1E["n_points"])
     truth = afc_decay_model(t, FIG1E["eta0"], FIG1E["t2_seconds"],
                             cfg.afc_mod_depth, cfg.zeeman_split_hz)
     data = truth * (1 + FIG1E["noise_frac"] * rng.standard_normal(t.size))
     fit = fit_afc_decay(t, data, zeeman_split_hz=cfg.zeeman_split_hz)
-    eta0_fit, t2_fit = fit.params[0], fit.params[1]
     model = afc_decay_model(t, *fit.params, cfg.zeeman_split_hz)
 
     write_csv(out / "afc_decay.csv", "one_over_delta_s,eta_data,eta_fit",
               t, data, model)
     (out / "fit_afc.json").write_text(json_text(fit.as_dict()))
-
-    report = RunReport(
-        kind="fig1e", preset="fig1e", config=cfg.to_dict(),
-        fits={"afc_decay": fit.as_dict()}, notes=list(notes),
-        checks=[
-            _check("eta0_fit", eta0_fit, FIG1E["eta0"] - FIG1E["eta0_tol"],
-                   FIG1E["eta0"] + FIG1E["eta0_tol"]),
-            _check("t2_fit_seconds", t2_fit,
-                   FIG1E["t2_seconds"] - FIG1E["t2_tol_seconds"],
-                   FIG1E["t2_seconds"] + FIG1E["t2_tol_seconds"]),
-            _check("converged", float(fit.converged), 1, 1),
-        ])
-    return report
+    return RunReport(kind="fig1e", preset="fig1e", config=cfg.to_dict(),
+                     fits={"afc_decay": fit.as_dict()})
 
 
-def _reproduce_fig2(out: Path, cfg, notes) -> RunReport:
+def _run_fig2(cfg, out: Path) -> RunReport:
     bath = _bath(cfg)
-    xx_t2 = FIG2["xx_t2_calibration_s"]
     fits = {}
-    t2_fitted = {}
-    checks = []
     for kind in DD_KINDS:
         t_list = spin_t2_nominal(kind) * np.array(
             [0.4, 0.55, 0.7, 0.85, 1.0, 1.2, 1.4])
-        rows = efficiency_decay(kind, t_list, bath)
-        write_csv(out / f"decay_{kind}.csv", "t_s_seconds,eta,stderr",
-                  *np.array(rows).T)
-        fit = fit_mims([r[0] for r in rows], [r[1] for r in rows])
-        fits[f"mims_{kind}"] = fit.as_dict()
-        t2_fitted[kind] = float(fit.params[1])
-        lo, hi = FIG2["mims_m_band"]
-        checks.append(_check(f"mims_m_{kind}", fit.params[2], lo, hi))
-        ref_t2, ref_err = FIG2["t2_reference_ms"][kind]
-        checks.append(_check(f"t2_{kind}_ms_reference", fit.params[1] * 1e3,
-                             ref_t2 - ref_err, ref_t2 + ref_err, gated=False,
-                             note="reference dataset value; the simulated "
-                                  "ideal bath is calibrated only at XX"))
+        cols = np.array(efficiency_decay(kind, t_list, bath)).T
+        write_csv(out / f"decay_{kind}.csv", "t_s_seconds,eta,stderr", *cols)
+        fits[f"mims_{kind}"] = fit_mims(cols[0], cols[1]).as_dict()
     pl = fit_power_law([len(dd_phases(k)) for k in DD_KINDS],
-                       [t2_fitted[k] for k in DD_KINDS])
+                       [fits[f"mims_{k}"]["t2"] for k in DD_KINDS])
     fits["power_law"] = pl.as_dict()
-    lo, hi = FIG2["gamma_band_sim"]
-    checks.append(_check("gamma", pl.params[1], lo, hi))
-    checks.append(_check("t2_XX_calibration_ms", t2_fitted["XX"] * 1e3,
-                         xx_t2 * 1e3 * 0.95, xx_t2 * 1e3 * 1.05))
-    g_ref, g_err = FIG2["gamma_reference"]
-    checks.append(_check("gamma_reference", pl.params[1], g_ref - g_err,
-                         g_ref + g_err, gated=False,
-                         note="reference dataset value; ideal OU bath "
-                              "scaling is 2/3"))
     (out / "fit_powerlaw.json").write_text(json_text(pl.as_dict()))
     return RunReport(kind="fig2", preset="fig2", config=cfg.to_dict(),
-                     fits=fits, checks=checks, notes=list(notes))
-
-
-def _reproduce_tomo(cfg, notes) -> RunReport:
-    report = run_qubit_tomography(cfg, 0.0, "fig4-tomo")
-    report.notes.extend(notes)
-    tomo = report.tomography
-    f_lo, f_hi = FIG4["fidelity_band"]
-    p_lo, p_hi = FIG4["purity_band"]
-    b_ref = FIG4["classical_bound_reference"]
-    b_val, b_tol = FIG4["classical_bound_oracle"]
-    report.checks = [
-        _check("fidelity_avg", tomo["fidelity_avg"], f_lo, f_hi),
-        _check("purity_avg", tomo["purity_avg"], p_lo, p_hi),
-        _check("classical_bound_oracle", tomo["classical_bound_weak_coherent"],
-               b_val - b_tol, b_val + b_tol),
-        _check("white_noise_fidelity", tomo["white_noise_fidelity"],
-               FIG4["white_noise_fidelity_reference"] - 0.01,
-               FIG4["white_noise_fidelity_reference"] + 0.01),
-        _check("fidelity_beats_classical_bound",
-               tomo["fidelity_avg"] - tomo["classical_bound_weak_coherent"],
-               0.0, 1.0),
-        _check("classical_bound_gap_to_reference",
-               tomo["classical_bound_weak_coherent"] - b_ref,
-               -0.02, 0.02, gated=False,
-               note="the greedy oracle sits about one percentage point "
-                    "below the reference bound; the gap is reported, "
-                    "not suppressed"),
-    ]
-    return report
+                     fits=fits)
 
 
 def reproduce(name: str, out_dir, seed: int | None = None):
@@ -508,21 +407,19 @@ def reproduce(name: str, out_dir, seed: int | None = None):
 
     Returns (report, passed).
     """
-    if name not in PRESET_NAMES:
-        raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
     cfg, notes = preset_config(name)
+    preset = PRESETS[name]
     if seed is not None:
         # checked here, before the output directory exists
         cfg = replace(cfg, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if name in TABLE1:
-        report = _reproduce_table(name, cfg, notes)
-    elif name == "fig1e":
-        report = _reproduce_fig1e(out, cfg, notes)
-    elif name == "fig2":
-        report = _reproduce_fig2(out, cfg, notes)
-    else:
-        report = _reproduce_tomo(cfg, notes)
+    report = {"spinwave": lambda: run_spinwave(cfg, name),
+              "qubit": lambda: run_qubit_tomography(cfg, preset=name),
+              "fig1e": lambda: _run_fig1e(cfg, out),
+              "fig2": lambda: _run_fig2(cfg, out)}[preset.kind]()
+    report.notes.extend(notes)
+    # the checks read the report's fields by their report.json keys
+    report.checks = preset.checks(vars(report))
     report.save(out)
     return report, report.passed

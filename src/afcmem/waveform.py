@@ -71,6 +71,10 @@ def gaussian_pulse(fwhm_s: float, center_s: float,
     span_s = 8 * fwhm_s
     t0 = center_s - span_s / 2
     n = int(round(span_s * sample_rate_hz))
+    if n < 1:
+        raise ValueError(
+            f"fwhm_s {fwhm_s:g} is too short for sample_rate_hz "
+            f"{sample_rate_hz:g}: its 8-FWHM span holds no sample")
     t = t0 + np.arange(n) / sample_rate_hz
     sigma = fwhm_s / (2 * np.sqrt(2 * np.log(2)))
     env = np.exp(-((t - center_s) ** 2) / (2 * sigma**2))

@@ -195,6 +195,10 @@ def test_config_error_exit_code(tmp_path):
     {"transfer_bandwidth_hz": 5e-324, "transfer_duration_seconds": 10.0,
      "comb_period_hz": 0.01},
     {"bin_width_seconds": 5e-324},  # the mode/bin ratio overflows
+    # a detection chain that detects nothing
+    {"detector_efficiency": 0}, {"path_transmission": 0},
+    # a pulse narrower than the flux sample step
+    {"input_fwhm_seconds": 1e-9},
 ])
 def test_bath_config_error_exit_code(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
@@ -205,6 +209,28 @@ def test_bath_config_error_exit_code(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert next(iter(bad)) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "fig1e", "--out", "a_file"],
+    ["simulate", "afc", "--out", "a_file"],
+    ["simulate", "afc", "--out", "a_file/sub"],
+    ["simulate", "afc", "--config", "a_dir"],
+    ["fit", "mims", "a_dir"],
+])
+def test_bad_path_exit_code(tmp_path, capsys, argv):
+    # a path that names a file where a directory is wanted, or the other
+    # way round, is bad input: one line and exit 2, not a simulation failure
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "a_dir").mkdir()
+    argv = [str(tmp_path / a) if a.startswith("a_") else a for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+    assert (tmp_path / "a_file").read_text() == ""
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("bad", [

@@ -92,6 +92,8 @@ def test_parameter_objects_check_themselves_when_built():
             (SpinBathParams(), "n_atoms", 0),
             (PulseErrorModel(), "area_error", 0.5),
             (DetectionChain(), "dark_rate_hz", -1.0),
+            (DetectionChain(), "detector_efficiency", 0.0),
+            (DetectionChain(), "path_transmission", 0.0),
             (hsh, "edge_fraction", 0.5),
             (ChshSpec(base=hsh, separation_s=1e-6), "separation_s", 0.0)]:
         assert not hasattr(obj, "validate")

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from afcmem.comb import square_tooth_efficiency
-from afcmem.config import ExperimentConfig, provenance, read_config_json
+from afcmem.config import (FLUX_SAMPLES_PER_BIN, ExperimentConfig,
+                           provenance, read_config_json)
 from afcmem.harness import (afc_efficiency, reproduce, run_qubit_tomography,
                             run_spinwave)
 from afcmem.presets import (COMB_PEAK_OD_REFERENCE, ETA_AFC_REFERENCE,
-                            PRESET_NAMES, TABLE1, preset_config)
+                            PRESET_NAMES, PRESETS, TABLE1, preset_config)
 
 
 def _fast_cfg(**kw):
@@ -57,7 +58,8 @@ def test_transfer_work_bounded_at_config():
 
 
 def test_undefined_value_fails_gated_check():
-    from afcmem.harness import RunReport, _check
+    from afcmem.harness import RunReport
+    from afcmem.presets import _check
     check = _check("mu1_avg", float("nan"), 0.0, 1.0)
     assert check["pass"] is False
     report = RunReport(kind="spinwave", preset="table1-20ms", config={},
@@ -215,6 +217,35 @@ def test_reproduce_fig1e_outputs(tmp_path):
     data = json.loads((tmp_path / "report.json").read_text())
     assert data["preset"] == "fig1e"
     assert all(c["pass"] for c in data["checks"] if c["gated"])
+
+
+def test_checks_recompute_from_the_saved_report(tmp_path):
+    # each preset's checks are a function of its report alone: rerun on
+    # the saved report.json they give exactly the stored checks
+    for seed in (None, 1, 2, 3):
+        gated = []
+        for name in PRESET_NAMES:
+            out = tmp_path / f"{name}-{seed}"
+            reproduce(name, out, seed)
+            saved = json.loads((out / "report.json").read_text())
+            assert PRESETS[name].checks(saved) == saved["checks"]
+            gated += [c["gated"] for c in saved["checks"]]
+        assert (gated.count(True), gated.count(False)) == (26, 6)
+
+
+def test_narrowest_input_pulse_keeps_its_photon_number():
+    # the config admits a pulse down to sigma = one flux sample step, where
+    # the sampled Gaussian still holds its photon number
+    from afcmem import harness
+    step = ExperimentConfig().bin_width_seconds / FLUX_SAMPLES_PER_BIN
+    fwhm = step * 2 * math.sqrt(2 * math.log(2)) * (1 + 1e-12)
+    cfg = ExperimentConfig(input_fwhm_seconds=fwhm)
+    t, dt = harness._flux_grid(cfg, cfg.mode_count + 2)
+    flux = harness._pulse_train(cfg, t, np.zeros_like(t),
+                                [(m, 1.0) for m in range(1, 7)])
+    assert flux.sum() * dt == pytest.approx(6, rel=1e-8)
+    with pytest.raises(ValueError, match="^input_fwhm_seconds"):
+        ExperimentConfig(input_fwhm_seconds=0.99 * fwhm)
 
 
 def test_report_json_structure():

@@ -34,3 +34,10 @@ def test_csv_export(tmp_path):
 def test_bad_sample_rate():
     with pytest.raises(ValueError):
         Waveform(0.0, 0.0, np.zeros(4))
+
+
+def test_pulse_with_no_sample_rejected():
+    # 8 FWHM of 1 ns hold no sample at 16 MHz
+    with pytest.raises(ValueError, match="fwhm_s 1e-09 .* sample_rate_hz"):
+        gaussian_pulse(1e-9, 0.0, 16e6)
+    assert gaussian_pulse(1e-9, 0.0, 2e9).n_samples == 16
