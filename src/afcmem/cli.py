@@ -38,6 +38,16 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
+def _check_out(path) -> None:
+    """Refuse an --out that is, or lies under, something other than a
+    directory before any run, so that no run is made for nothing."""
+    existing = Path(path).absolute()
+    while not existing.exists():
+        existing = existing.parent
+    if not existing.is_dir():
+        raise ValueError(f"--out {path}: {existing} is not a directory")
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -237,8 +247,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    # an input path that is missing, a directory or under a file is bad
+    # input; any other error writing the output is a failure of the run
+    except (ValueError, KeyError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # simulation failure

@@ -68,8 +68,9 @@ class RunReport:
 
     @property
     def passed(self) -> bool:
-        return all(c["pass"] for c in self.checks or ()
-                   if c.get("gated", True))
+        if not self.checks:
+            return True
+        return all(c["pass"] for c in self.checks if c.get("gated", True))
 
     def to_dict(self) -> dict:
         """The fields report.json holds; json_text makes them JSON-safe."""
@@ -98,6 +99,13 @@ class RunReport:
             hist.to_csv(out / f"{name}.csv")
 
 
+def _gaussian_flux(t: np.ndarray, center: float, fwhm: float,
+                   photons: float) -> np.ndarray:
+    sigma = fwhm / (2 * np.sqrt(2 * np.log(2)))
+    return photons * np.exp(-((t - center) ** 2) / (2 * sigma**2)) \
+        / (sigma * np.sqrt(2 * np.pi))
+
+
 def _bath(cfg: ExperimentConfig) -> SpinBathParams:
     return SpinBathParams(inhom_fwhm_hz=cfg.bath_inhom_fwhm_hz,
                           ou_sigma_hz=cfg.bath_ou_sigma_hz,
@@ -118,11 +126,9 @@ def _pulse_train(cfg: ExperimentConfig, t: np.ndarray, base: np.ndarray,
     photon number at the centre of each 1-indexed temporal mode, for
     every (mode, photons) in pulses."""
     flux = base.copy()
-    sigma = cfg.input_fwhm_seconds / (2 * np.sqrt(2 * np.log(2)))
     for mode, photons in pulses:
-        center = (mode - 0.5) * cfg.mode_duration_seconds
-        flux += photons * np.exp(-((t - center) ** 2) / (2 * sigma**2)) \
-            / (sigma * np.sqrt(2 * np.pi))
+        flux += _gaussian_flux(t, (mode - 0.5) * cfg.mode_duration_seconds,
+                               cfg.input_fwhm_seconds, photons)
     return flux
 
 
@@ -368,7 +374,7 @@ def run_qubit_tomography(cfg: ExperimentConfig, input_phase_rad: float = 0.0,
 
 # --- reproduction presets ---------------------------------------------------
 
-def _run_fig1e(cfg, out: Path) -> RunReport:
+def _run_fig1e(cfg, name: str, out: Path) -> RunReport:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     t = np.linspace(FIG1E["t_min_s"], FIG1E["t_max_s"], FIG1E["n_points"])
     truth = afc_decay_model(t, FIG1E["eta0"], FIG1E["t2_seconds"],
@@ -380,11 +386,11 @@ def _run_fig1e(cfg, out: Path) -> RunReport:
     write_csv(out / "afc_decay.csv", "one_over_delta_s,eta_data,eta_fit",
               t, data, model)
     (out / "fit_afc.json").write_text(json_text(fit.as_dict()))
-    return RunReport(kind="fig1e", preset="fig1e", config=cfg.to_dict(),
+    return RunReport(kind="fig1e", preset=name, config=cfg.to_dict(),
                      fits={"afc_decay": fit.as_dict()})
 
 
-def _run_fig2(cfg, out: Path) -> RunReport:
+def _run_fig2(cfg, name: str, out: Path) -> RunReport:
     bath = _bath(cfg)
     fits = {}
     for kind in DD_KINDS:
@@ -397,8 +403,18 @@ def _run_fig2(cfg, out: Path) -> RunReport:
                        [fits[f"mims_{k}"]["t2"] for k in DD_KINDS])
     fits["power_law"] = pl.as_dict()
     (out / "fit_powerlaw.json").write_text(json_text(pl.as_dict()))
-    return RunReport(kind="fig2", preset="fig2", config=cfg.to_dict(),
+    return RunReport(kind="fig2", preset=name, config=cfg.to_dict(),
                      fits=fits)
+
+
+# each preset's run, by its kind (the RunReport.kind it makes), as
+# run(cfg, preset name, output directory)
+RUNS = {
+    "spinwave": lambda cfg, name, out: run_spinwave(cfg, name),
+    "qubit": lambda cfg, name, out: run_qubit_tomography(cfg, preset=name),
+    "fig1e": _run_fig1e,
+    "fig2": _run_fig2,
+}
 
 
 def reproduce(name: str, out_dir, seed: int | None = None):
@@ -414,10 +430,7 @@ def reproduce(name: str, out_dir, seed: int | None = None):
         cfg = replace(cfg, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = {"spinwave": lambda: run_spinwave(cfg, name),
-              "qubit": lambda: run_qubit_tomography(cfg, preset=name),
-              "fig1e": lambda: _run_fig1e(cfg, out),
-              "fig2": lambda: _run_fig2(cfg, out)}[preset.kind]()
+    report = RUNS[preset.kind](cfg, name, out)
     report.notes.extend(notes)
     # the checks read the report's fields by their report.json keys
     report.checks = preset.checks(vars(report))

@@ -94,6 +94,17 @@ def spin_t2_nominal(dd_kind: str) -> float:
     return FIG2["xx_t2_calibration_s"] * (n / 2.0) ** (2.0 / 3.0)
 
 
+def _num(value) -> np.ndarray:
+    """A report value as floats.  report.json writes NaN and inf as null,
+    which reads back here as NaN, so a check on a saved report fails where
+    the check on the run's own report did."""
+    return np.asarray(value, dtype=float)
+
+
+def _nums(table: dict) -> dict:
+    return {key: _num(value) for key, value in table.items()}
+
+
 def _check(name, value, lo, hi, gated=True, note=None) -> dict:
     entry = {"name": name, "value": float(value), "lo": float(lo),
              "hi": float(hi), "pass": bool(lo <= value <= hi), "gated": gated}
@@ -132,7 +143,7 @@ def table_preset(name: str) -> tuple[ExperimentConfig, list[str]]:
 
 def table_checks(ref: dict, report: dict) -> list[dict]:
     m = report["metrics"]
-    s = m["summary"]
+    s = _nums(m["summary"])
     # the published inputs are rounded and carry their own error bars
     mu1_half = ref["mu1_err"] + float(ref["mu1"] * np.hypot(
         (ref["p_n_err"] + ref["p_n_round"]) / ref["p_n"],
@@ -145,8 +156,9 @@ def table_checks(ref: dict, report: dict) -> list[dict]:
         _check("eta_avg", s["eta"],
                ref["eta"] - ref["eta_err"] - 3 * s["eta_err"],
                ref["eta"] + ref["eta_err"] + 3 * s["eta_err"]),
-        _near("mu_in_measured", float(np.mean(m["mu_in_measured"])),
-              ref["mu_in"], 4 * float(np.mean(m["mu_in_measured_err"]))),
+        _near("mu_in_measured", float(np.mean(_num(m["mu_in_measured"]))),
+              ref["mu_in"],
+              4 * float(np.mean(_num(m["mu_in_measured_err"])))),
     ]
 
 
@@ -177,15 +189,16 @@ def tomo_preset() -> tuple[ExperimentConfig, list[str]]:
 
 def tomo_checks(report: dict) -> list[dict]:
     tomo = report["tomography"]
-    bound = tomo["classical_bound_weak_coherent"]
+    fidelity = _num(tomo["fidelity_avg"])
+    bound = _num(tomo["classical_bound_weak_coherent"])
     return [
-        _check("fidelity_avg", tomo["fidelity_avg"], *FIG4["fidelity_band"]),
-        _check("purity_avg", tomo["purity_avg"], *FIG4["purity_band"]),
+        _check("fidelity_avg", fidelity, *FIG4["fidelity_band"]),
+        _check("purity_avg", _num(tomo["purity_avg"]), *FIG4["purity_band"]),
         _near("classical_bound_oracle", bound,
               *FIG4["classical_bound_oracle"]),
-        _near("white_noise_fidelity", tomo["white_noise_fidelity"],
+        _near("white_noise_fidelity", _num(tomo["white_noise_fidelity"]),
               FIG4["white_noise_fidelity_reference"], 0.01),
-        _check("fidelity_beats_classical_bound", tomo["fidelity_avg"] - bound,
+        _check("fidelity_beats_classical_bound", fidelity - bound,
                0.0, 1.0),
         _check("classical_bound_gap_to_reference",
                bound - FIG4["classical_bound_reference"], -0.02, 0.02,
@@ -208,7 +221,7 @@ def fig1e_preset() -> tuple[ExperimentConfig, list[str]]:
 
 
 def fig1e_checks(report: dict) -> list[dict]:
-    fit = report["fits"]["afc_decay"]
+    fit = _nums(report["fits"]["afc_decay"])
     return [
         _near("eta0_fit", fit["eta0"], FIG1E["eta0"], FIG1E["eta0_tol"]),
         _near("t2_fit_seconds", fit["t2"], FIG1E["t2_seconds"],
@@ -233,7 +246,7 @@ def fig2_preset() -> tuple[ExperimentConfig, list[str]]:
 
 
 def fig2_checks(report: dict) -> list[dict]:
-    fits = report["fits"]
+    fits = {name: _nums(fit) for name, fit in report["fits"].items()}
     checks = []
     for kind in DD_KINDS:
         fit = fits[f"mims_{kind}"]

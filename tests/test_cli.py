@@ -228,9 +228,20 @@ def test_bad_path_exit_code(tmp_path, capsys, argv):
         argv += ["--out", str(tmp_path / "out")]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert (tmp_path / "a_file").read_text() == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_bad_out_refused_before_the_run(tmp_path, monkeypatch, capsys):
+    # the run would fail with exit 3; --out is refused before it starts
+    def run(*args, **kw):
+        raise RuntimeError("the run started")
+    monkeypatch.setattr(cli, "run_qubit_tomography", run)
+    (tmp_path / "a_file").write_text("")
+    assert run_cli("simulate", "qubit", "--out",
+                   str(tmp_path / "a_file" / "sub")) == 2
+    assert "a_file is not a directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", [

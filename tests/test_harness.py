@@ -7,8 +7,8 @@ import pytest
 from afcmem.comb import square_tooth_efficiency
 from afcmem.config import (FLUX_SAMPLES_PER_BIN, ExperimentConfig,
                            provenance, read_config_json)
-from afcmem.harness import (afc_efficiency, reproduce, run_qubit_tomography,
-                            run_spinwave)
+from afcmem.harness import (RUNS, afc_efficiency, json_text, reproduce,
+                            run_qubit_tomography, run_spinwave)
 from afcmem.presets import (COMB_PEAK_OD_REFERENCE, ETA_AFC_REFERENCE,
                             PRESET_NAMES, PRESETS, TABLE1, preset_config)
 
@@ -229,8 +229,25 @@ def test_checks_recompute_from_the_saved_report(tmp_path):
             reproduce(name, out, seed)
             saved = json.loads((out / "report.json").read_text())
             assert PRESETS[name].checks(saved) == saved["checks"]
+            assert saved["kind"] == PRESETS[name].kind
             gated += [c["gated"] for c in saved["checks"]]
         assert (gated.count(True), gated.count(False)) == (26, 6)
+    assert set(RUNS) == {preset.kind for preset in PRESETS.values()}
+
+
+def test_null_in_saved_report_fails_its_check(tmp_path):
+    # report.json writes a NaN mu1 (a mode with eta <= 0) and an inf snr
+    # (a mode with p_n = 0) as null; the checks read null back as NaN and
+    # fail as the run's own checks do
+    reproduce("table1-20ms", tmp_path)
+    saved = json.loads((tmp_path / "report.json").read_text())
+    saved["metrics"]["summary"].update(mu1=None, snr=None)
+    run = json.loads(json.dumps(saved))
+    run["metrics"]["summary"].update(mu1=math.nan, snr=math.inf)
+    checks = PRESETS["table1-20ms"].checks
+    assert json_text(checks(saved)) == json_text(checks(run))
+    failed = [c["name"] for c in checks(saved) if not c["pass"]]
+    assert failed == ["snr_avg", "mu1_avg"]
 
 
 def test_narrowest_input_pulse_keeps_its_photon_number():
