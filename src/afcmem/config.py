@@ -20,7 +20,7 @@ from . import __version__
 from .comb import TOOTH_SHAPES, ZEEMAN_SPLIT_HZ, afc_efficiency
 from .pulses import (dd_sequence, normalize_dd_kind, recommended_sample_rate,
                      reference_transfer_pulse)
-from .spinbath import MAX_LINE_PER_RABI, ou_sigma_for_t2
+from .spinbath import MAX_LINE_PER_RABI, MAX_PHASE_TURNS, ou_sigma_for_t2
 from .tomography import MAX_MEAN_PHOTONS
 
 # OU bath calibrated so the two-pulse sequence decays with T2 = 70 ms
@@ -199,6 +199,13 @@ class ExperimentConfig:
                 f"bath_inhom_fwhm_hz {self.bath_inhom_fwhm_hz:g} exceeds "
                 f"{MAX_LINE_PER_RABI:g} x rf_rabi_hz, the widest line the "
                 f"residual-excitation quadrature is held to")
+        turns = (self.bath_inhom_fwhm_hz + self.bath_ou_sigma_hz) \
+            * self.t_s_seconds
+        if not turns <= MAX_PHASE_TURNS:
+            raise ValueError(
+                f"(bath_inhom_fwhm_hz + bath_ou_sigma_hz) x t_s_seconds = "
+                f"{turns:.3g} turns of free phase, more than the "
+                f"{MAX_PHASE_TURNS:g} that the spin stage resolves in float64")
         try:
             dd_sequence(self.dd_kind, self.t_s_seconds,
                         1.0 / (2 * self.rf_rabi_hz))

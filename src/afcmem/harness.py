@@ -397,7 +397,7 @@ def _run_fig2(cfg, name: str, out: Path) -> RunReport:
         t_list = spin_t2_nominal(kind) * np.array(
             [0.4, 0.55, 0.7, 0.85, 1.0, 1.2, 1.4])
         cols = np.array(efficiency_decay(kind, t_list, bath)).T
-        write_csv(out / f"decay_{kind}.csv", "t_s_seconds,eta,stderr", *cols)
+        write_csv(out / f"decay_{kind}.csv", "t_s_seconds,eta", *cols)
         fits[f"mims_{kind}"] = fit_mims(cols[0], cols[1]).as_dict()
     pl = fit_power_law([len(dd_phases(k)) for k in DD_KINDS],
                        [fits[f"mims_{k}"]["t2"] for k in DD_KINDS])

@@ -4,8 +4,8 @@ Each preset is one entry of PRESETS: its config builder, which returns an
 ExperimentConfig and calibration notes recording how the free parameters
 (comb peak OD, which fixes the echo efficiency; transfer efficiency; noise
 conversion gain; interference visibility) were pinned to the reference
-data; the kind of run it makes; and its checks against the reference
-values, a function of the report's fields alone.
+data; the kind of run it makes; its checks against the reference values,
+a function of the report's fields alone; and each gated check's class.
 """
 
 from __future__ import annotations
@@ -273,15 +273,29 @@ class Preset(NamedTuple):
     config: Callable[[], tuple[ExperimentConfig, list[str]]]
     kind: str  # the RunReport.kind of the run it makes
     checks: Callable[[dict], list[dict]]
+    # each gated check's class, by name: what fixes its expected value
+    # (calibration identity, fit recovery, model identity, self-oracle,
+    # simulated value against a formula, or prediction)
+    classes: dict[str, str]
 
 
 PRESETS = {
-    "fig1e": Preset(fig1e_preset, "fig1e", fig1e_checks),
-    "fig2": Preset(fig2_preset, "fig2", fig2_checks),
+    "fig1e": Preset(fig1e_preset, "fig1e", fig1e_checks, dict.fromkeys(
+        ("eta0_fit", "t2_fit_seconds", "converged"), "fit recovery")),
+    "fig2": Preset(fig2_preset, "fig2", fig2_checks, dict.fromkeys(
+        [f"mims_m_{k}" for k in DD_KINDS] + ["gamma", "t2_XX_calibration_ms"],
+        "model identity")),
     **{name: Preset(functools.partial(table_preset, name), "spinwave",
-                    functools.partial(table_checks, ref))
+                    functools.partial(table_checks, ref), dict.fromkeys(
+                        ("snr_avg", "mu1_avg", "eta_avg", "mu_in_measured"),
+                        "calibration identity"))
        for name, ref in TABLE1.items()},
-    "fig4-tomo": Preset(tomo_preset, "qubit", tomo_checks),
+    "fig4-tomo": Preset(tomo_preset, "qubit", tomo_checks, {
+        "fidelity_avg": "prediction", "purity_avg": "prediction",
+        "classical_bound_oracle": "self-oracle",
+        "white_noise_fidelity": "calibration identity",
+        "fidelity_beats_classical_bound":
+            "simulated value against a formula"}),
 }
 PRESET_NAMES = tuple(PRESETS)
 

@@ -276,12 +276,10 @@ def normalize_dd_kind(kind: str) -> str:
 
 @dataclass
 class DDSequence:
-    """Timed train of RF pi pulses with per-pulse phases (CPMG spacing)."""
+    """RF pi pulses with per-pulse phases; pulse k ends free interval k."""
 
-    kind: str
-    total_time_s: float
     phases_rad: np.ndarray
-    centers_s: np.ndarray
+    intervals_s: np.ndarray
 
     @property
     def n_pulses(self) -> int:
@@ -290,15 +288,13 @@ class DDSequence:
 
 def dd_sequence(kind: str, total_time_s: float,
                 pulse_duration_s: float) -> DDSequence:
-    """Build a CPMG-timed sequence: centers at odd multiples of
-    tau = total_time / (2 n_pulses).  pulse_duration_s only bounds the
-    storage time: the train of pi pulses must fit inside it."""
-    kind = normalize_dd_kind(kind)
-    phases = dd_phases(kind)
+    """Build a CPMG-timed sequence: free intervals exactly tau, 2 tau, ...,
+    2 tau, tau, tau = total_time / (2 n_pulses).  pulse_duration_s only
+    bounds the storage time: the train of pi pulses must fit inside it."""
+    phases = dd_phases(normalize_dd_kind(kind))
     n = len(phases)
     if total_time_s <= 2 * n * pulse_duration_s:
         raise ValueError("total_time_s too short for the pulse train")
     tau = total_time_s / (2 * n)
-    centers = tau * (2 * np.arange(n) + 1)
-    return DDSequence(kind=kind, total_time_s=total_time_s,
-                      phases_rad=phases, centers_s=centers)
+    return DDSequence(phases_rad=phases,
+                      intervals_s=np.r_[tau, np.full(n - 1, 2 * tau), tau])

@@ -51,6 +51,11 @@ EPS = np.finfo(float).eps
 # h = 2 MIN_STEP for every DD kind, storage time and pulse error tried (the
 # tests hold the extremes); ExperimentConfig rejects wider ones
 MAX_LINE_PER_RABI = 4.0
+# Most (line FWHM + OU sigma) x storage time the config allows: N turns round
+# to eps N, so an atom 10 line sigmas out keeps its phase to 2 pi eps 4.25e9
+# / 2 < 3e-6 rad, and the coherence moves by 1.4e-9 at the bound under XY4
+# 20 ms (past 2^52 turns a phase's fraction of a turn is lost)
+MAX_PHASE_TURNS = 1e9
 # spin_echo_coherence's standard error: the spread of |mean| over this many
 # equal blocks of the ensemble
 N_BLOCKS = 10
@@ -127,10 +132,12 @@ def _ou_interval_law(h, sigma, tau):
     """
     u = h / tau
     e = -np.expm1(-u)
-    # 2 (u - e) - e^2 cancels down to 2 u^3 / 3 at small u: use its series
+    # 2 (u - e) - e^2 cancels down to 2 u^3 / 3 at small u: use its series,
+    # on u clipped to 1e-2 so that a long interval cannot overflow it
+    v = np.minimum(u, 1e-2)
     w = np.where(u < 1e-2,
-                 u**3 * (2 / 3 - u / 2 + 7 * u**2 / 30 - u**3 / 12
-                         + 31 * u**4 / 1260),
+                 v**3 * (2 / 3 - v / 2 + 7 * v**2 / 30 - v**3 / 12
+                         + 31 * v**4 / 1260),
                  2 * (u - e) - e * e)
     a = sigma * np.sqrt(e * (2 - e))
     b = sigma * tau * e * np.sqrt(e / (2 - e))
@@ -186,18 +193,16 @@ def _box_muller(rng, work):
     return g1, g2
 
 
-def _ideal_coherence(bounds, bath: SpinBathParams) -> float:
+def _ideal_coherence(h, bath: SpinBathParams) -> float:
     """Coherence exp(-chi) of the ideal-pulse sequence whose stored phase
-    changes sign at the interior bounds of [0, centers..., T].
+    changes sign between consecutive free intervals h.
 
-    With s_j = (-1)^j the sign and h_j the length of interval j,
-    chi_static = (1/2) (2 pi sigma_line sum_j s_j h_j)^2 and chi_OU =
-    (1/2) (2 pi sigma)^2 [sum_j 2 tau^2 (h_j/tau - e_j) + sum_{j<k} 2 s_j s_k
-    tau^2 e_j e_k exp(-(b_k - b_{j+1})/tau)], e_j = 1 - exp(-h_j/tau).  The
-    pair sum runs as acc <- acc (1 - e_k) + s_k e_k, acc holding
-    sum_{j<k} s_j e_j exp(-(b_k - b_{j+1})/tau).
+    With s_j = (-1)^j the sign, chi_static = (1/2) (2 pi sigma_line
+    sum_j s_j h_j)^2 and chi_OU = (1/2) (2 pi sigma)^2 [sum_j 2 tau^2 (h_j/tau
+    - e_j) + sum_{j<k} 2 s_j s_k tau^2 e_j e_k exp(-g_jk/tau)], e_j = 1 -
+    exp(-h_j/tau), g_jk = h_(j+1) + ... + h_(k-1).  The pair sum runs as
+    acc <- acc (1 - e_k) + s_k e_k, acc holding sum_{j<k} s_j e_j e^(-g_jk/tau).
     """
-    h = np.diff(bounds)
     s = (-1.0) ** np.arange(h.size)
     tau = bath.ou_tau_c_s
     e = -np.expm1(-h / tau)
@@ -235,14 +240,17 @@ def _phasor(turns, scratch, out):
     return out
 
 
-def _pulse(minus_delta, omega, t_pi, ca, sg, g, q):
-    """Coefficients of the finite-Rabi pi pulse at detunings delta, given as
-    minus_delta: A = C - i S delta/g into the complex ca and S/g into sg
-    (see _propagate); g and q are scratch.  With x = pi/2 - pi g t_pi,
-    small near resonance, and t = tan(x/2), C = sin x = 2 t/(1 + t^2) and
-    S/g = cos x/g = (1 - t^2)/((1 + t^2) g): one tangent in place of a
-    sin/cos pair, and tan is pi-periodic, so a far-detuned atom (x < -pi)
-    needs no range reduction."""
+def _pulse(dd, errors, minus_delta, ca, sg, g, q):
+    """The finite-Rabi pi pulses of dd under errors at detunings delta,
+    given as minus_delta: A = C - i S delta/g into the complex ca and S/g
+    into sg, and returns each pulse's drive -i omega e^(i (phase + error)),
+    so that B = sg drive (see _propagate); g and q are scratch.  With
+    x = pi/2 - pi g t_pi, small near resonance, and t = tan(x/2), C = sin x
+    = 2 t/(1 + t^2) and S/g = cos x/g = (1 - t^2)/((1 + t^2) g): one
+    tangent in place of a sin/cos pair, and tan is pi-periodic, so a
+    far-detuned atom (x < -pi) needs no range reduction."""
+    omega = errors.rf_rabi_hz * (1 + errors.area_error)
+    t_pi = 1.0 / (2.0 * errors.rf_rabi_hz)  # nominal pi duration
     np.add(np.square(minus_delta, out=g), omega**2, out=g)
     np.sqrt(g, out=g)
     t = np.multiply(g, -np.pi * t_pi / 2, out=sg)
@@ -255,11 +263,7 @@ def _pulse(minus_delta, omega, t_pi, ca, sg, g, q):
     np.subtract(q, 1, out=sg)
     sg /= g
     np.multiply(sg, minus_delta, out=ca.imag)
-
-
-def _intervals(dd):
-    """Lengths of the free intervals that dd's pulse centers bound."""
-    return np.diff(np.concatenate([[0.0], dd.centers_s, [dd.total_time_s]]))
+    return -1j * omega * np.exp(1j * (dd.phases_rad + errors.phase_error_rad))
 
 
 def _propagate(rng, static, bath, dd, errors, spinor, work=None, ou=None):
@@ -288,19 +292,15 @@ def _propagate(rng, static, bath, dd, errors, spinor, work=None, ou=None):
     up, dn, r, ca, a, b = work[:12 * n].view(np.complex128).reshape(6, n)
     m, g, sg = work[12 * n:15 * n].reshape(3, n)
     scratch = work[15 * n:WORK_FLOATS * n].reshape(3, n)
-    h = _intervals(dd)
+    h = dd.intervals_s
     use_ou = bath.ou_sigma_hz > 0
     if use_ou:
         mean_gain, root_s, gain, decay = ou or _ou_innovations(
             h, bath.ou_sigma_hz, bath.ou_tau_c_s)
         m[...] = 0
     up[...], dn[...] = spinor
-    omega = errors.rf_rabi_hz * (1 + errors.area_error)
-    t_pi = 1.0 / (2.0 * errors.rf_rabi_hz)  # nominal pi duration
-    drive = -1j * omega * np.exp(1j * (dd.phases_rad + errors.phase_error_rad))
-    # ca = A; sg = S/g, so B = sg * drive
-    _pulse(np.negative(static, out=scratch[1]), omega, t_pi, ca, sg, g,
-           scratch[0])
+    drive = _pulse(dd, errors, np.negative(static, out=scratch[1]), ca, sg, g,
+                   scratch[0])
     for i, h_i in enumerate(h):
         turns = np.multiply(static, h_i / 2, out=g)
         if use_ou:  # turns += I/2, then m moves to the next interval
@@ -352,8 +352,7 @@ def spin_echo_coherence(dd: DDSequence, bath: SpinBathParams,
     consecutive blocks of at most ATOM_BLOCK atoms.
     """
     if errors is None:
-        coherence = _ideal_coherence(
-            np.concatenate([[0.0], dd.centers_s, [dd.total_time_s]]), bath)
+        coherence = _ideal_coherence(dd.intervals_s, bath)
         return SpinStorageResult(coherence=coherence, eta_spin=coherence**2)
     if seed is None:
         raise ValueError("spin_echo_coherence needs a seed to sample pulse "
@@ -361,7 +360,7 @@ def spin_echo_coherence(dd: DDSequence, bath: SpinBathParams,
     rng = np.random.default_rng(seed)
     ou = None
     if bath.ou_sigma_hz > 0:
-        ou = _ou_innovations(_intervals(dd), bath.ou_sigma_hz,
+        ou = _ou_innovations(dd.intervals_s, bath.ou_sigma_hz,
                              bath.ou_tau_c_s)
     static = sample_ensemble(bath, rng)
     phasors = np.empty(static.size, dtype=np.complex128)
@@ -383,13 +382,14 @@ def residual_excitation(dd: DDSequence, errors: PulseErrorModel,
     on spins of the static line (no spectral diffusion) initialized in the
     ground state: an exact quadrature over the line, with no sampling.
 
-    Under a CPMG train of n pulses at tau = T/(2n) the free rotations enter
-    only through theta = 4 pi delta tau per middle interval (the first and
-    last add a global phase), while each pulse depends on delta slowly, on
-    the Rabi scale.  Written diag(e^(-i theta), 1), a rotation raises each
-    power of e^(-i theta) in the up amplitude by one, so the train carries
-    the amplitude's coefficients a_q(delta), q < n, exactly, and the
-    population is sum_k c_k e^(-i k theta) with c_k = sum_q a_(q+k) a_q*.
+    Under a CPMG train of n pulses, free intervals tau, 2 tau, ..., 2 tau,
+    tau, the free rotations enter only through theta = 4 pi delta tau per
+    middle interval (the first and last add a global phase), while each
+    pulse depends on delta slowly, on the Rabi scale.  Written
+    diag(e^(-i theta), 1), a rotation raises each power of e^(-i theta) in
+    the up amplitude by one, so the train carries the amplitude's
+    coefficients a_q(delta), q < n, exactly, and the population is
+    sum_k c_k e^(-i k theta) with c_k = sum_q a_(q+k) a_q*.
     Over the Gaussian line, delta = sigma z, the trapezoid rule of step h
     in z averages each harmonic kept, |k| beta <= pi/h with beta = 4 pi
     sigma tau, to within about e^(-(pi/h)^2/2) of |c_k| (its aliases lie
@@ -401,15 +401,14 @@ def residual_excitation(dd: DDSequence, errors: PulseErrorModel,
     n = dd.n_pulses
     if n == 0:
         return 0.0
-    tau = dd.total_time_s / (2 * n)
-    cpmg = tau * (2 * np.arange(n) + 1)
-    if (np.shape(dd.centers_s) != cpmg.shape or np.abs(
-            dd.centers_s - cpmg).max() > 1e-12 * dd.total_time_s):
-        raise ValueError("residual_excitation needs CPMG pulse centers "
-                         "(2k + 1) T/(2 n_pulses)")
+    tau = dd.intervals_s[0]
+    if not np.array_equal(dd.intervals_s,
+                          np.r_[tau, np.full(n - 1, 2 * tau), tau]):
+        raise ValueError("residual_excitation needs CPMG intervals tau, "
+                         "2 tau, ..., 2 tau, tau")
     step, value = 0.5, None
     while True:
-        last, value = value, _residual_quadrature(dd, errors, line, tau, step)
+        last, value = value, _residual_quadrature(dd, errors, line, step)
         if last is not None and abs(value - last) <= (
                 RESIDUAL_RTOL * value + n * EPS * np.sqrt(abs(value))):
             return value
@@ -421,19 +420,17 @@ def residual_excitation(dd: DDSequence, errors: PulseErrorModel,
         step /= 2
 
 
-def _residual_quadrature(dd, errors, line, tau, step):
+def _residual_quadrature(dd, errors, line, step):
     """residual_excitation's population average on the rule of one step."""
     n = dd.n_pulses
     half = round(LINE_SPAN / step)
     z = step * np.arange(-half, half + 1)
     sigma = line.inhom_fwhm_hz * FWHM_TO_SIGMA
-    omega = errors.rf_rabi_hz * (1 + errors.area_error)
-    t_pi = 1.0 / (2.0 * errors.rf_rabi_hz)  # nominal pi duration
     ca = np.empty(z.size, dtype=complex)
     sg = np.empty(z.size)
-    _pulse(-sigma * z, omega, t_pi, ca, sg, np.empty(z.size), np.empty(z.size))
+    drive = _pulse(dd, errors, -sigma * z, ca, sg, np.empty(z.size),
+                   np.empty(z.size))
     ca, sg = ca[:, None], sg[:, None]
-    drive = -1j * omega * np.exp(1j * (dd.phases_rad + errors.phase_error_rad))
     up = np.zeros((z.size, n), dtype=complex)  # a_q, q = 0 ... n - 1
     dn = np.zeros((z.size, n), dtype=complex)
     dn[:, 0] = 1
@@ -443,7 +440,7 @@ def _residual_quadrature(dd, errors, line, tau, step):
         b = sg * drive[i]
         up, dn = ca * up - np.conj(b) * dn, b * up + np.conj(ca) * dn
     population = np.sum(np.square(np.abs(up)), axis=1)  # c_0
-    beta = 4 * np.pi * sigma * tau
+    beta = 4 * np.pi * sigma * dd.intervals_s[0]
     k_max = (n - 1 if step * beta * (n - 1) <= np.pi
              else int(np.pi / (step * beta)))
     for k in range(1, k_max + 1):
@@ -456,15 +453,14 @@ def _residual_quadrature(dd, errors, line, tau, step):
 def efficiency_decay(dd_kind: str, t_list, bath: SpinBathParams):
     """Ideal-pulse spin storage efficiency versus storage time, in closed
     form; each pi pulse lasts half a period of the default RF Rabi
-    frequency.  Returns a list of (t_s, eta, 0.0): the third column is the
-    standard error, zero for a closed form."""
+    frequency.  Returns a list of (t_s, eta)."""
     t_arr = np.asarray(t_list, dtype=float)
     if np.any(np.diff(t_arr) <= 0):
         raise ValueError("t_list must be sorted ascending")
     pulse_s = 1.0 / (2.0 * PulseErrorModel().rf_rabi_hz)
     return [(float(t_s),
              spin_echo_coherence(dd_sequence(dd_kind, t_s, pulse_s),
-                                 bath).eta_spin, 0.0)
+                                 bath).eta_spin)
             for t_s in t_arr]
 
 

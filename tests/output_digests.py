@@ -1,6 +1,6 @@
-"""The byte ledger: one SHA-256 per CLI run over its exit code, its stdout
-and stderr (with the output directory replaced by "<out>" and the run's
-directory by "<run>") and every file it writes.
+"""The byte ledger: for each CLI run, its exit code and one SHA-256 each of
+its stdout, its stderr (with the output directory replaced by "<out>" and
+the run's directory by "<run>") and every file it writes.
 
 The runs are the six reproduce presets and simulate afc|spinwave|qubit, at
 the default seed and at seeds 1, 2, 3, 7 and 11; then, once each, the
@@ -13,8 +13,8 @@ streams).  A change that moves output bytes on purpose rewrites the file:
 
   PYTHONPATH=src python tests/output_digests.py --write
 
-and names the keys that moved.  Without --write the script prints the keys
-whose digest differs from the file.
+and names the keys and files that moved.  Without --write the script prints
+each key that moved, with the files (or exit, stdout, stderr) that did.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ ONCE = (
     "simulate afc --config short_pulse.json",
     "simulate spinwave --config no_detector.json",
     "simulate spinwave --config no_path.json",
+    "simulate spinwave --config fast_ou.json",
+    "simulate spinwave --config long_storage.json",
+    "simulate spinwave --config huge_ou.json",
     "reproduce fig1e --out a_file",
     "simulate afc --out a_file",
     "simulate afc --out a_file/sub",
@@ -60,6 +63,10 @@ FILES = {
     "short_pulse.json": '{"input_fwhm_seconds": 1e-9}\n',
     "no_detector.json": '{"detector_efficiency": 0}\n',
     "no_path.json": '{"path_transmission": 0}\n',
+    # free phases past the turns that float64 resolves
+    "fast_ou.json": '{"bath_ou_sigma_hz": 1e21}\n',
+    "long_storage.json": '{"t_s_seconds": 1e16}\n',
+    "huge_ou.json": '{"bath_ou_sigma_hz": 1e100}\n',
     "a_file": "",
     "a_dir": None,
     "afc.csv": "one_over_delta_s,eta\n" + "".join(f"{t},{y}\n" for t, y in (
@@ -90,10 +97,16 @@ def run_keys() -> list[str]:
             for cmd in COMMANDS for seed in SEEDS] + list(ONCE)
 
 
-def digest(key: str, workdir: Path) -> str:
-    """SHA-256 of one run of `afcmem <key>` in a directory of its own
-    under workdir, which holds the FILES the key names; the run writes to
-    the key's --out, or else to out/ there."""
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(key: str, workdir: Path) -> dict:
+    """{"exit": code, "stdout": digest, "stderr": digest, file: digest, ...}
+    of one run of `afcmem <key>`, each digest a SHA-256 and each output file
+    named by its path under the output directory.  The run is made in a
+    directory of its own under workdir, which holds the FILES the key
+    names, and writes to the key's --out, or else to out/ there."""
     run = workdir / key.replace(" ", "_").replace("/", "_")
     run.mkdir()
     args = key.split()
@@ -112,18 +125,18 @@ def digest(key: str, workdir: Path) -> str:
     with (contextlib.redirect_stdout(stdout),
           contextlib.redirect_stderr(stderr)):
         code = main(args)
-    h = hashlib.sha256(f"exit {code}\n".encode())
-    for stream in (stdout, stderr):
-        h.update(stream.getvalue().replace(str(out), "<out>")
-                 .replace(str(run), "<run>").encode())
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        h.update(f"\n{path.relative_to(out).as_posix()}\n".encode())
-        h.update(path.read_bytes())
-    return h.hexdigest()
+    record = {"exit": code}
+    for name, stream in (("stdout", stdout), ("stderr", stderr)):
+        record[name] = _sha(stream.getvalue().replace(str(out), "<out>")
+                            .replace(str(run), "<run>").encode())
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            record[path.relative_to(out).as_posix()] = _sha(path.read_bytes())
+    return record
 
 
 def compute() -> dict:
-    """Every run's digest, in one process, with the numpy version."""
+    """Every run's digests, in one process, with the numpy version."""
     with tempfile.TemporaryDirectory() as tmp:
         digests = {key: digest(key, Path(tmp)) for key in run_keys()}
     return {"numpy": np.__version__, "digests": digests}
@@ -134,17 +147,28 @@ def load() -> dict:
 
 
 def moved(recorded: dict, current: dict) -> list[str]:
-    """Keys whose digest differs, or that only one side has."""
+    """Each key that only one side has, and "key: part, ..." for each other
+    key, naming its parts (exit, stdout, stderr or a file) that differ or
+    that only one side has."""
     old, new = recorded["digests"], current["digests"]
-    return sorted(k for k in old.keys() | new.keys()
-                  if old.get(k) != new.get(k))
+    out = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in old or key not in new:
+            out.append(f"{key} ({'added' if key in new else 'removed'})")
+            continue
+        a, b = old[key], new[key]
+        parts = sorted(p for p in a.keys() | b.keys() if a.get(p) != b.get(p))
+        if parts:
+            out.append(f"{key}: {', '.join(parts)}")
+    return out
 
 
 if __name__ == "__main__":
     current = compute()
     if "--write" in sys.argv[1:]:
         LEDGER.write_text(json.dumps(current, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {len(current['digests'])} digests to {LEDGER}")
+        print(f"wrote the digests of {len(current['digests'])} runs to "
+              f"{LEDGER}")
     else:
         keys = moved(load(), current)
         print("\n".join(keys) if keys else "no output moved")

@@ -199,6 +199,9 @@ def test_config_error_exit_code(tmp_path):
     {"detector_efficiency": 0}, {"path_transmission": 0},
     # a pulse narrower than the flux sample step
     {"input_fwhm_seconds": 1e-9},
+    # free phases past the turns that float64 resolves
+    {"bath_ou_sigma_hz": 1e21}, {"t_s_seconds": 1e16},
+    {"bath_ou_sigma_hz": 1e100},
 ])
 def test_bath_config_error_exit_code(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
@@ -209,6 +212,18 @@ def test_bath_config_error_exit_code(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert next(iter(bad)) in err
+
+
+def test_fast_bath_runs_without_warnings(tmp_path):
+    # a correlation time far below every interval: the OU interval law's
+    # small-interval series sees no long interval, so nothing overflows
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps({"bath_ou_tau_c_seconds": 1e-300}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("simulate", "spinwave", "--config", str(path),
+                       "--out", str(tmp_path))
+    assert code == 0 and not caught
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 
@@ -233,6 +234,21 @@ def test_checks_recompute_from_the_saved_report(tmp_path):
             gated += [c["gated"] for c in saved["checks"]]
         assert (gated.count(True), gated.count(False)) == (26, 6)
     assert set(RUNS) == {preset.kind for preset in PRESETS.values()}
+
+
+def test_every_gated_check_has_one_class(tmp_path):
+    # each gated check of each preset has exactly one class, and no
+    # ungated check has one; 2 of the 26 are predictions
+    counts = collections.Counter()
+    for name, preset in PRESETS.items():
+        report, _ = reproduce(name, tmp_path / name)
+        gated = [c["name"] for c in report.checks if c["gated"]]
+        assert sorted(gated) == sorted(preset.classes)
+        counts.update(preset.classes.values())
+    assert counts == {"calibration identity": 13, "fit recovery": 3,
+                      "model identity": 6, "self-oracle": 1,
+                      "simulated value against a formula": 1,
+                      "prediction": 2}
 
 
 def test_null_in_saved_report_fails_its_check(tmp_path):

@@ -6,6 +6,7 @@ from output_digests import compute, load, moved
 def test_outputs_match_the_ledger():
     # the same seed gives the same bytes: a change that moves outputs on
     # purpose rewrites tests/output_digests.json and names the moved keys
+    # and, for each, the files (or exit code, stdout, stderr) that moved
     recorded = load()
     keys = moved(recorded, compute())
     assert not keys, (

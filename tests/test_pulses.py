@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from afcmem.pulses import (CHSH_AMPLITUDE_SCALE, ChshSpec, HshSpec, chirp_rate,
-                           chsh_crossing_times, chsh_waveform, dd_phases,
-                           dd_sequence, half_transfer_rabi, hsh_amplitude,
-                           hsh_frequency, hsh_phase, hsh_time_of_frequency,
-                           hsh_waveform, reference_transfer_pulse)
+from afcmem.pulses import (CHSH_AMPLITUDE_SCALE, DD_KINDS, ChshSpec, HshSpec,
+                           chirp_rate, chsh_crossing_times, chsh_waveform,
+                           dd_phases, dd_sequence, half_transfer_rabi,
+                           hsh_amplitude, hsh_frequency, hsh_phase,
+                           hsh_time_of_frequency, hsh_waveform,
+                           reference_transfer_pulse)
 
 
 def _spec(**kw):
@@ -223,13 +224,13 @@ def test_closed_forms_match_piecewise_oracle(spec):
 def test_dd_xx_layout():
     dd = dd_sequence("XX", 20e-3, 4e-6)
     assert dd.n_pulses == 2
-    assert np.allclose(dd.centers_s, [5e-3, 15e-3])
+    assert np.array_equal(dd.intervals_s, [5e-3, 10e-3, 5e-3])
     assert np.all(dd.phases_rad == 0)
 
 
 def test_dd_xy4_centers():
     dd = dd_sequence("XY4", 20e-3, 4e-6)
-    assert np.allclose(dd.centers_s, [2.5e-3, 7.5e-3, 12.5e-3, 17.5e-3])
+    assert np.array_equal(dd.intervals_s, [2.5e-3, 5e-3, 5e-3, 5e-3, 2.5e-3])
     assert np.allclose(dd.phases_rad, [0, np.pi / 2, 0, np.pi / 2])
 
 
@@ -245,13 +246,27 @@ def test_dd_xy16_phase_shift_rule():
     assert np.allclose(p[8:], p[:8] + np.pi)
 
 
+@pytest.mark.parametrize("kind", DD_KINDS)
+def test_dd_intervals_exact(kind):
+    # tau, 2 tau, ..., 2 tau, tau to the bit, tau = T/(2n), at every storage
+    # time of a 1 ms grid, where differences of rounded pulse centres would
+    # miss by an ulp at most of them
+    for t_s in np.arange(1, 301) * 1e-3:
+        dd = dd_sequence(kind, t_s, 1e-6)
+        tau = t_s / (2 * dd.n_pulses)
+        want = np.full(dd.n_pulses + 1, 2 * tau)
+        want[[0, -1]] = tau
+        assert np.array_equal(dd.intervals_s, want), t_s
+
+
 def test_dd_overlap_rejected():
     with pytest.raises(ValueError):
         dd_sequence("XY16", 100e-6, 4e-6)
 
 
 def test_dd_kind_normalization():
-    assert dd_sequence("xy-4", 20e-3, 4e-6).kind == "XY4"
+    assert np.array_equal(dd_sequence("xy-4", 20e-3, 4e-6).phases_rad,
+                          dd_phases("XY4"))
     with pytest.raises(ValueError):
         dd_sequence("YY", 20e-3, 4e-6)
 

@@ -62,13 +62,18 @@ def test_ou_interval_law_against_quadrature(u):
     assert b * b + c * c == pytest.approx(sigma**2 * tau**2 * var_i, **close)
 
 
+def _bounds(h):
+    """The times 0, h_0, h_0 + h_1, ... that the intervals h run between."""
+    return np.concatenate([[0.0], np.cumsum(h)])
+
+
 def _integral_covariance(h, sigma, tau):
     """Closed-form covariance of the integrals of a stationary OU value over
     consecutive intervals h: sigma^2 tau^2 e_j e_k exp(-gap_jk/tau) between
     two intervals a gap apart and, on the diagonal, b^2 + c^2 + (sigma tau
     e)^2 from _ou_interval_law, its series form of sigma^2 tau^2 2 (h/tau -
     e) that keeps its precision at small h/tau."""
-    bounds = np.concatenate([[0.0], np.cumsum(h)])
+    bounds = _bounds(h)
     start, end = bounds[:-1], bounds[1:]
     e, _, b, c = _ou_interval_law(h, sigma, tau)
     gap = np.maximum(start[:, None] - end[None, :],
@@ -140,8 +145,7 @@ def ou_filter_chi(bounds, sigma, tau):
 def test_ou_filter_chi_matches_kernel_quadrature():
     # the closed-form oracle itself, against a midpoint grid of the kernel
     sigma, tau_c, t_s = 40.0, 0.2, 0.05
-    bounds = np.concatenate([[0.0], dd_sequence("XY4", t_s, PI_DURATION).centers_s,
-                             [t_s]])
+    bounds = _bounds(dd_sequence("XY4", t_s, PI_DURATION).intervals_s)
     n = 2000
     tg = (np.arange(n) + 0.5) * (t_s / n)
     s = (-1.0) ** np.searchsorted(bounds[1:-1], tg, side="right")
@@ -167,11 +171,8 @@ def test_coherence_against_filter_function(centers, t_s, fwhm):
     assert 0.2 < expected < 0.8
     bath = SpinBathParams(inhom_fwhm_hz=fwhm, ou_sigma_hz=sigma,
                           ou_tau_c_s=tau_c)
-    if centers:
-        dd = DDSequence("XY4", t_s, phases_rad=np.zeros(len(centers)),
-                        centers_s=np.array(centers))
-    else:
-        dd = _oracle_sequence("none", t_s)
+    dd = DDSequence(phases_rad=np.zeros(len(centers)),
+                    intervals_s=np.diff(bounds))
     res = spin_echo_coherence(dd, bath)
     assert res.coherence == pytest.approx(expected, rel=1e-12, abs=0)
     assert res.coherence_stderr == 0
@@ -226,7 +227,7 @@ def test_coherence_against_quadrature_oracle():
     # function, by direct quadrature of the covariance kernel
     sigma, tau_c, t_s = 40.0, 0.2, 0.05
     dd = dd_sequence("XY4", t_s, PI_DURATION)
-    bounds = np.concatenate([[0.0], dd.centers_s, [t_s]])
+    bounds = _bounds(dd.intervals_s)
 
     def sign_of(t):
         return (-1.0) ** np.searchsorted(bounds[1:-1], t, side="right")
@@ -407,8 +408,8 @@ def _propagate_reference(rng, static, bath, dd, errors, spinor,
     static detuning plus the OU value at the pulse, the model the kernel
     leaves out: those values are drawn from pulse_rng by their exact law
     given the same integrals."""
-    bounds = np.concatenate([[0.0], dd.centers_s, [dd.total_time_s]])
-    h = np.diff(bounds)
+    h = dd.intervals_s
+    bounds = _bounds(h)
     integrals = np.zeros((h.size, static.size))
     if bath.ou_sigma_hz > 0:
         integrals = _ou_integrals_reference(rng, static.size, h,
@@ -447,14 +448,12 @@ def _blocked_reference(rng, bath, dd, errors, pulse_rng=None):
 
 def _oracle_sequence(name, t_s):
     if name == "uneven":
-        # every interval length distinct, the static line still refocused:
-        # lengths 0.05, 0.17, 0.30, 0.22, 0.15, 0.11 of t_s
-        centers = t_s * np.array([0.05, 0.22, 0.52, 0.74, 0.89])
-        return DDSequence("XY4", t_s, centers_s=centers,
-                          phases_rad=np.array([0.0, 1.9, 0.4, 3.3, 5.0]))
+        # every interval length distinct, the static line still refocused
+        return DDSequence(
+            phases_rad=np.array([0.0, 1.9, 0.4, 3.3, 5.0]),
+            intervals_s=t_s * np.array([0.05, 0.17, 0.30, 0.22, 0.15, 0.11]))
     if name == "none":
-        return DDSequence("none", t_s, phases_rad=np.empty(0),
-                          centers_s=np.empty(0))
+        return DDSequence(phases_rad=np.empty(0), intervals_s=np.array([t_s]))
     return dd_sequence(name, t_s, PI_DURATION)
 
 
@@ -584,7 +583,8 @@ def test_kernel_matches_reference_loop_at_large_phases(name):
 def test_pulse_coefficients_against_libm():
     # x = pi/2 - pi g t_pi from the old form; the kernel's x/2 halves each
     # rounding exactly, so only the tangent form differs from libm here
-    errors = PulseErrorModel(area_error=0.03)
+    errors = PulseErrorModel(area_error=0.03, phase_error_rad=0.02)
+    dd = dd_sequence("XY4", 0.02, PI_DURATION)
     omega = errors.rf_rabi_hz * (1 + errors.area_error)
     t_pi = 1 / (2 * errors.rf_rabi_hz)
     delta = np.concatenate([[0.0], np.linspace(-2e6, 2e6, 40_001),
@@ -593,8 +593,10 @@ def test_pulse_coefficients_against_libm():
     x = g * (-np.pi * t_pi) + np.pi / 2
     assert x.min() < -np.pi and np.abs(x[0]) < 0.1  # far detuned and resonant
     ca, sg = np.empty(delta.size, dtype=complex), np.empty(delta.size)
-    _pulse(-delta, omega, t_pi, ca, sg, np.empty(delta.size),
-           np.empty(delta.size))
+    drive = _pulse(dd, errors, -delta, ca, sg, np.empty(delta.size),
+                   np.empty(delta.size))
+    phases = dd.phases_rad + errors.phase_error_rad
+    assert np.array_equal(drive, -1j * omega * np.exp(1j * phases))
     assert np.abs(ca.real - np.sin(x)).max() <= 1e-15
     assert np.abs(ca.imag + np.cos(x) * delta / g).max() <= 1e-15
     assert np.abs(sg * omega - np.cos(x) * omega / g).max() <= 1e-15
@@ -772,8 +774,7 @@ def test_residual_quadrature_rule_convergence(kind, t_s, fwhm):
     errors = PulseErrorModel(area_error=0.01, phase_error_rad=0.02)
     line = SpinBathParams(inhom_fwhm_hz=fwhm)
     got = residual_excitation(dd, errors, line)
-    fine = _residual_quadrature(dd, errors, line, t_s / (2 * dd.n_pulses),
-                                1 / 128)
+    fine = _residual_quadrature(dd, errors, line, 1 / 128)
     assert abs(got - fine) <= (RESIDUAL_RTOL * fine
                                + dd.n_pulses * EPS * np.sqrt(fine))
 
@@ -783,8 +784,14 @@ def test_residual_train_edges():
     line = SpinBathParams()
     assert residual_excitation(_oracle_sequence("none", 0.02), errors,
                                line) == 0.0
-    with pytest.raises(ValueError, match="CPMG pulse centers"):
+    with pytest.raises(ValueError, match="CPMG intervals"):
         residual_excitation(_oracle_sequence("uneven", 0.02), errors, line)
+    # a train one ulp off CPMG timing is not one either
+    dd = dd_sequence("XY4", 0.02, PI_DURATION)
+    h = dd.intervals_s.copy()
+    h[2] = np.nextafter(h[2], 1.0)
+    with pytest.raises(ValueError, match="CPMG intervals"):
+        residual_excitation(DDSequence(dd.phases_rad, h), errors, line)
     # the widest line a config may hold converges under the longest train
     # and extreme errors; one far wider exhausts the finest rule
     dd = dd_sequence("XY16", 0.1, PI_DURATION)
