@@ -59,7 +59,11 @@ _RANGES = {
     "transfer_bandwidth_hz": _POSITIVE,
     "eta_end_to_end_target": _EFFICIENCY,
     "t_s_seconds": _POSITIVE,
-    "rf_rabi_hz": _POSITIVE,
+    # spinbath._pulse squares g^2 = delta^2 + omega^2, with omega at most
+    # 1.5 rf_rabi_hz and |delta| at most LINE_SPAN = 10 line sigmas, 17
+    # rf_rabi_hz by MAX_LINE_PER_RABI: g^2 < 300 rf_rabi_hz^2 stays finite
+    # up to about 7.7e152 Hz
+    "rf_rabi_hz": (0, 1e150, True, False),
     "rf_area_error": (-0.5, 0.5, True, True),
     "p_noise_target_per_mode": _NONNEGATIVE,
     "bath_inhom_fwhm_hz": _NONNEGATIVE,

@@ -16,7 +16,7 @@ from .config import FLUX_SAMPLES_PER_BIN, ExperimentConfig, provenance
 from .detection import (DetectionChain, metrics, mode_sums,
                         noise_floor_model, simulate_counts)
 from .fitting import fit_afc_decay, fit_mims, fit_power_law
-from .presets import FIG1E, PRESETS, preset_config, spin_t2_nominal
+from .presets import FIG1E, PRESET_NAMES, PRESETS, spin_t2_nominal
 from .pulses import (DD_KINDS, dd_phases, dd_sequence, hsh_waveform,
                      reference_transfer_pulse)
 from .bloch import transfer_profile
@@ -418,20 +418,23 @@ RUNS = {
 
 
 def reproduce(name: str, out_dir, seed: int | None = None):
-    """Run a named reproduction preset; writes plot-ready CSV plus a
-    pass/fail comparison against the stored reference values.
+    """Run a named reproduction preset, MEMORY with the preset's protocol
+    and calibrated fields; writes plot-ready CSV plus a pass/fail
+    comparison against the stored reference values.
 
     Returns (report, passed).
     """
-    cfg, notes = preset_config(name)
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
     preset = PRESETS[name]
+    cfg = preset.config
     if seed is not None:
         # checked here, before the output directory exists
         cfg = replace(cfg, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = RUNS[preset.kind](cfg, name, out)
-    report.notes.extend(notes)
+    report.notes.extend(preset.notes)
     # the checks read the report's fields by their report.json keys
     report.checks = preset.checks(vars(report))
     report.save(out)

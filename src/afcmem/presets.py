@@ -1,11 +1,14 @@
 """Calibrated reproduction presets and their reference targets.
 
-Each preset is one entry of PRESETS: its config builder, which returns an
-ExperimentConfig and calibration notes recording how the free parameters
-(comb peak OD, which fixes the echo efficiency; transfer efficiency; noise
-conversion gain; interference visibility) were pinned to the reference
-data; the kind of run it makes; its checks against the reference values,
-a function of the report's fields alone; and each gated check's class.
+Every preset measures one sample, MEMORY: the default comb, bath, RF,
+detection and analyser.  Each is one row of PRESETS: the kind of run it
+makes; its protocol, the fields the experiment sets (storage time, DD
+sequence, input photon number, trials); the fields it calibrates, each
+pinned to a reference value (comb peak OD, which fixes the echo
+efficiency; end-to-end efficiency, from which the transfer is backed out;
+read-out noise; interference visibility); notes that give each
+calibrated field's reference; its checks against the reference values, a
+function of the report's fields alone; and each gated check's class.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ import numpy as np
 
 from .config import ExperimentConfig, DEFAULT_OU_TAU_C_S
 from .pulses import DD_KINDS, dd_phases
+
+# The sample every preset measures.
+MEMORY = ExperimentConfig(seed=6)
 
 # Reference echo efficiency at the working delay 1/Delta = 25 us (first
 # modulation maximum of the echo-decay curve) and the comb peak OD giving it.
@@ -117,30 +123,6 @@ def _near(name, value, centre, half, **kw) -> dict:
     return _check(name, value, centre - half, centre + half, **kw)
 
 
-def table_preset(name: str) -> tuple[ExperimentConfig, list[str]]:
-    ref = TABLE1[name]
-    cfg = ExperimentConfig(
-        dd_kind=ref["dd_kind"],
-        t_s_seconds=ref["t_s_seconds"],
-        mu_in_per_mode=ref["mu_in"],
-        comb_peak_od=COMB_PEAK_OD_REFERENCE,
-        eta_end_to_end_target=ref["eta"],
-        p_noise_target_per_mode=ref["p_n"],
-        seed=6,
-    )
-    notes = [
-        f"comb peak OD {COMB_PEAK_OD_REFERENCE} pins eta_afc to the first-"
-        f"maximum echo efficiency {ETA_AFC_REFERENCE} at 1/Delta = 25 us",
-        f"per-pulse transfer efficiency backed out of the reference "
-        f"end-to-end efficiency {ref['eta']} given eta_afc and the simulated "
-        f"spin-stage survival; it absorbs alignment drift of the longer "
-        f"acquisitions",
-        f"noise gain calibrated so this sequence at this storage time gives "
-        f"p_n = {ref['p_n']} per mode (reference noise measurement)",
-    ]
-    return cfg, notes
-
-
 def table_checks(ref: dict, report: dict) -> list[dict]:
     m = report["metrics"]
     s = _nums(m["summary"])
@@ -160,31 +142,6 @@ def table_checks(ref: dict, report: dict) -> list[dict]:
               ref["mu_in"],
               4 * float(np.mean(_num(m["mu_in_measured_err"])))),
     ]
-
-
-def tomo_preset() -> tuple[ExperimentConfig, list[str]]:
-    base, _ = table_preset("table1-20ms")
-    mu_q = 0.92
-    # noise per mode pinned by the reference sigma_z SNR at mu_q/2 per bin
-    p_noise = float((mu_q / 2) * base.eta_end_to_end_target
-                    / FIG4["sigma_z_snr"])
-    visibility = float(2 * FIG4["bright_pulse_fidelity"] - 1)
-    cfg = dataclasses.replace(
-        base,
-        mu_in_per_mode=mu_q,
-        p_noise_target_per_mode=p_noise,
-        qubit_visibility=visibility,
-        n_trials=50_000,
-    )
-    notes = [
-        f"qubit noise per mode {p_noise:.6f} pinned by the reference "
-        f"sigma_z SNR {FIG4['sigma_z_snr']} at {mu_q/2} photons per bin",
-        f"intrinsic interference visibility {visibility:.2f} pinned by the "
-        f"reference bright-pulse fidelity {FIG4['bright_pulse_fidelity']}",
-        "comb, memory efficiency and seed as table1-20ms: comb peak OD "
-        f"{COMB_PEAK_OD_REFERENCE} pins eta_afc, the transfer is backed out",
-    ]
-    return cfg, notes
 
 
 def tomo_checks(report: dict) -> list[dict]:
@@ -209,17 +166,6 @@ def tomo_checks(report: dict) -> list[dict]:
     ]
 
 
-def fig1e_preset() -> tuple[ExperimentConfig, list[str]]:
-    cfg = ExperimentConfig(afc_mod_depth=FIG1E["mod_depth_truth"],
-                           seed=6)
-    notes = [
-        "synthetic echo-decay data generated from the reference fit "
-        f"parameters with {FIG1E['noise_frac']:.0%} multiplicative noise; "
-        "the modulation depth is a fitted parameter, not assumed",
-    ]
-    return cfg, notes
-
-
 def fig1e_checks(report: dict) -> list[dict]:
     fit = _nums(report["fits"]["afc_decay"])
     return [
@@ -228,21 +174,6 @@ def fig1e_checks(report: dict) -> list[dict]:
               FIG1E["t2_tol_seconds"]),
         _check("converged", float(fit["converged"]), 1, 1),
     ]
-
-
-def fig2_preset() -> tuple[ExperimentConfig, list[str]]:
-    cfg = ExperimentConfig(seed=6)
-    lo, hi = FIG2["gamma_band_sim"]
-    g_ref, g_err = FIG2["gamma_reference"]
-    notes = [
-        f"OU bath calibrated so the two-pulse sequence decays with T2 = "
-        f"{FIG2['xx_t2_calibration_s']*1e3:.0f} ms at correlation time "
-        f"{DEFAULT_OU_TAU_C_S} s; the scaling study runs around that point",
-        "the pass/fail gate on the scaling exponent uses the ideal-bath "
-        f"band ({lo:.2f}, {hi:.2f}); the reference dataset's {g_ref} +- "
-        f"{g_err} is reported alongside without gating",
-    ]
-    return cfg, notes
 
 
 def fig2_checks(report: dict) -> list[dict]:
@@ -270,37 +201,91 @@ def fig2_checks(report: dict) -> list[dict]:
 
 
 class Preset(NamedTuple):
-    config: Callable[[], tuple[ExperimentConfig, list[str]]]
     kind: str  # the RunReport.kind of the run it makes
+    protocol: dict  # the fields the experiment sets
+    calibrated: dict  # the fields pinned to a reference, named in notes
+    notes: tuple[str, ...]
     checks: Callable[[dict], list[dict]]
     # each gated check's class, by name: what fixes its expected value
     # (calibration identity, fit recovery, model identity, self-oracle,
     # simulated value against a formula, or prediction)
     classes: dict[str, str]
 
+    @property
+    def config(self) -> ExperimentConfig:
+        """MEMORY with this preset's protocol and calibrated fields."""
+        return dataclasses.replace(MEMORY, **self.protocol, **self.calibrated)
+
+
+_TABLE_CALIBRATED = {
+    name: {"comb_peak_od": COMB_PEAK_OD_REFERENCE,
+           "eta_end_to_end_target": ref["eta"],
+           "p_noise_target_per_mode": ref["p_n"]}
+    for name, ref in TABLE1.items()}
+_ROW_20MS = TABLE1["table1-20ms"]
+_MU_QUBIT = 0.92
+# noise per mode pinned by the reference sigma_z SNR at _MU_QUBIT/2 per bin
+_P_NOISE_QUBIT = float((_MU_QUBIT / 2) * _ROW_20MS["eta"] / FIG4["sigma_z_snr"])
+_VISIBILITY = float(2 * FIG4["bright_pulse_fidelity"] - 1)
+_GAMMA_LO, _GAMMA_HI = FIG2["gamma_band_sim"]
 
 PRESETS = {
-    "fig1e": Preset(fig1e_preset, "fig1e", fig1e_checks, dict.fromkeys(
-        ("eta0_fit", "t2_fit_seconds", "converged"), "fit recovery")),
-    "fig2": Preset(fig2_preset, "fig2", fig2_checks, dict.fromkeys(
-        [f"mims_m_{k}" for k in DD_KINDS] + ["gamma", "t2_XX_calibration_ms"],
-        "model identity")),
-    **{name: Preset(functools.partial(table_preset, name), "spinwave",
-                    functools.partial(table_checks, ref), dict.fromkeys(
-                        ("snr_avg", "mu1_avg", "eta_avg", "mu_in_measured"),
-                        "calibration identity"))
+    "fig1e": Preset(
+        "fig1e", {"afc_mod_depth": FIG1E["mod_depth_truth"]}, {},
+        ("synthetic echo-decay data generated from the reference fit "
+         f"parameters with {FIG1E['noise_frac']:.0%} multiplicative noise; "
+         "the modulation depth is a fitted parameter, not assumed",),
+        fig1e_checks,
+        dict.fromkeys(("eta0_fit", "t2_fit_seconds", "converged"),
+                      "fit recovery")),
+    "fig2": Preset(
+        "fig2", {}, {},
+        (f"OU bath calibrated so the two-pulse sequence decays with T2 = "
+         f"{FIG2['xx_t2_calibration_s']*1e3:.0f} ms at correlation time "
+         f"{DEFAULT_OU_TAU_C_S} s; the scaling study runs around that point",
+         "the pass/fail gate on the scaling exponent uses the ideal-bath "
+         f"band ({_GAMMA_LO:.2f}, {_GAMMA_HI:.2f}); the reference dataset's "
+         f"{FIG2['gamma_reference'][0]} +- {FIG2['gamma_reference'][1]} is "
+         "reported alongside without gating"),
+        fig2_checks,
+        dict.fromkeys([f"mims_m_{k}" for k in DD_KINDS]
+                      + ["gamma", "t2_XX_calibration_ms"], "model identity")),
+    **{name: Preset(
+        "spinwave",
+        {"dd_kind": ref["dd_kind"], "t_s_seconds": ref["t_s_seconds"],
+         "mu_in_per_mode": ref["mu_in"]},
+        _TABLE_CALIBRATED[name],
+        (f"comb peak OD {COMB_PEAK_OD_REFERENCE} pins eta_afc to the first-"
+         f"maximum echo efficiency {ETA_AFC_REFERENCE} at 1/Delta = 25 us",
+         f"per-pulse transfer efficiency backed out of the reference "
+         f"end-to-end efficiency {ref['eta']} given eta_afc and the "
+         f"simulated spin-stage survival; it absorbs alignment drift of the "
+         f"longer acquisitions",
+         f"noise gain calibrated so this sequence at this storage time "
+         f"gives p_n = {ref['p_n']} per mode (reference noise measurement)"),
+        functools.partial(table_checks, ref),
+        dict.fromkeys(("snr_avg", "mu1_avg", "eta_avg", "mu_in_measured"),
+                      "calibration identity"))
        for name, ref in TABLE1.items()},
-    "fig4-tomo": Preset(tomo_preset, "qubit", tomo_checks, {
-        "fidelity_avg": "prediction", "purity_avg": "prediction",
-        "classical_bound_oracle": "self-oracle",
-        "white_noise_fidelity": "calibration identity",
-        "fidelity_beats_classical_bound":
-            "simulated value against a formula"}),
+    "fig4-tomo": Preset(
+        "qubit",
+        {"dd_kind": _ROW_20MS["dd_kind"],
+         "t_s_seconds": _ROW_20MS["t_s_seconds"],
+         "mu_in_per_mode": _MU_QUBIT, "n_trials": 50_000},
+        {**_TABLE_CALIBRATED["table1-20ms"],
+         "p_noise_target_per_mode": _P_NOISE_QUBIT,
+         "qubit_visibility": _VISIBILITY},
+        (f"qubit noise per mode {_P_NOISE_QUBIT:.6f} pinned by the reference "
+         f"sigma_z SNR {FIG4['sigma_z_snr']} at {_MU_QUBIT/2} photons per bin",
+         f"intrinsic interference visibility {_VISIBILITY:.2f} pinned by the "
+         f"reference bright-pulse fidelity {FIG4['bright_pulse_fidelity']}",
+         "comb, memory efficiency and seed as table1-20ms: comb peak OD "
+         f"{COMB_PEAK_OD_REFERENCE} pins eta_afc, the transfer is backed out"),
+        tomo_checks,
+        {"fidelity_avg": "prediction", "purity_avg": "prediction",
+         "classical_bound_oracle": "self-oracle",
+         "white_noise_fidelity": "calibration identity",
+         "fidelity_beats_classical_bound":
+             "simulated value against a formula"}),
 }
 PRESET_NAMES = tuple(PRESETS)
-
-
-def preset_config(name: str) -> tuple[ExperimentConfig, list[str]]:
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
-    return PRESETS[name].config()

@@ -45,6 +45,10 @@ ONCE = (
     "simulate spinwave --config fast_ou.json",
     "simulate spinwave --config long_storage.json",
     "simulate spinwave --config huge_ou.json",
+    "simulate spinwave --config huge_rabi.json",
+    "simulate qubit --config huge_rabi.json",
+    "simulate spinwave --config huge_rabi_ou.json",
+    "simulate qubit --config huge_rabi_ou.json",
     "reproduce fig1e --out a_file",
     "simulate afc --out a_file",
     "simulate afc --out a_file/sub",
@@ -67,6 +71,11 @@ FILES = {
     "fast_ou.json": '{"bath_ou_sigma_hz": 1e21}\n',
     "long_storage.json": '{"t_s_seconds": 1e16}\n',
     "huge_ou.json": '{"bath_ou_sigma_hz": 1e100}\n',
+    # RF Rabi frequencies whose pulse squares overflow float64
+    "huge_rabi.json": '{"rf_rabi_hz": 1e155}\n',
+    "huge_rabi_ou.json": '{"t_s_seconds": 1e-150, "rf_rabi_hz": 1e160, '
+                         '"bath_ou_sigma_hz": 1e155, "bath_inhom_fwhm_hz": 0, '
+                         '"n_atoms": 100}\n',
     "a_file": "",
     "a_dir": None,
     "afc.csv": "one_over_delta_s,eta\n" + "".join(f"{t},{y}\n" for t, y in (

@@ -10,7 +10,7 @@ from afcmem.comb import CombParams, afc_decay_model, build_comb, propagate
 from afcmem.detection import table_metrics
 from afcmem.fitting import fit_afc_decay, fit_mims, fit_power_law
 from afcmem.harness import reproduce, run_qubit_tomography, run_spinwave
-from afcmem.presets import TABLE1, preset_config
+from afcmem.presets import PRESETS, TABLE1
 from afcmem.pulses import (ChshSpec, HshSpec, chirp_rate, chsh_crossing_times,
                            dd_sequence, half_transfer_rabi, hsh_waveform,
                            reference_transfer_pulse)
@@ -129,7 +129,7 @@ def test_criterion_06_end_to_end_single_photon():
     """Calibrated 20 ms preset at 1e5 trials: SNR in [6.9, 7.9], per-mode
     statistics consistent with their Poisson error bars."""
     start = time.time()
-    cfg, _ = preset_config("table1-20ms")
+    cfg = PRESETS["table1-20ms"].config
     assert cfg.n_trials == 100_000
     report = run_spinwave(cfg, preset="table1-20ms")
     s = report.metrics["summary"]
@@ -163,7 +163,7 @@ def test_criterion_07_tomography():
     dm = direct_inversion(list(pauli_expectations(tc)))
     dist = trace_distance(dm, direct_inversion(r_true))
 
-    cfg, _ = preset_config("fig4-tomo")
+    cfg = PRESETS["fig4-tomo"].config
     tomo = run_qubit_tomography(cfg, preset="fig4-tomo").tomography
     f_avg, p_avg = tomo["fidelity_avg"], tomo["purity_avg"]
 

@@ -202,6 +202,10 @@ def test_config_error_exit_code(tmp_path):
     # free phases past the turns that float64 resolves
     {"bath_ou_sigma_hz": 1e21}, {"t_s_seconds": 1e16},
     {"bath_ou_sigma_hz": 1e100},
+    # an RF Rabi frequency whose pulse squares overflow float64
+    {"rf_rabi_hz": 1e155},
+    {"rf_rabi_hz": 1e160, "t_s_seconds": 1e-150, "bath_ou_sigma_hz": 1e155,
+     "bath_inhom_fwhm_hz": 0, "n_atoms": 100},
 ])
 def test_bath_config_error_exit_code(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import math
 
@@ -11,7 +12,7 @@ from afcmem.config import (FLUX_SAMPLES_PER_BIN, ExperimentConfig,
 from afcmem.harness import (RUNS, afc_efficiency, json_text, reproduce,
                             run_qubit_tomography, run_spinwave)
 from afcmem.presets import (COMB_PEAK_OD_REFERENCE, ETA_AFC_REFERENCE,
-                            PRESET_NAMES, PRESETS, TABLE1, preset_config)
+                            MEMORY, PRESET_NAMES, PRESETS, TABLE1)
 
 
 def _fast_cfg(**kw):
@@ -203,10 +204,27 @@ def test_reproduce_unknown_preset():
         reproduce("nope", "/tmp/never")
 
 
-def test_preset_configs_valid():
-    for name in PRESET_NAMES:
-        cfg, notes = preset_config(name)  # built, so checked
-        assert notes
+def test_presets_are_memory_with_protocol_and_calibration():
+    # every preset measures the one sample MEMORY: its config (built, so
+    # checked) differs from MEMORY only in the fields of its protocol and
+    # calibrated columns, which are config fields; fig1e and fig2
+    # calibrate nothing, and the calibrated fields over all presets are
+    # these four, each with its reference in the preset's notes
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    memory = MEMORY.to_dict()
+    calibrated = set()
+    for preset in PRESETS.values():
+        own = {**preset.protocol, **preset.calibrated}
+        assert len(own) == len(preset.protocol) + len(preset.calibrated)
+        assert own.keys() <= fields
+        cfg = preset.config.to_dict()
+        assert {k: cfg[k] for k in own} == own
+        assert {k for k in fields if cfg[k] != memory[k]} <= own.keys()
+        assert preset.notes
+        calibrated |= preset.calibrated.keys()
+    assert calibrated == {"comb_peak_od", "eta_end_to_end_target",
+                          "p_noise_target_per_mode", "qubit_visibility"}
+    assert PRESETS["fig1e"].calibrated == PRESETS["fig2"].calibrated == {}
 
 
 def test_reproduce_fig1e_outputs(tmp_path):
@@ -333,9 +351,8 @@ def test_reproduce_output_files(tmp_path, preset, files):
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_reproduce_validates_config_once(tmp_path, monkeypatch, preset):
-    # a config is checked when it is built: the preset's config is checked
-    # once, and the run neither rebuilds nor re-checks it
-    from afcmem import harness
+    # a config is checked when it is built: reproduce builds the preset's
+    # config once, and the run neither rebuilds nor re-checks it
     calls = []
     post_init = ExperimentConfig.__post_init__
 
@@ -344,11 +361,9 @@ def test_reproduce_validates_config_once(tmp_path, monkeypatch, preset):
         post_init(cfg)
 
     monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
-    cfg, notes = preset_config(preset)
-    monkeypatch.setattr(harness, "preset_config", lambda name: (cfg, notes))
-    reproduce(preset, tmp_path)
-    assert sum(c is cfg for c in calls) == 1
-    assert calls[-1] is cfg
+    report, _ = reproduce(preset, tmp_path)
+    [cfg] = calls
+    assert cfg.to_dict() == report.config
 
 
 def test_public_runs_validate():
@@ -363,28 +378,28 @@ def test_presets_pin_the_echo_stage_through_the_comb():
     # table1 and fig4-tomo fix eta_afc by the comb's peak OD alone: the
     # stage is the config's own closed form, at the reference efficiency
     for name in TABLE1:
-        cfg = preset_config(name)[0]
+        cfg = PRESETS[name].config
         eta_afc = run_spinwave(cfg).stages["eta_afc"]
         assert eta_afc == afc_efficiency(cfg)
         assert abs(eta_afc - ETA_AFC_REFERENCE) < 5e-5
-    tomo = preset_config("fig4-tomo")[0]
+    tomo = PRESETS["fig4-tomo"].config
     assert (run_qubit_tomography(tomo).stages["eta_afc"]
             == afc_efficiency(tomo))
     # fig4-tomo is the table1-20ms config with the qubit run's fields
     qubit = {"mu_in_per_mode", "p_noise_target_per_mode", "qubit_visibility",
              "n_trials"}
-    tab = preset_config("table1-20ms")[0].to_dict()
+    tab = PRESETS["table1-20ms"].config.to_dict()
     differ = {k for k, v in tomo.to_dict().items() if tab[k] != v}
     assert differ == qubit
 
 
-def test_tomo_preset_splits_the_20ms_row_like_table1():
+def test_fig4_tomo_splits_the_20ms_row_like_table1():
     # fig4-tomo stores in the 20 ms row's memory: the same eta_afc, and the
     # transfer backed out of the same eta, so its eta_transfer differs from
     # table1-20ms's only through eta_spin, which each run samples with its
     # own generator; hold it to three combined standard errors
-    tab = run_spinwave(preset_config("table1-20ms")[0]).stages
-    tomo = run_qubit_tomography(preset_config("fig4-tomo")[0]).stages
+    tab = run_spinwave(PRESETS["table1-20ms"].config).stages
+    tomo = run_qubit_tomography(PRESETS["fig4-tomo"].config).stages
     assert tomo["eta_afc"] == tab["eta_afc"]
 
     # eta_transfer = sqrt(eta / (eta_afc eta_spin)) moves by half eta_spin's
