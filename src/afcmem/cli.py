@@ -16,16 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .comb import CombParams, build_comb, propagate
-from .config import (ExperimentConfig, _is_finite, provenance,
-                     read_config_json)
+from .config import ExperimentConfig, _is_finite, read_config_json
 from .fitting import fit_afc_decay, fit_mims, fit_power_law
-from .harness import (RunReport, afc_efficiency, json_text, reproduce,
-                      run_qubit_tomography, run_spinwave)
+from .harness import RUNS, json_text, reproduce
 from .presets import PRESET_NAMES
 from .tomography import (TomoCounts, classical_bound_weak_coherent,
                          reconstruct, white_noise_fidelity)
-from .waveform import gaussian_pulse
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -54,46 +50,21 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_report(report: RunReport, out: Path) -> None:
-    report.save(out)
-    print(f"report written to {out / 'report.json'}")
-
-
 def _cmd_simulate(args) -> int:
     # the output directory is made only once the run has succeeded
-    cfg = _load_config(args)
+    report = RUNS[args.what](_load_config(args))
+    out = Path(args.out)
+    report.save(out)
     if args.what == "afc":
-        params = CombParams(
-            comb_period_hz=cfg.comb_period_hz, finesse=cfg.comb_finesse,
-            peak_od=cfg.comb_peak_od, background_od=cfg.comb_background_od,
-            bandwidth_hz=cfg.comb_bandwidth_hz, tooth_shape=cfg.comb_tooth_shape,
-            passes=cfg.comb_passes,
-            homogeneous_hwhm_hz=1.0 / (math.pi * cfg.afc_t2_seconds))
-        spectrum = build_comb(params)
-        pulse = gaussian_pulse(cfg.input_fwhm_seconds, 0.0, 16e6)
-        echo = propagate(pulse, spectrum)
-        out = _out_dir(args)
-        echo.output_waveform.to_csv(out / "echo_waveform.csv")
-        result = {
-            "echo_time_s": echo.echo_time_s,
-            "echo_efficiency": echo.echo_efficiency,
-            # the echo stage's closed form; the comb above leaves out the
-            # Zeeman modulation (afc_mod_depth)
-            "eta_afc": afc_efficiency(cfg),
-            "provenance": provenance(cfg.to_dict()),
-        }
-        (out / "report.json").write_text(json_text(result))
-        print(f"echo at {echo.echo_time_s * 1e6:.3f} us, "
-              f"efficiency {echo.echo_efficiency:.4f}")
+        m = report.metrics
+        print(f"echo at {m['echo_time_s'] * 1e6:.3f} us, "
+              f"efficiency {m['echo_efficiency']:.4f}")
         return 0
+    print(f"report written to {out / 'report.json'}")
     if args.what == "spinwave":
-        report = run_spinwave(cfg)
-        _write_report(report, _out_dir(args))
         s = report.metrics["summary"]
         print(f"eta = {s['eta']:.4f}  SNR = {s['snr']:.2f}  mu1 = {s['mu1']:.4f}")
         return 0
-    report = run_qubit_tomography(cfg)
-    _write_report(report, _out_dir(args))
     t = report.tomography
     print(f"F = {t['fidelity_avg']:.4f}  P = {t['purity_avg']:.4f}")
     return 0

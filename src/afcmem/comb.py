@@ -176,10 +176,8 @@ def _tooth_profile(f: np.ndarray, params: CombParams) -> np.ndarray:
 
 def _grid_points(params: CombParams, span_hz: float) -> int:
     """The coarsest power of two whose step resolves the homogeneous line
-    in four steps and a tooth in eight, at most DEFAULT_GRID_POINTS; with
-    no homogeneous line, DEFAULT_GRID_POINTS."""
-    if params.homogeneous_hwhm_hz == 0:
-        return DEFAULT_GRID_POINTS
+    in four steps and a tooth in eight, at most DEFAULT_GRID_POINTS (so
+    DEFAULT_GRID_POINTS with no homogeneous line)."""
     step = min(params.homogeneous_hwhm_hz / 4, params.tooth_fwhm_hz / 8)
     n = 1
     while n < DEFAULT_GRID_POINTS and span_hz / n > step:

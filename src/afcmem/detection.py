@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .waveform import write_csv
 
 # Lifetime of the spontaneous-emission noise floor after read-out.
 NOISE_LIFETIME_S = 1.9e-3
@@ -49,8 +48,9 @@ class CountHistogram:
     def bin_starts(self) -> np.ndarray:
         return np.arange(self.n_bins) * self.bin_width_s
 
-    def to_csv(self, path) -> None:
-        write_csv(path, "bin_start_s,counts", self.bin_starts(), self.counts)
+    def table(self) -> tuple:
+        """The histogram as a CSV table, (header, *columns)."""
+        return "bin_start_s,counts", self.bin_starts(), self.counts
 
 
 def simulate_counts(flux_per_s, sample_rate_hz: float, chain: DetectionChain,

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .comb import afc_decay_model, afc_efficiency
+from .comb import (CombParams, afc_decay_model, afc_efficiency, build_comb,
+                   propagate)
 from .config import FLUX_SAMPLES_PER_BIN, ExperimentConfig, provenance
 from .detection import (DetectionChain, metrics, mode_sums,
                         noise_floor_model, simulate_counts)
@@ -25,7 +26,7 @@ from .spinbath import (PulseErrorModel, SpinBathParams, efficiency_decay,
 from .tomography import (PROJECTION_KEYS, TomoCounts,
                          classical_bound_weak_coherent, reconstruct,
                          white_noise_fidelity)
-from .waveform import write_csv
+from .waveform import gaussian_pulse, write_csv
 
 # Analyser phase theta of each interference projection of the qubit run.
 ANALYSER_PHASES_RAD = {"plus": 0.0, "plus_i": np.pi / 2, "minus": np.pi,
@@ -55,8 +56,8 @@ def json_text(obj) -> str:
 @dataclass
 class RunReport:
     kind: str
-    preset: str | None
     config: dict
+    preset: str | None = None
     stages: dict = field(default_factory=dict)
     eta_end_to_end: float | None = None
     metrics: dict | None = None
@@ -64,7 +65,9 @@ class RunReport:
     fits: dict | None = None
     checks: list | None = None
     notes: list = field(default_factory=list)
-    histograms: dict = field(default_factory=dict, repr=False)
+    # what the run writes besides report.json, by file name: a CSV table
+    # as (header, *columns), or an object for a JSON file
+    files: dict = field(default_factory=dict, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -73,30 +76,24 @@ class RunReport:
         return all(c["pass"] for c in self.checks if c.get("gated", True))
 
     def to_dict(self) -> dict:
-        """The fields report.json holds; json_text makes them JSON-safe."""
-        return {
-            "kind": self.kind,
-            "preset": self.preset,
-            "config": self.config,
-            "provenance": provenance(self.config),
-            "stages": self.stages,
-            "eta_end_to_end": self.eta_end_to_end,
-            "metrics": self.metrics,
-            "tomography": self.tomography,
-            "fits": self.fits,
-            "checks": self.checks,
-            "notes": self.notes,
-        }
+        """The fields report.json holds, with the config's provenance;
+        json_text makes them JSON-safe."""
+        fields = {k: v for k, v in vars(self).items() if k != "files"}
+        return {**fields, "provenance": provenance(self.config)}
 
     def to_json(self) -> str:
         return json_text(self.to_dict())
 
     def save(self, out_dir) -> None:
-        """Write report.json and one CSV per histogram into out_dir."""
+        """Make out_dir and write report.json and the run's files into it."""
         out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(self.to_json())
-        for name, hist in self.histograms.items():
-            hist.to_csv(out / f"{name}.csv")
+        for name, content in self.files.items():
+            if name.endswith(".csv"):
+                write_csv(out / name, *content)
+            else:
+                (out / name).write_text(json_text(content))
 
 
 def _gaussian_flux(t: np.ndarray, center: float, fwhm: float,
@@ -219,7 +216,7 @@ def _stage_efficiencies(cfg: ExperimentConfig, rng_spin):
                     * stages["eta_spin"])
 
 
-def run_spinwave(cfg: ExperimentConfig, preset: str | None = None) -> RunReport:
+def run_spinwave(cfg: ExperimentConfig) -> RunReport:
     """Full spin-wave storage run: stage efficiencies, photon counting and
     the memory metrics of the summary table."""
     ss = np.random.SeedSequence(cfg.seed)
@@ -250,8 +247,8 @@ def run_spinwave(cfg: ExperimentConfig, preset: str | None = None) -> RunReport:
     undefined = [m for m, eta in zip(modes, mm["per_mode"]["eta"])
                  if not eta > 0]
 
-    report = RunReport(
-        kind="spinwave", preset=preset, config=cfg.to_dict(),
+    return RunReport(
+        kind="spinwave", config=cfg.to_dict(),
         stages=stages, eta_end_to_end=float(eta_total),
         metrics={
             **mm,
@@ -260,14 +257,14 @@ def run_spinwave(cfg: ExperimentConfig, preset: str | None = None) -> RunReport:
         },
         notes=[f"mu1 undefined in modes {undefined}: noise-subtracted "
                "signal not positive"] if undefined else [],
+        files={"hist_signal.csv": hist_signal.table(),
+               "hist_noise.csv": hist_noise.table(),
+               "hist_input.csv": hist_input.table()},
     )
-    report.histograms = {"hist_signal": hist_signal, "hist_noise": hist_noise,
-                         "hist_input": hist_input}
-    return report
 
 
-def run_qubit_tomography(cfg: ExperimentConfig, input_phase_rad: float = 0.0,
-                         preset: str | None = None) -> RunReport:
+def run_qubit_tomography(cfg: ExperimentConfig,
+                         input_phase_rad: float = 0.0) -> RunReport:
     """Time-bin qubit storage with analyser read-out, in the memory that
     run_spinwave composes from the same config.
 
@@ -363,18 +360,37 @@ def run_qubit_tomography(cfg: ExperimentConfig, input_phase_rad: float = 0.0,
         "input_phase_rad": float(input_phase_rad),
         "theta_list": list(ANALYSER_PHASES_RAD.values()),
     }
-    report = RunReport(
-        kind="qubit", preset=preset, config=cfg.to_dict(),
+    return RunReport(
+        kind="qubit", config=cfg.to_dict(),
         stages={**stages, "visibility": v0}, eta_end_to_end=float(eta),
-        tomography=tomo,
+        tomography=tomo, files={"hist_sigma_z.csv": hist_z.table()},
     )
-    report.histograms = {"hist_sigma_z": hist_z}
-    return report
+
+
+def _run_afc(cfg: ExperimentConfig) -> RunReport:
+    """The echo of an input-width Gaussian pulse off the config's comb, on
+    a grid that resolves the comb's homogeneous line, beside the echo
+    stage's closed form."""
+    params = CombParams(
+        comb_period_hz=cfg.comb_period_hz, finesse=cfg.comb_finesse,
+        peak_od=cfg.comb_peak_od, background_od=cfg.comb_background_od,
+        bandwidth_hz=cfg.comb_bandwidth_hz, tooth_shape=cfg.comb_tooth_shape,
+        passes=cfg.comb_passes,
+        homogeneous_hwhm_hz=1.0 / (math.pi * cfg.afc_t2_seconds))
+    echo = propagate(gaussian_pulse(cfg.input_fwhm_seconds, 0.0, 16e6),
+                     build_comb(params))
+    return RunReport(
+        kind="afc", config=cfg.to_dict(),
+        # the comb above leaves out the Zeeman modulation (afc_mod_depth)
+        stages={"eta_afc": afc_efficiency(cfg)},
+        metrics={"echo_time_s": echo.echo_time_s,
+                 "echo_efficiency": echo.echo_efficiency},
+        files={"echo_waveform.csv": echo.output_waveform.table()})
 
 
 # --- reproduction presets ---------------------------------------------------
 
-def _run_fig1e(cfg, name: str, out: Path) -> RunReport:
+def _run_fig1e(cfg: ExperimentConfig) -> RunReport:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     t = np.linspace(FIG1E["t_min_s"], FIG1E["t_max_s"], FIG1E["n_points"])
     truth = afc_decay_model(t, FIG1E["eta0"], FIG1E["t2_seconds"],
@@ -382,45 +398,38 @@ def _run_fig1e(cfg, name: str, out: Path) -> RunReport:
     data = truth * (1 + FIG1E["noise_frac"] * rng.standard_normal(t.size))
     fit = fit_afc_decay(t, data, zeeman_split_hz=cfg.zeeman_split_hz)
     model = afc_decay_model(t, *fit.params, cfg.zeeman_split_hz)
+    return RunReport(
+        kind="fig1e", config=cfg.to_dict(), fits={"afc_decay": fit.as_dict()},
+        files={"afc_decay.csv": ("one_over_delta_s,eta_data,eta_fit",
+                                 t, data, model),
+               "fit_afc.json": fit.as_dict()})
 
-    write_csv(out / "afc_decay.csv", "one_over_delta_s,eta_data,eta_fit",
-              t, data, model)
-    (out / "fit_afc.json").write_text(json_text(fit.as_dict()))
-    return RunReport(kind="fig1e", preset=name, config=cfg.to_dict(),
-                     fits={"afc_decay": fit.as_dict()})
 
-
-def _run_fig2(cfg, name: str, out: Path) -> RunReport:
+def _run_fig2(cfg: ExperimentConfig) -> RunReport:
     bath = _bath(cfg)
-    fits = {}
+    fits, files = {}, {}
     for kind in DD_KINDS:
         t_list = spin_t2_nominal(kind) * np.array(
             [0.4, 0.55, 0.7, 0.85, 1.0, 1.2, 1.4])
         cols = np.array(efficiency_decay(kind, t_list, bath)).T
-        write_csv(out / f"decay_{kind}.csv", "t_s_seconds,eta", *cols)
+        files[f"decay_{kind}.csv"] = ("t_s_seconds,eta", *cols)
         fits[f"mims_{kind}"] = fit_mims(cols[0], cols[1]).as_dict()
     pl = fit_power_law([len(dd_phases(k)) for k in DD_KINDS],
                        [fits[f"mims_{k}"]["t2"] for k in DD_KINDS])
-    fits["power_law"] = pl.as_dict()
-    (out / "fit_powerlaw.json").write_text(json_text(pl.as_dict()))
-    return RunReport(kind="fig2", preset=name, config=cfg.to_dict(),
-                     fits=fits)
+    fits["power_law"] = files["fit_powerlaw.json"] = pl.as_dict()
+    return RunReport(kind="fig2", config=cfg.to_dict(), fits=fits,
+                     files=files)
 
 
-# each preset's run, by its kind (the RunReport.kind it makes), as
-# run(cfg, preset name, output directory)
-RUNS = {
-    "spinwave": lambda cfg, name, out: run_spinwave(cfg, name),
-    "qubit": lambda cfg, name, out: run_qubit_tomography(cfg, preset=name),
-    "fig1e": _run_fig1e,
-    "fig2": _run_fig2,
-}
+# each run by its kind, the RunReport.kind it makes
+RUNS = {"afc": _run_afc, "spinwave": run_spinwave,
+        "qubit": run_qubit_tomography, "fig1e": _run_fig1e, "fig2": _run_fig2}
 
 
 def reproduce(name: str, out_dir, seed: int | None = None):
     """Run a named reproduction preset, MEMORY with the preset's protocol
-    and calibrated fields; writes plot-ready CSV plus a pass/fail
-    comparison against the stored reference values.
+    and calibrated fields, check it against the stored reference values
+    and save it, with its plot-ready CSV, into out_dir.
 
     Returns (report, passed).
     """
@@ -429,13 +438,11 @@ def reproduce(name: str, out_dir, seed: int | None = None):
     preset = PRESETS[name]
     cfg = preset.config
     if seed is not None:
-        # checked here, before the output directory exists
         cfg = replace(cfg, seed=seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report = RUNS[preset.kind](cfg, name, out)
+    report = RUNS[preset.kind](cfg)
+    report.preset = name
     report.notes.extend(preset.notes)
     # the checks read the report's fields by their report.json keys
     report.checks = preset.checks(vars(report))
-    report.save(out)
+    report.save(out_dir)
     return report, report.passed

@@ -7,8 +7,10 @@ sequence, input photon number, trials); the fields it calibrates, each
 pinned to a reference value (comb peak OD, which fixes the echo
 efficiency; end-to-end efficiency, from which the transfer is backed out;
 read-out noise; interference visibility); notes that give each
-calibrated field's reference; its checks against the reference values, a
-function of the report's fields alone; and each gated check's class.
+calibrated field's reference; and its checks against the reference values,
+a function of the report's fields alone.  A gated check names its class,
+what fixes its expected value: calibration identity, fit recovery, model
+identity, self-oracle, simulated value against a formula, or prediction.
 """
 
 from __future__ import annotations
@@ -111,16 +113,20 @@ def _nums(table: dict) -> dict:
     return {key: _num(value) for key, value in table.items()}
 
 
-def _check(name, value, lo, hi, gated=True, note=None) -> dict:
+def _check(name, value, lo, hi, gate=None, note=None) -> dict:
+    """A check of lo <= value <= hi, gated when gate names its class."""
     entry = {"name": name, "value": float(value), "lo": float(lo),
-             "hi": float(hi), "pass": bool(lo <= value <= hi), "gated": gated}
+             "hi": float(hi), "pass": bool(lo <= value <= hi),
+             "gated": gate is not None}
+    if gate is not None:
+        entry["class"] = gate
     if note:
         entry["note"] = note
     return entry
 
 
-def _near(name, value, centre, half, **kw) -> dict:
-    return _check(name, value, centre - half, centre + half, **kw)
+def _near(name, value, centre, half, *args, **kw) -> dict:
+    return _check(name, value, centre - half, centre + half, *args, **kw)
 
 
 def table_checks(ref: dict, report: dict) -> list[dict]:
@@ -130,17 +136,18 @@ def table_checks(ref: dict, report: dict) -> list[dict]:
     mu1_half = ref["mu1_err"] + float(ref["mu1"] * np.hypot(
         (ref["p_n_err"] + ref["p_n_round"]) / ref["p_n"],
         ref["eta_err"] / ref["eta"]))
+    gate = "calibration identity"
     return [
-        _near("snr_avg", s["snr"], ref["snr"], ref["snr_err"]),
-        _near("mu1_avg", s["mu1"], ref["mu1"], mu1_half,
+        _near("snr_avg", s["snr"], ref["snr"], ref["snr_err"], gate),
+        _near("mu1_avg", s["mu1"], ref["mu1"], mu1_half, gate,
               note="band widened by uncertainty propagated from the "
                    "rounded published inputs"),
         _check("eta_avg", s["eta"],
                ref["eta"] - ref["eta_err"] - 3 * s["eta_err"],
-               ref["eta"] + ref["eta_err"] + 3 * s["eta_err"]),
+               ref["eta"] + ref["eta_err"] + 3 * s["eta_err"], gate),
         _near("mu_in_measured", float(np.mean(_num(m["mu_in_measured"]))),
               ref["mu_in"],
-              4 * float(np.mean(_num(m["mu_in_measured_err"])))),
+              4 * float(np.mean(_num(m["mu_in_measured_err"]))), gate),
     ]
 
 
@@ -149,17 +156,19 @@ def tomo_checks(report: dict) -> list[dict]:
     fidelity = _num(tomo["fidelity_avg"])
     bound = _num(tomo["classical_bound_weak_coherent"])
     return [
-        _check("fidelity_avg", fidelity, *FIG4["fidelity_band"]),
-        _check("purity_avg", _num(tomo["purity_avg"]), *FIG4["purity_band"]),
+        _check("fidelity_avg", fidelity, *FIG4["fidelity_band"],
+               "prediction"),
+        _check("purity_avg", _num(tomo["purity_avg"]), *FIG4["purity_band"],
+               "prediction"),
         _near("classical_bound_oracle", bound,
-              *FIG4["classical_bound_oracle"]),
+              *FIG4["classical_bound_oracle"], "self-oracle"),
         _near("white_noise_fidelity", _num(tomo["white_noise_fidelity"]),
-              FIG4["white_noise_fidelity_reference"], 0.01),
+              FIG4["white_noise_fidelity_reference"], 0.01,
+              "calibration identity"),
         _check("fidelity_beats_classical_bound", fidelity - bound,
-               0.0, 1.0),
+               0.0, 1.0, "simulated value against a formula"),
         _check("classical_bound_gap_to_reference",
                bound - FIG4["classical_bound_reference"], -0.02, 0.02,
-               gated=False,
                note="the greedy oracle sits about one percentage point "
                     "below the reference bound; the gap is reported, "
                     "not suppressed"),
@@ -168,34 +177,36 @@ def tomo_checks(report: dict) -> list[dict]:
 
 def fig1e_checks(report: dict) -> list[dict]:
     fit = _nums(report["fits"]["afc_decay"])
+    gate = "fit recovery"
     return [
-        _near("eta0_fit", fit["eta0"], FIG1E["eta0"], FIG1E["eta0_tol"]),
+        _near("eta0_fit", fit["eta0"], FIG1E["eta0"], FIG1E["eta0_tol"],
+              gate),
         _near("t2_fit_seconds", fit["t2"], FIG1E["t2_seconds"],
-              FIG1E["t2_tol_seconds"]),
-        _check("converged", float(fit["converged"]), 1, 1),
+              FIG1E["t2_tol_seconds"], gate),
+        _check("converged", float(fit["converged"]), 1, 1, gate),
     ]
 
 
 def fig2_checks(report: dict) -> list[dict]:
     fits = {name: _nums(fit) for name, fit in report["fits"].items()}
+    gate = "model identity"
     checks = []
     for kind in DD_KINDS:
         fit = fits[f"mims_{kind}"]
         checks += [
-            _check(f"mims_m_{kind}", fit["m"], *FIG2["mims_m_band"]),
+            _check(f"mims_m_{kind}", fit["m"], *FIG2["mims_m_band"], gate),
             _near(f"t2_{kind}_ms_reference", fit["t2"] * 1e3,
-                  *FIG2["t2_reference_ms"][kind], gated=False,
+                  *FIG2["t2_reference_ms"][kind],
                   note="reference dataset value; the simulated ideal "
                        "bath is calibrated only at XX"),
         ]
     gamma = fits["power_law"]["gamma"]
     xx_t2_ms = FIG2["xx_t2_calibration_s"] * 1e3
     return checks + [
-        _check("gamma", gamma, *FIG2["gamma_band_sim"]),
+        _check("gamma", gamma, *FIG2["gamma_band_sim"], gate),
         _check("t2_XX_calibration_ms", fits["mims_XX"]["t2"] * 1e3,
-               xx_t2_ms * 0.95, xx_t2_ms * 1.05),
+               xx_t2_ms * 0.95, xx_t2_ms * 1.05, gate),
         _near("gamma_reference", gamma, *FIG2["gamma_reference"],
-              gated=False,
               note="reference dataset value; ideal OU bath scaling is 2/3"),
     ]
 
@@ -206,10 +217,6 @@ class Preset(NamedTuple):
     calibrated: dict  # the fields pinned to a reference, named in notes
     notes: tuple[str, ...]
     checks: Callable[[dict], list[dict]]
-    # each gated check's class, by name: what fixes its expected value
-    # (calibration identity, fit recovery, model identity, self-oracle,
-    # simulated value against a formula, or prediction)
-    classes: dict[str, str]
 
     @property
     def config(self) -> ExperimentConfig:
@@ -235,9 +242,7 @@ PRESETS = {
         ("synthetic echo-decay data generated from the reference fit "
          f"parameters with {FIG1E['noise_frac']:.0%} multiplicative noise; "
          "the modulation depth is a fitted parameter, not assumed",),
-        fig1e_checks,
-        dict.fromkeys(("eta0_fit", "t2_fit_seconds", "converged"),
-                      "fit recovery")),
+        fig1e_checks),
     "fig2": Preset(
         "fig2", {}, {},
         (f"OU bath calibrated so the two-pulse sequence decays with T2 = "
@@ -247,9 +252,7 @@ PRESETS = {
          f"band ({_GAMMA_LO:.2f}, {_GAMMA_HI:.2f}); the reference dataset's "
          f"{FIG2['gamma_reference'][0]} +- {FIG2['gamma_reference'][1]} is "
          "reported alongside without gating"),
-        fig2_checks,
-        dict.fromkeys([f"mims_m_{k}" for k in DD_KINDS]
-                      + ["gamma", "t2_XX_calibration_ms"], "model identity")),
+        fig2_checks),
     **{name: Preset(
         "spinwave",
         {"dd_kind": ref["dd_kind"], "t_s_seconds": ref["t_s_seconds"],
@@ -263,9 +266,7 @@ PRESETS = {
          f"longer acquisitions",
          f"noise gain calibrated so this sequence at this storage time "
          f"gives p_n = {ref['p_n']} per mode (reference noise measurement)"),
-        functools.partial(table_checks, ref),
-        dict.fromkeys(("snr_avg", "mu1_avg", "eta_avg", "mu_in_measured"),
-                      "calibration identity"))
+        functools.partial(table_checks, ref))
        for name, ref in TABLE1.items()},
     "fig4-tomo": Preset(
         "qubit",
@@ -281,11 +282,6 @@ PRESETS = {
          f"reference bright-pulse fidelity {FIG4['bright_pulse_fidelity']}",
          "comb, memory efficiency and seed as table1-20ms: comb peak OD "
          f"{COMB_PEAK_OD_REFERENCE} pins eta_afc, the transfer is backed out"),
-        tomo_checks,
-        {"fidelity_avg": "prediction", "purity_avg": "prediction",
-         "classical_bound_oracle": "self-oracle",
-         "white_noise_fidelity": "calibration identity",
-         "fidelity_beats_classical_bound":
-             "simulated value against a formula"}),
+        tomo_checks),
 }
 PRESET_NAMES = tuple(PRESETS)

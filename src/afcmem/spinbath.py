@@ -168,7 +168,9 @@ def _ou_innovations(h, sigma, tau):
                                        c.tolist(), decay.tolist()):
         var.append((tau * e_k) ** 2 * p + b_k * b_k + c_k * c_k)
         cov.append(d_k * tau * e_k * p + a_k * b_k)
-        p = d_k * d_k * p + a_k * a_k - cov[-1] ** 2 / var[-1]
+        # P is a variance: where h << tau the update cancels to rounding
+        # error, which may leave it below 0
+        p = max(d_k * d_k * p + a_k * a_k - cov[-1] ** 2 / var[-1], 0.0)
     root_s = np.sqrt(var)
     return tau * e, root_s, np.divide(cov, root_s), decay
 

@@ -47,10 +47,10 @@ class Waveform:
                 return self.t0_s + i_frac * self.dt_s
         return self.t0_s + i * self.dt_s
 
-    def to_csv(self, path) -> None:
-        """Write rows of (t, Re, Im)."""
-        write_csv(path, "t_s,re,im", self.times(), self.samples.real,
-                  self.samples.imag)
+    def table(self) -> tuple:
+        """The envelope as a CSV table, (header, *columns): rows of
+        (t, Re, Im)."""
+        return "t_s,re,im", self.times(), self.samples.real, self.samples.imag
 
 
 def write_csv(path, header: str, *columns: np.ndarray) -> None:

@@ -131,7 +131,7 @@ def test_criterion_06_end_to_end_single_photon():
     start = time.time()
     cfg = PRESETS["table1-20ms"].config
     assert cfg.n_trials == 100_000
-    report = run_spinwave(cfg, preset="table1-20ms")
+    report = run_spinwave(cfg)
     s = report.metrics["summary"]
     per = report.metrics["per_mode"]
     eta_dev = np.abs(np.asarray(per["eta"]) - s["eta"]) \
@@ -164,7 +164,7 @@ def test_criterion_07_tomography():
     dist = trace_distance(dm, direct_inversion(r_true))
 
     cfg = PRESETS["fig4-tomo"].config
-    tomo = run_qubit_tomography(cfg, preset="fig4-tomo").tomography
+    tomo = run_qubit_tomography(cfg).tomography
     f_avg, p_avg = tomo["fidelity_avg"], tomo["purity_avg"]
 
     c_val = max_fidelity_from_purity(0.76)

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import afcmem
-from afcmem import cli, waveform
+from afcmem import cli, harness, waveform
 from afcmem.cli import main
 from afcmem.comb import build_comb
 from afcmem.config import ExperimentConfig
@@ -89,11 +89,11 @@ def test_simulate_afc(tmp_path, capsys):
     code = run_cli("simulate", "afc", "--out", str(tmp_path))
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["echo_time_s"] == pytest.approx(25e-6, rel=0.01)
+    assert report["metrics"]["echo_time_s"] == pytest.approx(25e-6, rel=0.01)
     # the comb's echo is the echo stage's: its grid resolves the line of
     # afc_t2_seconds, so the same closed form to within the grid's error
-    assert report["echo_efficiency"] == pytest.approx(report["eta_afc"],
-                                                      rel=0.015)
+    assert report["metrics"]["echo_efficiency"] == pytest.approx(
+        report["stages"]["eta_afc"], rel=0.015)
     assert (tmp_path / "echo_waveform.csv").exists()
 
 
@@ -107,7 +107,7 @@ def test_simulate_afc_grid_is_sized_by_the_line(tmp_path, capsys,
         built.append(build_comb(params))
         return built[-1]
 
-    monkeypatch.setattr(cli, "build_comb", build)
+    monkeypatch.setattr(harness, "build_comb", build)
     assert run_cli("simulate", "afc", "--out", str(tmp_path)) == 0
     [spectrum] = built
     assert spectrum.freq_grid_hz.size == 2**14 + 1
@@ -124,8 +124,8 @@ def test_simulate_afc_echo_matches_closed_form(tmp_path, capsys, shape):
                    "--out", str(tmp_path / "out"))
     assert code == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["echo_efficiency"] == pytest.approx(report["eta_afc"],
-                                                      rel=1e-3)
+    assert report["metrics"]["echo_efficiency"] == pytest.approx(
+        report["stages"]["eta_afc"], rel=1e-3)
 
 
 def test_simulate_qubit(tmp_path, capsys):
@@ -256,7 +256,7 @@ def test_bad_out_refused_before_the_run(tmp_path, monkeypatch, capsys):
     # the run would fail with exit 3; --out is refused before it starts
     def run(*args, **kw):
         raise RuntimeError("the run started")
-    monkeypatch.setattr(cli, "run_qubit_tomography", run)
+    monkeypatch.setitem(harness.RUNS, "qubit", run)
     (tmp_path / "a_file").write_text("")
     assert run_cli("simulate", "qubit", "--out",
                    str(tmp_path / "a_file" / "sub")) == 2
@@ -506,9 +506,9 @@ def test_any_flat_config_validates_or_exits_2(data):
     summary = {"summary": {"eta": 0.0, "snr": 0.0, "mu1": 0.0}}
     with tempfile.TemporaryDirectory() as tmp, \
             pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "run_spinwave",
-                   lambda cfg: types.SimpleNamespace(metrics=summary))
-        mp.setattr(cli, "_write_report", lambda report, out: None)
+        mp.setitem(harness.RUNS, "spinwave",
+                   lambda cfg: types.SimpleNamespace(
+                       metrics=summary, save=lambda out: None))
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(data))
         code, err = _run_quiet("simulate", "spinwave", "--config", str(path),

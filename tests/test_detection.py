@@ -4,6 +4,7 @@ import pytest
 from afcmem.detection import (CountHistogram, DetectionChain, ModeSums,
                               metrics, mode_sums, noise_floor_model,
                               simulate_counts, table_metrics)
+from afcmem.waveform import write_csv
 
 CHAIN = DetectionChain()  # 0.57 x 0.185
 
@@ -92,8 +93,8 @@ def test_mode_sums_single_mode(tmp_path):
                                         np.sqrt(150) / norm])
     # counts beyond 32 bits are written as exact integers
     counts = np.array([2**31 + 1, 0, 2**40], dtype=np.int64)
-    CountHistogram(bin_width_s=165e-9, counts=counts,
-                   n_trials=1).to_csv(tmp_path / "hist.csv")
+    hist = CountHistogram(bin_width_s=165e-9, counts=counts, n_trials=1)
+    write_csv(tmp_path / "hist.csv", *hist.table())
     assert (tmp_path / "hist.csv").read_text() == (
         "bin_start_s,counts\n0.0,2147483649\n1.65e-07,0\n"
         "3.3e-07,1099511627776\n")

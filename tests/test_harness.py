@@ -62,7 +62,7 @@ def test_transfer_work_bounded_at_config():
 def test_undefined_value_fails_gated_check():
     from afcmem.harness import RunReport
     from afcmem.presets import _check
-    check = _check("mu1_avg", float("nan"), 0.0, 1.0)
+    check = _check("mu1_avg", float("nan"), 0.0, 1.0, "calibration identity")
     assert check["pass"] is False
     report = RunReport(kind="spinwave", preset="table1-20ms", config={},
                        checks=[check])
@@ -204,6 +204,18 @@ def test_reproduce_unknown_preset():
         reproduce("nope", "/tmp/never")
 
 
+def test_failed_reproduce_leaves_no_output_directory(tmp_path, monkeypatch):
+    # only RunReport.save makes the run directory, after the run
+    def fail(cfg):
+        raise ValueError("the run failed")
+
+    monkeypatch.setitem(RUNS, PRESETS["fig1e"].kind, fail)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="the run failed"):
+        reproduce("fig1e", out)
+    assert not out.exists()
+
+
 def test_presets_are_memory_with_protocol_and_calibration():
     # every preset measures the one sample MEMORY: its config (built, so
     # checked) differs from MEMORY only in the fields of its protocol and
@@ -251,18 +263,19 @@ def test_checks_recompute_from_the_saved_report(tmp_path):
             assert saved["kind"] == PRESETS[name].kind
             gated += [c["gated"] for c in saved["checks"]]
         assert (gated.count(True), gated.count(False)) == (26, 6)
-    assert set(RUNS) == {preset.kind for preset in PRESETS.values()}
+    assert set(RUNS) == {"afc"} | {preset.kind for preset in PRESETS.values()}
 
 
 def test_every_gated_check_has_one_class(tmp_path):
-    # each gated check of each preset has exactly one class, and no
-    # ungated check has one; 2 of the 26 are predictions
+    # in each preset's report.json each gated check has exactly one class,
+    # and no ungated check has one; 2 of the 26 are predictions
     counts = collections.Counter()
-    for name, preset in PRESETS.items():
-        report, _ = reproduce(name, tmp_path / name)
-        gated = [c["name"] for c in report.checks if c["gated"]]
-        assert sorted(gated) == sorted(preset.classes)
-        counts.update(preset.classes.values())
+    for name in PRESETS:
+        reproduce(name, tmp_path / name)
+        saved = json.loads((tmp_path / name / "report.json").read_text())
+        for check in saved["checks"]:
+            assert ("class" in check) == check["gated"]
+        counts.update(c["class"] for c in saved["checks"] if c["gated"])
     assert counts == {"calibration identity": 13, "fit recovery": 3,
                       "model identity": 6, "self-oracle": 1,
                       "simulated value against a formula": 1,
@@ -300,7 +313,7 @@ def test_narrowest_input_pulse_keeps_its_photon_number():
 
 
 def test_report_json_structure():
-    rep = run_spinwave(_fast_cfg(), preset=None)
+    rep = run_spinwave(_fast_cfg())
     d = json.loads(rep.to_json())
     assert set(d["provenance"]) == {"config_hash", "seed", "version"}
     assert "eta_afc" in d["stages"]

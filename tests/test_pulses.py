@@ -7,6 +7,7 @@ from afcmem.pulses import (CHSH_AMPLITUDE_SCALE, DD_KINDS, ChshSpec, HshSpec,
                            hsh_amplitude, hsh_frequency, hsh_phase,
                            hsh_time_of_frequency, hsh_waveform,
                            reference_transfer_pulse)
+from afcmem.waveform import write_csv
 
 
 def _spec(**kw):
@@ -123,7 +124,7 @@ def test_reference_pulse_spec():
 def test_waveform_csv_export(tmp_path):
     wf = hsh_waveform(_spec(), sample_rate_hz=64e6)
     path = tmp_path / "hsh.csv"
-    wf.to_csv(path)
+    write_csv(path, *wf.table())
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t_s,re,im"
     assert len(lines) == wf.n_samples + 1

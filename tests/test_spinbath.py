@@ -109,6 +109,21 @@ def test_ou_innovations_match_integral_covariance(timing, u):
                   <= 1e-12 * want + np.finfo(float).tiny)
 
 
+def test_ou_variance_survives_cancellation():
+    # intervals of 1e-30 s against a 3 s correlation time: the variance
+    # update cancels to rounding error and must not go negative (a square
+    # root of it would warn and give NaN).  The bath's phase over the train
+    # is below 1e-9 rad, so the coherence is the quiet bath's to rounding.
+    rabi = 1e150
+    dd = dd_sequence("XY4", 1e-30, 1 / (2 * rabi))
+    errors = PulseErrorModel(area_error=0.01, rf_rabi_hz=rabi)
+    noisy, quiet = (spin_echo_coherence(
+        dd, SpinBathParams(inhom_fwhm_hz=0.0, ou_sigma_hz=sigma,
+                           ou_tau_c_s=DEFAULT_OU_TAU_C_S, n_atoms=100),
+        errors, seed=1).coherence for sigma in (1e20, 0.0))
+    assert noisy == pytest.approx(quiet, rel=0, abs=1e-15)
+
+
 def test_box_muller_pair():
     # the normal pair that the kernel draws per two intervals, against
     # N(0, 1) each and against independence

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from afcmem.waveform import Waveform, gaussian_pulse
+from afcmem.waveform import Waveform, gaussian_pulse, write_csv
 
 
 def test_gaussian_pulse_shape():
@@ -21,7 +21,7 @@ def test_peak_time_subsample():
 def test_csv_export(tmp_path):
     wf = Waveform(1e6, 0.0, np.array([1 + 2j, 3 - 4j, complex(-0.0, -1e-310)]))
     path = tmp_path / "wf.csv"
-    wf.to_csv(path)
+    write_csv(path, *wf.table())
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t_s,re,im"
     assert len(lines) == 4
